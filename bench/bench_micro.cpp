@@ -12,9 +12,11 @@ using namespace cayman;
 
 // Decoded engine (the default): pre-decoded micro-op stream, hash-free hot
 // loop. The insts/s counter accumulates across iterations so the rate is the
-// true dynamic-instruction throughput.
-void BM_InterpreterRun(benchmark::State& state) {
-  auto module = workloads::build("atax");
+// true dynamic-instruction throughput. atax alone overstates it (one dense
+// loop nest); cjpeg is the sweep's longest profile and has a more varied
+// op mix.
+void BM_InterpreterRun(benchmark::State& state, const char* workload) {
+  auto module = workloads::build(workload);
   sim::Interpreter interp(*module);
   uint64_t instructions = 0;
   for (auto _ : state) {
@@ -25,7 +27,8 @@ void BM_InterpreterRun(benchmark::State& state) {
   state.counters["insts/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_InterpreterRun);
+BENCHMARK_CAPTURE(BM_InterpreterRun, atax, "atax");
+BENCHMARK_CAPTURE(BM_InterpreterRun, cjpeg, "cjpeg");
 
 // Tree-walking reference engine, kept for before/after comparison and as the
 // golden-equivalence oracle.

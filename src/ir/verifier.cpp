@@ -115,6 +115,7 @@ class Verifier {
           error(f, "gep with zero element size in " + block->name());
         }
         checkStructure(f, *block, inst);
+        checkValueKinds(f, *block, inst);
       }
     }
   }
@@ -183,6 +184,89 @@ class Verifier {
         if (!inst.isTerminator() && !inst.successors().empty()) {
           error(f, "non-terminator with successors in " + block.name());
         }
+        break;
+    }
+  }
+
+  /// Every value is either integer-like (i1, i32, i64, ptr) or float (f32,
+  /// f64), and each opcode reads and writes fixed kinds. The decoded
+  /// interpreter keeps one untyped 8-byte word per value, so it agrees bit
+  /// for bit with the typed reference engine only on IR that never reads a
+  /// value as the other kind.
+  void checkValueKinds(const Function& f, const BasicBlock& block,
+                       const Instruction& inst) {
+    enum class Kind { Int, Float, Void };
+    auto kindOf = [](const Type* type) {
+      if (type->isFloat()) return Kind::Float;
+      return type->isVoid() ? Kind::Void : Kind::Int;
+    };
+    auto want = [&](const Value* value, Kind kind, const char* what) {
+      if (kindOf(value->type()) == kind) return;
+      error(f, std::string(opcodeSpelling(inst.opcode())) + " in " +
+                   block.name() + ": " + what + " has type " +
+                   value->type()->spelling());
+    };
+    auto wantOperands = [&](Kind kind) {
+      for (const Value* operand : inst.operands()) {
+        want(operand, kind, "operand");
+      }
+    };
+    const Kind result = kindOf(inst.type());
+    switch (inst.opcode()) {
+      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+      case Opcode::SDiv: case Opcode::SRem: case Opcode::And:
+      case Opcode::Or: case Opcode::Xor: case Opcode::Shl:
+      case Opcode::AShr: case Opcode::LShr: case Opcode::ZExt:
+      case Opcode::SExt: case Opcode::Trunc: case Opcode::Gep:
+      case Opcode::ICmp:
+        want(&inst, Kind::Int, "result");
+        wantOperands(Kind::Int);
+        break;
+      case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul:
+      case Opcode::FDiv: case Opcode::FNeg: case Opcode::FSqrt:
+      case Opcode::FAbs: case Opcode::FMin: case Opcode::FMax:
+        want(&inst, Kind::Float, "result");
+        wantOperands(Kind::Float);
+        break;
+      case Opcode::FCmp:
+        want(&inst, Kind::Int, "result");
+        wantOperands(Kind::Float);
+        break;
+      case Opcode::SIToFP:
+        want(&inst, Kind::Float, "result");
+        wantOperands(Kind::Int);
+        break;
+      case Opcode::FPToSI:
+        want(&inst, Kind::Int, "result");
+        wantOperands(Kind::Float);
+        break;
+      case Opcode::Select:
+        for (size_t i = 0; i < inst.numOperands(); ++i) {
+          want(inst.operand(i), i == 0 ? Kind::Int : result, "operand");
+        }
+        break;
+      case Opcode::Phi:
+        wantOperands(result);
+        break;
+      case Opcode::Load:
+        if (inst.numOperands() == 1) {
+          want(inst.operand(0), Kind::Int, "address");
+        }
+        break;
+      case Opcode::Store:
+        if (inst.numOperands() == 2) {
+          want(inst.operand(1), Kind::Int, "address");
+        }
+        break;
+      case Opcode::Call:
+        if (inst.callee() != nullptr &&
+            inst.type() != inst.callee()->returnType()) {
+          error(f, "call to @" + inst.callee()->name() + " in " +
+                       block.name() + " has a result type other than the "
+                       "callee's return type");
+        }
+        break;
+      default:
         break;
     }
   }

@@ -1,7 +1,6 @@
 #include "sim/decoder.h"
 
 #include <bit>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -17,8 +16,8 @@ namespace {
 struct DecodeCtx {
   DecodedFunction df;
   std::unordered_map<const ir::Value*, uint32_t> valueSlot;
-  // Constants interned by bit pattern (covers int, fp, and global bases).
-  std::map<std::pair<int64_t, int64_t>, uint32_t> constSlot;
+  // Constants interned by word (covers int, fp, and global bases).
+  std::unordered_map<uint64_t, uint32_t> constSlot;
   std::unordered_map<const ir::BasicBlock*, uint32_t> blockId;
   std::vector<uint32_t> blockEntryPc;
   // Jump/CondJump fields to patch with a block's entry pc once known.
@@ -122,18 +121,19 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
   df.constBase = nextSlot;
 
   auto slotOf = [&](const ir::Value* value) -> uint32_t {
-    Slot constant;
+    uint64_t constant;
     switch (value->valueKind()) {
       case ir::ValueKind::ConstantInt:
-        constant = {static_cast<const ir::ConstantInt*>(value)->value(), 0.0};
+        constant = static_cast<uint64_t>(
+            static_cast<const ir::ConstantInt*>(value)->value());
         break;
       case ir::ValueKind::ConstantFP:
-        constant = {0, static_cast<const ir::ConstantFP*>(value)->value()};
+        constant = std::bit_cast<uint64_t>(
+            static_cast<const ir::ConstantFP*>(value)->value());
         break;
       case ir::ValueKind::GlobalArray:
-        constant = {static_cast<int64_t>(memory_.baseOf(
-                        static_cast<const ir::GlobalArray*>(value))),
-                    0.0};
+        constant =
+            memory_.baseOf(static_cast<const ir::GlobalArray*>(value));
         break;
       default: {
         auto it = ctx.valueSlot.find(value);
@@ -142,19 +142,16 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
         return it->second;
       }
     }
-    auto key = std::make_pair(constant.i, std::bit_cast<int64_t>(constant.f));
     auto [it, inserted] = ctx.constSlot.emplace(
-        key, df.constBase + static_cast<uint32_t>(df.constPool.size()));
+        constant, df.constBase + static_cast<uint32_t>(df.constPool.size()));
     if (inserted) df.constPool.push_back(constant);
     return it->second;
   };
 
-  // --- Dense block metadata. ------------------------------------------------
+  // --- Dense block ids. -----------------------------------------------------
   for (const auto& block : function.blocks()) {
     ctx.blockId[block.get()] = static_cast<uint32_t>(df.blockOf.size());
     df.blockOf.push_back(block.get());
-    df.blockCost.push_back(model_.blockCost(*block));
-    df.blockSize.push_back(static_cast<uint32_t>(block->size()));
   }
   ctx.blockEntryPc.assign(df.numBlocks(), 0);
   CAYMAN_ASSERT(function.entry()->phis().empty(), "phi in entry block");
@@ -211,7 +208,9 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
     {
       MicroOp head;
       head.op = MicroOpcode::BlockHead;
+      head.a = static_cast<uint32_t>(block->size());
       head.b = id;
+      head.imm = std::bit_cast<int64_t>(model_.blockCost(*block));
       df.ops.push_back(head);
     }
     CAYMAN_ASSERT(block->hasTerminator(),
@@ -298,16 +297,24 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
           op.a = slotOf(inst->operand(0));
           if (inst->numOperands() > 1) op.b = slotOf(inst->operand(1));
           if (inst->numOperands() > 2) op.c = slotOf(inst->operand(2));
+          const ir::Type::Kind kind = inst->type()->kind();
+          bool wrapResult = false;
           switch (inst->opcode()) {
             case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
             case Opcode::SDiv: case Opcode::SRem: case Opcode::Shl:
+              wrapResult =
+                  kind == ir::Type::Kind::I1 || kind == ir::Type::Kind::I32;
+              break;
             case Opcode::Trunc: case Opcode::FPToSI:
-              op.aux = static_cast<uint16_t>(inst->type()->kind());
+              op.aux = static_cast<uint16_t>(kind);
               break;
             case Opcode::ZExt:
               op.aux = static_cast<uint16_t>(inst->operand(0)->type()->kind());
               break;
-            case Opcode::ICmp: case Opcode::FCmp:
+            case Opcode::ICmp:
+              op.aux = icmpOutcomeMask(inst->cmpPred());
+              break;
+            case Opcode::FCmp:
               op.aux = static_cast<uint16_t>(inst->cmpPred());
               break;
             case Opcode::Gep:
@@ -317,6 +324,16 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
               break;
           }
           df.ops.push_back(op);
+          if (wrapResult) {
+            // Arithmetic micro-ops compute in 64 bits; a narrow result
+            // wraps in place, as the reference engine's wrapInt does.
+            MicroOp wrap;
+            wrap.op = MicroOpcode::Trunc;
+            wrap.aux = static_cast<uint16_t>(kind);
+            wrap.dst = op.dst;
+            wrap.a = op.dst;
+            df.ops.push_back(wrap);
+          }
           break;
         }
       }

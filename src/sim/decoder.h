@@ -3,17 +3,21 @@
 //
 // Decode-time resolution:
 //   - every SSA value gets a fixed frame-slot index (arguments first, then
-//     value-producing instructions);
-//   - constants and global-array base addresses are interned into a per-
-//     function constant pool whose slots are appended to the frame and
-//     copied in once per activation;
+//     value-producing instructions); a slot is one 8-byte word holding the
+//     integer bits, or the IEEE-754 bits of a float (f32 values are widened
+//     to double, as in the reference engine);
+//   - constants and global-array base addresses are interned by word into a
+//     per-function constant pool whose slots are appended to the frame and
+//     copied in once per activation (i64 0 and f64 0.0 share a word, f64
+//     -0.0 does not);
 //   - phi nodes disappear: each CFG edge into a block with phis becomes a
 //     sequentialized parallel-copy sequence (one scratch slot breaks cycles)
 //     followed by a jump, so block bodies are pure straight-line code;
-//   - blocks get dense IDs, making per-block execution counts and cycle
-//     costs plain array indexing.
+//   - blocks get dense IDs, making per-block execution counts plain array
+//     indexing; each block's size and cycle cost ride in its BlockHead.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,7 +26,10 @@
 
 namespace cayman::sim {
 
-/// One SSA value at runtime (integer or float payload per the static type).
+/// Typed view of one SSA value (integer or float payload per the static
+/// type). The reference engine computes in Slots; the decoded engine keeps
+/// raw words and rebuilds a Slot only for Result::returnValue, as {i, 0.0}
+/// or {0, f} from the function's return type.
 struct Slot {
   int64_t i = 0;
   double f = 0.0;
@@ -32,35 +39,55 @@ struct Slot {
 /// split by payload type, SExt becomes MoveI, and control flow is lowered to
 /// explicit pc-targeted jumps plus per-block accounting heads.
 enum class MicroOpcode : uint16_t {
-  BlockHead,  // b = dense block id: count, cycles, instruction accounting
+  BlockHead,  // b = dense block id, a = block size, imm = bit_cast cycle
+              // cost: count, cycles, instruction accounting
   Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr, LShr,
   FAdd, FSub, FMul, FDiv, FNeg, FSqrt, FAbs, FMin, FMax,
-  ICmp,       // aux = ir::CmpPred
+  ICmp,       // aux = outcome mask (see icmpOutcomeMask)
   FCmp,       // aux = ir::CmpPred
   SelectOp,   // a = cond, b = true slot, c = false slot
   ZExt,       // aux = source ir::Type::Kind
-  MoveI,      // dst = {frame[a].i, 0.0} (SExt in this 64-bit-slot IR)
+  MoveI,      // dst = frame[a] (SExt in this 64-bit-slot IR)
   Trunc,      // aux = destination ir::Type::Kind
   SIToFP,
   FPToSI,     // aux = destination ir::Type::Kind
-  Gep,        // dst = frame[a].i + frame[b].i * imm
+  Gep,        // dst = frame[a] + frame[b] * imm
   // Memory ops specialized by access width at decode time (Ptr loads/stores
   // use the I64 forms). a = address slot for loads; a = value, b = address
   // for stores.
   LoadI1, LoadI32, LoadI64, LoadF32, LoadF64,
   StoreI1, StoreI32, StoreI64, StoreF32, StoreF64,
-  Copy,       // dst = frame[a] (whole slot; phi edge moves)
+  Copy,       // dst = frame[a] (phi edge moves)
   Jump,       // b = target pc
   CondJump,   // a = cond slot, b = pc if true, c = pc if false
   Call,       // imm = callee index, a = arg offset, b = arg count,
               // aux = 1 when dst receives the return value
-  Ret,        // aux = 1 when a holds the returned slot
+  Ret,        // aux = 1 when a holds the returned slot; keep last
 };
+
+inline constexpr size_t kNumMicroOpcodes =
+    static_cast<size_t>(MicroOpcode::Ret) + 1;
+
+/// ICmp's aux: bit 0 holds the predicate's result when a < b, bit 1 when
+/// a == b, bit 2 when a > b, so the interpreter evaluates every predicate
+/// without branching on it.
+constexpr uint16_t icmpOutcomeMask(ir::CmpPred pred) {
+  switch (pred) {
+    case ir::CmpPred::EQ: return 0b010;
+    case ir::CmpPred::NE: return 0b101;
+    case ir::CmpPred::LT: return 0b001;
+    case ir::CmpPred::LE: return 0b011;
+    case ir::CmpPred::GT: return 0b100;
+    case ir::CmpPred::GE: return 0b110;
+  }
+  return 0;
+}
 
 /// Fixed-size decoded operation. Field meaning depends on the opcode; for
 /// plain compute ops dst/a/b/c are frame-slot indices. Integer arithmetic
-/// carries the result ir::Type::Kind in aux so narrow results wrap exactly
-/// like the tree-walking reference.
+/// computes in 64 bits; the decoder follows an i1/i32 result with a Trunc of
+/// the slot onto itself, so narrow results wrap exactly like the
+/// tree-walking reference.
 struct MicroOp {
   MicroOpcode op = MicroOpcode::BlockHead;
   uint16_t aux = 0;
@@ -82,7 +109,7 @@ struct DecodedFunction {
   uint32_t constBase = 0;
   uint32_t scratchSlot = 0;
   uint32_t frameSize = 0;
-  std::vector<Slot> constPool;  // copied to frame[constBase..] per activation
+  std::vector<uint64_t> constPool;  // copied to frame[constBase..] per call
   bool returnsValue = false;
 
   // Call micro-ops index these side tables (variable-length argument lists).
@@ -91,8 +118,6 @@ struct DecodedFunction {
 
   // Dense per-block metadata, indexed by the id in BlockHead.b.
   std::vector<const ir::BasicBlock*> blockOf;
-  std::vector<double> blockCost;
-  std::vector<uint32_t> blockSize;
 
   size_t numBlocks() const { return blockOf.size(); }
 };

@@ -1,5 +1,7 @@
 #include "sim/interpreter.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -9,6 +11,19 @@
 namespace cayman::sim {
 
 using ir::Opcode;
+
+namespace {
+
+/// Fresh activation frame: zeroed, with the constant pool copied in; the
+/// caller fills the argument words.
+std::vector<uint64_t> newFrame(const DecodedFunction& df) {
+  std::vector<uint64_t> frame(df.frameSize);
+  std::copy(df.constPool.begin(), df.constPool.end(),
+            frame.begin() + df.constBase);
+  return frame;
+}
+
+}  // namespace
 
 Interpreter::Interpreter(const ir::Module& module, CpuCostModel model,
                          ExecMode mode)
@@ -61,36 +76,46 @@ Interpreter::Result Interpreter::runFunction(const ir::Function& function,
                                              std::span<const int64_t> args) {
   memory_.reset();
   Result result;
-  std::vector<Slot> slots(function.numArguments());
-  for (size_t i = 0; i < function.numArguments(); ++i) {
-    Slot slot;
-    if (i < args.size()) {
-      if (function.argument(i)->type()->isFloat()) {
-        slot.f = static_cast<double>(args[i]);
-      } else {
-        slot.i = args[i];
-      }
-    }
-    slots[i] = slot;
-  }
   executed_ = 0;
   cancelTick_ = 0;
-  Slot returnValue;
+  auto argIsFloat = [&](size_t i) {
+    return function.argument(i)->type()->isFloat();
+  };
   if (mode_ == ExecMode::Decoded) {
-    returnValue =
-        execDecoded(decodedFor(function), std::move(slots), result, 0);
+    DecodedEntry& entry = decodedFor(function);
+    std::vector<uint64_t> frame = newFrame(entry.df);
+    for (size_t i = 0; i < function.numArguments() && i < args.size(); ++i) {
+      frame[i] = argIsFloat(i)
+                     ? std::bit_cast<uint64_t>(static_cast<double>(args[i]))
+                     : static_cast<uint64_t>(args[i]);
+    }
+    uint64_t word = execDecoded(entry, std::move(frame), result, 0);
+    // The typed view: exactly what the reference engine's Slot holds.
+    if (function.returnType()->isFloat()) {
+      result.returnValue = Slot{0, std::bit_cast<double>(word)};
+    } else if (!function.returnType()->isVoid()) {
+      result.returnValue = Slot{static_cast<int64_t>(word), 0.0};
+    }
     // Map dense per-function counts back onto BasicBlock pointers.
-    for (auto& [fn, entry] : decoded_) {
-      for (size_t i = 0; i < entry->counts.size(); ++i) {
-        if (entry->counts[i] == 0) continue;
-        result.blockCounts[entry->df.blockOf[i]] += entry->counts[i];
-        entry->counts[i] = 0;
+    for (auto& [fn, decoded] : decoded_) {
+      for (size_t i = 0; i < decoded->counts.size(); ++i) {
+        if (decoded->counts[i] == 0) continue;
+        result.blockCounts[decoded->df.blockOf[i]] += decoded->counts[i];
+        decoded->counts[i] = 0;
       }
     }
   } else {
-    returnValue = execReference(function, std::move(slots), result, 0);
+    std::vector<Slot> slots(function.numArguments());
+    for (size_t i = 0; i < function.numArguments() && i < args.size(); ++i) {
+      if (argIsFloat(i)) {
+        slots[i].f = static_cast<double>(args[i]);
+      } else {
+        slots[i].i = args[i];
+      }
+    }
+    Slot returnValue = execReference(function, std::move(slots), result, 0);
+    if (!function.returnType()->isVoid()) result.returnValue = returnValue;
   }
-  if (!function.returnType()->isVoid()) result.returnValue = returnValue;
   if (support::trace::on()) {
     support::trace::count("interp.runs", 1);
     support::trace::count("interp.instructions", result.instructions);
@@ -162,6 +187,14 @@ int64_t safeSRem(int64_t a, int64_t b) {
   return a % b;
 }
 
+/// fptosi with every input defined: NaN, +-inf and values outside
+/// [-2^63, 2^63) give INT64_MIN, the "integer indefinite" that x86
+/// cvttsd2si returns for them. In-range values truncate toward zero.
+int64_t safeFPToSI(double value) {
+  if (value >= -0x1p63 && value < 0x1p63) return static_cast<int64_t>(value);
+  return std::numeric_limits<int64_t>::min();
+}
+
 bool compareInt(ir::CmpPred pred, int64_t a, int64_t b) {
   switch (pred) {
     case ir::CmpPred::EQ: return a == b;
@@ -194,268 +227,289 @@ bool compareFloat(ir::CmpPred pred, double a, double b) {
 
 }  // namespace
 
-Slot Interpreter::execDecoded(DecodedEntry& entry, std::vector<Slot> args,
-                              Result& result, int depth) {
+// Direct threading needs labels-as-values (`&&label`, `goto *p`). GCC and
+// Clang both provide it; there is deliberately no portable switch fallback.
+#if !defined(__GNUC__)
+#error "sim/interpreter.cpp needs GCC or Clang (labels-as-values dispatch)"
+#endif
+
+// One entry per MicroOpcode, in enum order: the dispatch table is generated
+// from this list, and kDispatchOrder lets the compiler check the order.
+#define CAYMAN_SIM_MICRO_OPS(X)                                              \
+  X(BlockHead) X(Add) X(Sub) X(Mul) X(SDiv) X(SRem) X(And) X(Or) X(Xor)      \
+  X(Shl) X(AShr) X(LShr) X(FAdd) X(FSub) X(FMul) X(FDiv) X(FNeg) X(FSqrt)    \
+  X(FAbs) X(FMin) X(FMax) X(ICmp) X(FCmp) X(SelectOp) X(ZExt) X(MoveI)       \
+  X(Trunc) X(SIToFP) X(FPToSI) X(Gep) X(LoadI1) X(LoadI32) X(LoadI64)        \
+  X(LoadF32) X(LoadF64) X(StoreI1) X(StoreI32) X(StoreI64) X(StoreF32)       \
+  X(StoreF64) X(Copy) X(Jump) X(CondJump) X(Call) X(Ret)
+
+namespace {
+
+#define CAYMAN_SIM_ORDER(name) MicroOpcode::name,
+constexpr MicroOpcode kDispatchOrder[] = {
+    CAYMAN_SIM_MICRO_OPS(CAYMAN_SIM_ORDER)};
+#undef CAYMAN_SIM_ORDER
+
+constexpr bool dispatchCoversEveryOpcode() {
+  if (std::size(kDispatchOrder) != kNumMicroOpcodes) return false;
+  for (size_t i = 0; i < std::size(kDispatchOrder); ++i) {
+    if (static_cast<size_t>(kDispatchOrder[i]) != i) return false;
+  }
+  return true;
+}
+static_assert(dispatchCoversEveryOpcode(),
+              "the dispatch table must list every MicroOpcode in enum order");
+
+// Frame words <-> typed values.
+int64_t asInt(uint64_t word) { return static_cast<int64_t>(word); }
+double asFloat(uint64_t word) { return std::bit_cast<double>(word); }
+uint64_t intWord(int64_t value) { return static_cast<uint64_t>(value); }
+uint64_t floatWord(double value) { return std::bit_cast<uint64_t>(value); }
+
+}  // namespace
+
+uint64_t Interpreter::execDecoded(DecodedEntry& entry,
+                                  std::vector<uint64_t> frame, Result& result,
+                                  int depth) {
   CAYMAN_ASSERT(depth < 64, "interpreter call depth exceeded");
   const DecodedFunction& df = entry.df;
-  std::vector<Slot> frame(df.frameSize);
-  for (size_t i = 0; i < args.size(); ++i) frame[i] = args[i];
-  for (size_t i = 0; i < df.constPool.size(); ++i) {
-    frame[df.constBase + i] = df.constPool[i];
-  }
+  uint64_t* const f = frame.data();
+  uint64_t* const counts = entry.counts.data();
+  const MicroOp* const ops = df.ops.data();
+  std::byte* const mem = memory_.data();
+  const uint64_t memSize = memory_.sizeBytes();
+  const uint64_t limit = instructionLimit_;
+  const support::CancelToken* const cancel = cancel_;
 
-  Slot* f = frame.data();
-  const MicroOp* ops = df.ops.data();
-  uint64_t* counts = entry.counts.data();
-  uint32_t pc = 0;
-  for (;;) {
-    const MicroOp& u = ops[pc];
-    switch (u.op) {
-      case MicroOpcode::BlockHead: {
-        uint32_t id = u.b;
-        ++counts[id];
-        result.totalCycles += df.blockCost[id];
-        result.instructions += df.blockSize[id];
-        executed_ += df.blockSize[id];
-        if (executed_ > instructionLimit_) {
-          throwInstructionLimit(df.source->name(), instructionLimit_);
-        }
-        if (cancel_ != nullptr && (++cancelTick_ & 0x3FF) == 0) {
-          cancel_->check(support::Stage::Profile, df.source->name());
-        }
-        ++pc;
-        break;
-      }
-      case MicroOpcode::Add:
-        f[u.dst] = {wrapKind(u.aux, wrapAdd(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Sub:
-        f[u.dst] = {wrapKind(u.aux, wrapSub(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Mul:
-        f[u.dst] = {wrapKind(u.aux, wrapMul(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::SDiv:
-        f[u.dst] = {wrapKind(u.aux, safeSDiv(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::SRem:
-        f[u.dst] = {wrapKind(u.aux, safeSRem(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::And:
-        f[u.dst] = {f[u.a].i & f[u.b].i, 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Or:
-        f[u.dst] = {f[u.a].i | f[u.b].i, 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Xor:
-        f[u.dst] = {f[u.a].i ^ f[u.b].i, 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Shl:
-        f[u.dst] = {wrapKind(u.aux, wrapShl(f[u.a].i, f[u.b].i)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::AShr:
-        f[u.dst] = {f[u.a].i >> (f[u.b].i & 63), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::LShr:
-        f[u.dst] = {static_cast<int64_t>(static_cast<uint64_t>(f[u.a].i) >>
-                                         (f[u.b].i & 63)),
-                    0.0};
-        ++pc;
-        break;
-      case MicroOpcode::FAdd:
-        f[u.dst] = {0, f[u.a].f + f[u.b].f};
-        ++pc;
-        break;
-      case MicroOpcode::FSub:
-        f[u.dst] = {0, f[u.a].f - f[u.b].f};
-        ++pc;
-        break;
-      case MicroOpcode::FMul:
-        f[u.dst] = {0, f[u.a].f * f[u.b].f};
-        ++pc;
-        break;
-      case MicroOpcode::FDiv:
-        f[u.dst] = {0, f[u.a].f / f[u.b].f};
-        ++pc;
-        break;
-      case MicroOpcode::FNeg:
-        f[u.dst] = {0, -f[u.a].f};
-        ++pc;
-        break;
-      case MicroOpcode::FSqrt:
-        f[u.dst] = {0, std::sqrt(std::fabs(f[u.a].f))};
-        ++pc;
-        break;
-      case MicroOpcode::FAbs:
-        f[u.dst] = {0, std::fabs(f[u.a].f)};
-        ++pc;
-        break;
-      case MicroOpcode::FMin:
-        f[u.dst] = {0, std::fmin(f[u.a].f, f[u.b].f)};
-        ++pc;
-        break;
-      case MicroOpcode::FMax:
-        f[u.dst] = {0, std::fmax(f[u.a].f, f[u.b].f)};
-        ++pc;
-        break;
-      case MicroOpcode::ICmp:
-        f[u.dst] = {compareInt(static_cast<ir::CmpPred>(u.aux), f[u.a].i,
-                               f[u.b].i)
-                        ? 1
-                        : 0,
-                    0.0};
-        ++pc;
-        break;
-      case MicroOpcode::FCmp:
-        f[u.dst] = {compareFloat(static_cast<ir::CmpPred>(u.aux), f[u.a].f,
-                                 f[u.b].f)
-                        ? 1
-                        : 0,
-                    0.0};
-        ++pc;
-        break;
-      case MicroOpcode::SelectOp:
-        f[u.dst] = f[u.a].i != 0 ? f[u.b] : f[u.c];
-        ++pc;
-        break;
-      case MicroOpcode::ZExt: {
-        int64_t v = f[u.a].i;
-        switch (static_cast<ir::Type::Kind>(u.aux)) {
-          case ir::Type::Kind::I32:
-            v = static_cast<int64_t>(static_cast<uint32_t>(v));
-            break;
-          case ir::Type::Kind::I1:
-            v &= 1;
-            break;
-          default:
-            break;
-        }
-        f[u.dst] = {v, 0.0};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::MoveI:
-        f[u.dst] = {f[u.a].i, 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Trunc:
-        f[u.dst] = {wrapKind(u.aux, f[u.a].i), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::SIToFP:
-        f[u.dst] = {0, static_cast<double>(f[u.a].i)};
-        ++pc;
-        break;
-      case MicroOpcode::FPToSI:
-        f[u.dst] = {wrapKind(u.aux, static_cast<int64_t>(f[u.a].f)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::Gep:
-        f[u.dst] = {wrapAdd(f[u.a].i, wrapMul(f[u.b].i, u.imm)), 0.0};
-        ++pc;
-        break;
-      case MicroOpcode::LoadI1: {
-        uint8_t v;
-        std::memcpy(&v, memory_.rawAt(static_cast<uint64_t>(f[u.a].i), 1), 1);
-        f[u.dst] = {v != 0, 0.0};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::LoadI32: {
-        int32_t v;
-        std::memcpy(&v, memory_.rawAt(static_cast<uint64_t>(f[u.a].i), 4), 4);
-        f[u.dst] = {v, 0.0};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::LoadI64: {
-        int64_t v;
-        std::memcpy(&v, memory_.rawAt(static_cast<uint64_t>(f[u.a].i), 8), 8);
-        f[u.dst] = {v, 0.0};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::LoadF32: {
-        float v;
-        std::memcpy(&v, memory_.rawAt(static_cast<uint64_t>(f[u.a].i), 4), 4);
-        f[u.dst] = {0, v};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::LoadF64: {
-        double v;
-        std::memcpy(&v, memory_.rawAt(static_cast<uint64_t>(f[u.a].i), 8), 8);
-        f[u.dst] = {0, v};
-        ++pc;
-        break;
-      }
-      case MicroOpcode::StoreI1: {
-        uint8_t v = f[u.a].i != 0;
-        std::memcpy(memory_.rawAt(static_cast<uint64_t>(f[u.b].i), 1), &v, 1);
-        ++pc;
-        break;
-      }
-      case MicroOpcode::StoreI32: {
-        int32_t v = static_cast<int32_t>(f[u.a].i);
-        std::memcpy(memory_.rawAt(static_cast<uint64_t>(f[u.b].i), 4), &v, 4);
-        ++pc;
-        break;
-      }
-      case MicroOpcode::StoreI64: {
-        std::memcpy(memory_.rawAt(static_cast<uint64_t>(f[u.b].i), 8),
-                    &f[u.a].i, 8);
-        ++pc;
-        break;
-      }
-      case MicroOpcode::StoreF32: {
-        float v = static_cast<float>(f[u.a].f);
-        std::memcpy(memory_.rawAt(static_cast<uint64_t>(f[u.b].i), 4), &v, 4);
-        ++pc;
-        break;
-      }
-      case MicroOpcode::StoreF64: {
-        std::memcpy(memory_.rawAt(static_cast<uint64_t>(f[u.b].i), 8),
-                    &f[u.a].f, 8);
-        ++pc;
-        break;
-      }
-      case MicroOpcode::Copy:
-        f[u.dst] = f[u.a];
-        ++pc;
-        break;
-      case MicroOpcode::Jump:
-        pc = u.b;
-        break;
-      case MicroOpcode::CondJump:
-        pc = f[u.a].i != 0 ? u.b : u.c;
-        break;
-      case MicroOpcode::Call: {
-        std::vector<Slot> callArgs(u.b);
-        for (uint32_t i = 0; i < u.b; ++i) {
-          callArgs[i] = f[df.callArgSlots[u.a + i]];
-        }
-        DecodedEntry& callee =
-            decodedFor(*df.callees[static_cast<size_t>(u.imm)]);
-        Slot ret = execDecoded(callee, std::move(callArgs), result, depth + 1);
-        if (u.aux != 0) f[u.dst] = ret;
-        ++pc;
-        break;
-      }
-      case MicroOpcode::Ret:
-        return u.aux != 0 ? f[u.a] : Slot{};
+  // Accounting lives in locals, so the compiler can keep it in registers:
+  // through Result& and this, every byte store into simulated memory might
+  // alias it. Result::instructions and executed_ advance together from 0 in
+  // every run. The members are written back before a call, a return, and a
+  // throw, and re-read after a call.
+  double cycles = result.totalCycles;
+  uint64_t executed = executed_;
+  uint64_t tick = cancelTick_;
+  auto writeBack = [this, &result](double c, uint64_t n, uint64_t t) {
+    result.totalCycles = c;
+    result.instructions = n;
+    executed_ = n;
+    cancelTick_ = t;
+  };
+  auto at = [mem, memSize](uint64_t address, size_t size) {
+    if (address < SimMemory::kBase ||
+        address - SimMemory::kBase + size > memSize) [[unlikely]] {
+      SimMemory::throwOutOfBounds(address);
     }
+    return mem + (address - SimMemory::kBase);
+  };
+
+#define CAYMAN_SIM_LABEL(name) &&op_##name,
+  static const void* const kLabels[] = {
+      CAYMAN_SIM_MICRO_OPS(CAYMAN_SIM_LABEL)};
+#undef CAYMAN_SIM_LABEL
+#define DISPATCH() goto* kLabels[static_cast<size_t>(ip->op)]
+#define NEXT()  \
+  do {          \
+    ++ip;       \
+    DISPATCH(); \
+  } while (false)
+
+  const MicroOp* ip = ops;
+  DISPATCH();
+
+op_BlockHead:
+  ++counts[ip->b];
+  cycles += std::bit_cast<double>(ip->imm);
+  executed += ip->a;
+  if (executed > limit) [[unlikely]] {
+    writeBack(cycles, executed, tick);
+    throwInstructionLimit(df.source->name(), limit);
   }
+  if (cancel != nullptr && (++tick & 0x3FF) == 0) [[unlikely]] {
+    writeBack(cycles, executed, tick);
+    cancel->check(support::Stage::Profile, df.source->name());
+  }
+  NEXT();
+op_Add:
+  f[ip->dst] = f[ip->a] + f[ip->b];
+  NEXT();
+op_Sub:
+  f[ip->dst] = f[ip->a] - f[ip->b];
+  NEXT();
+op_Mul:
+  f[ip->dst] = f[ip->a] * f[ip->b];
+  NEXT();
+op_SDiv:
+  f[ip->dst] = intWord(safeSDiv(asInt(f[ip->a]), asInt(f[ip->b])));
+  NEXT();
+op_SRem:
+  f[ip->dst] = intWord(safeSRem(asInt(f[ip->a]), asInt(f[ip->b])));
+  NEXT();
+op_And:
+  f[ip->dst] = f[ip->a] & f[ip->b];
+  NEXT();
+op_Or:
+  f[ip->dst] = f[ip->a] | f[ip->b];
+  NEXT();
+op_Xor:
+  f[ip->dst] = f[ip->a] ^ f[ip->b];
+  NEXT();
+op_Shl:
+  f[ip->dst] = f[ip->a] << (f[ip->b] & 63);
+  NEXT();
+op_AShr:
+  f[ip->dst] = intWord(asInt(f[ip->a]) >> (f[ip->b] & 63));
+  NEXT();
+op_LShr:
+  f[ip->dst] = f[ip->a] >> (f[ip->b] & 63);
+  NEXT();
+op_FAdd:
+  f[ip->dst] = floatWord(asFloat(f[ip->a]) + asFloat(f[ip->b]));
+  NEXT();
+op_FSub:
+  f[ip->dst] = floatWord(asFloat(f[ip->a]) - asFloat(f[ip->b]));
+  NEXT();
+op_FMul:
+  f[ip->dst] = floatWord(asFloat(f[ip->a]) * asFloat(f[ip->b]));
+  NEXT();
+op_FDiv:
+  f[ip->dst] = floatWord(asFloat(f[ip->a]) / asFloat(f[ip->b]));
+  NEXT();
+op_FNeg:
+  f[ip->dst] = floatWord(-asFloat(f[ip->a]));
+  NEXT();
+op_FSqrt:
+  f[ip->dst] = floatWord(std::sqrt(std::fabs(asFloat(f[ip->a]))));
+  NEXT();
+op_FAbs:
+  f[ip->dst] = floatWord(std::fabs(asFloat(f[ip->a])));
+  NEXT();
+op_FMin:
+  f[ip->dst] = floatWord(std::fmin(asFloat(f[ip->a]), asFloat(f[ip->b])));
+  NEXT();
+op_FMax:
+  f[ip->dst] = floatWord(std::fmax(asFloat(f[ip->a]), asFloat(f[ip->b])));
+  NEXT();
+op_ICmp: {
+  const int64_t a = asInt(f[ip->a]);
+  const int64_t b = asInt(f[ip->b]);
+  f[ip->dst] = (ip->aux >> ((a > b) * 2 + (a == b))) & 1;
+  NEXT();
 }
+op_FCmp:
+  f[ip->dst] = compareFloat(static_cast<ir::CmpPred>(ip->aux),
+                            asFloat(f[ip->a]), asFloat(f[ip->b]));
+  NEXT();
+op_SelectOp:
+  f[ip->dst] = f[ip->a] != 0 ? f[ip->b] : f[ip->c];
+  NEXT();
+op_ZExt:
+  switch (static_cast<ir::Type::Kind>(ip->aux)) {
+    case ir::Type::Kind::I32:
+      f[ip->dst] = static_cast<uint32_t>(f[ip->a]);
+      break;
+    case ir::Type::Kind::I1:
+      f[ip->dst] = f[ip->a] & 1;
+      break;
+    default:
+      f[ip->dst] = f[ip->a];
+      break;
+  }
+  NEXT();
+op_MoveI:
+  f[ip->dst] = f[ip->a];
+  NEXT();
+op_Trunc:
+  f[ip->dst] = intWord(wrapKind(ip->aux, asInt(f[ip->a])));
+  NEXT();
+op_SIToFP:
+  f[ip->dst] = floatWord(static_cast<double>(asInt(f[ip->a])));
+  NEXT();
+op_FPToSI:
+  f[ip->dst] = intWord(wrapKind(ip->aux, safeFPToSI(asFloat(f[ip->a]))));
+  NEXT();
+op_Gep:
+  f[ip->dst] = f[ip->a] + f[ip->b] * static_cast<uint64_t>(ip->imm);
+  NEXT();
+op_LoadI1: {
+  uint8_t v;
+  std::memcpy(&v, at(f[ip->a], 1), 1);
+  f[ip->dst] = v != 0;
+  NEXT();
+}
+op_LoadI32: {
+  int32_t v;
+  std::memcpy(&v, at(f[ip->a], 4), 4);
+  f[ip->dst] = intWord(v);
+  NEXT();
+}
+op_LoadI64:
+  std::memcpy(&f[ip->dst], at(f[ip->a], 8), 8);
+  NEXT();
+op_LoadF32: {
+  float v;
+  std::memcpy(&v, at(f[ip->a], 4), 4);
+  f[ip->dst] = floatWord(v);
+  NEXT();
+}
+op_LoadF64:
+  std::memcpy(&f[ip->dst], at(f[ip->a], 8), 8);
+  NEXT();
+op_StoreI1: {
+  uint8_t v = f[ip->a] != 0;
+  std::memcpy(at(f[ip->b], 1), &v, 1);
+  NEXT();
+}
+op_StoreI32: {
+  int32_t v = static_cast<int32_t>(f[ip->a]);
+  std::memcpy(at(f[ip->b], 4), &v, 4);
+  NEXT();
+}
+op_StoreI64:
+op_StoreF64:
+  std::memcpy(at(f[ip->b], 8), &f[ip->a], 8);
+  NEXT();
+op_StoreF32: {
+  float v = static_cast<float>(asFloat(f[ip->a]));
+  std::memcpy(at(f[ip->b], 4), &v, 4);
+  NEXT();
+}
+op_Copy:
+  f[ip->dst] = f[ip->a];
+  NEXT();
+op_Jump:
+  ip = ops + ip->b;
+  DISPATCH();
+op_CondJump:
+  ip = ops + (f[ip->a] != 0 ? ip->b : ip->c);
+  DISPATCH();
+op_Call: {
+  // Clang rejects a computed goto that leaves the scope of an object with a
+  // destructor, so the callee frame dies in its own block before NEXT().
+  uint64_t ret = 0;
+  {
+    DecodedEntry& callee =
+        decodedFor(*df.callees[static_cast<size_t>(ip->imm)]);
+    std::vector<uint64_t> calleeFrame = newFrame(callee.df);
+    const uint32_t* argSlots = df.callArgSlots.data() + ip->a;
+    for (uint32_t i = 0; i < ip->b; ++i) calleeFrame[i] = f[argSlots[i]];
+    writeBack(cycles, executed, tick);
+    ret = execDecoded(callee, std::move(calleeFrame), result, depth + 1);
+  }
+  cycles = result.totalCycles;
+  executed = executed_;
+  tick = cancelTick_;
+  if (ip->aux != 0) f[ip->dst] = ret;
+  NEXT();
+}
+op_Ret:
+  writeBack(cycles, executed, tick);
+  return ip->aux != 0 ? f[ip->a] : 0;
+#undef NEXT
+#undef DISPATCH
+}
+
+#undef CAYMAN_SIM_MICRO_OPS
 
 Slot Interpreter::execReference(const ir::Function& function,
                                 std::vector<Slot> args, Result& result,
@@ -658,8 +712,8 @@ Slot Interpreter::execReference(const ir::Function& function,
                   {0, static_cast<double>(slotOf(inst->operand(0)).i)});
           break;
         case Opcode::FPToSI:
-          setSlot(inst, {wrapInt(inst->type(), static_cast<int64_t>(
-                                                   slotOf(inst->operand(0)).f)),
+          setSlot(inst, {wrapInt(inst->type(),
+                                 safeFPToSI(slotOf(inst->operand(0)).f)),
                          0.0});
           break;
         case Opcode::Gep:

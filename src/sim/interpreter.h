@@ -2,9 +2,10 @@
 //
 // Two execution engines share one Result shape:
 //   - Decoded (default): each function is lowered once by sim::Decoder into a
-//     flat micro-op stream; the hot loop is a tight switch over fixed-size
-//     micro-ops with all operands pre-resolved to frame slots — no hash-map
-//     access per dynamic instruction.
+//     flat micro-op stream over a frame of 8-byte words; the hot loop is
+//     direct-threaded (computed goto) over fixed-size micro-ops with all
+//     operands pre-resolved to frame slots — no hash-map access per dynamic
+//     instruction.
 //   - Reference: the original tree-walking loop, kept as the semantic oracle
 //     for golden-equivalence tests (results must be bit-identical).
 #pragma once
@@ -91,8 +92,10 @@ class Interpreter {
 
   const Numbering& numberingFor(const ir::Function& function);
   DecodedEntry& decodedFor(const ir::Function& function);
-  Slot execDecoded(DecodedEntry& entry, std::vector<Slot> args, Result& result,
-                   int depth);
+  /// Runs one activation on a frame from newFrame() whose argument words the
+  /// caller filled, and returns the raw returned word (0 for void).
+  uint64_t execDecoded(DecodedEntry& entry, std::vector<uint64_t> frame,
+                       Result& result, int depth);
   Slot execReference(const ir::Function& function, std::vector<Slot> args,
                      Result& result, int depth);
 

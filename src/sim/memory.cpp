@@ -63,10 +63,15 @@ uint64_t SimMemory::baseOf(const ir::GlobalArray* global) const {
   return it->second;
 }
 
+void SimMemory::throwOutOfBounds(uint64_t address) {
+  throw Error("simulated memory access out of bounds at address " +
+              std::to_string(address));
+}
+
 const std::byte* SimMemory::at(uint64_t address, size_t size) const {
-  CAYMAN_ASSERT(address >= kBase && address - kBase + size <= bytes_.size(),
-                "simulated memory access out of bounds at address " +
-                    std::to_string(address));
+  if (address < kBase || address - kBase + size > bytes_.size()) {
+    throwOutOfBounds(address);
+  }
   return bytes_.data() + (address - kBase);
 }
 

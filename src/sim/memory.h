@@ -36,25 +36,20 @@ class SimMemory {
 
   size_t sizeBytes() const { return bytes_.size(); }
 
-  /// Bounds-checked raw access for the decoded interpreter's width-
-  /// specialized load/store micro-ops; inline so the hot loop pays one
-  /// compare instead of an out-of-line call plus a type switch.
-  const std::byte* rawAt(uint64_t address, size_t size) const {
-    CAYMAN_ASSERT(address >= kBase && address - kBase + size <= bytes_.size(),
-                  "simulated memory access out of bounds at address " +
-                      std::to_string(address));
-    return bytes_.data() + (address - kBase);
-  }
-  std::byte* rawAt(uint64_t address, size_t size) {
-    return const_cast<std::byte*>(
-        static_cast<const SimMemory*>(this)->rawAt(address, size));
-  }
+  /// Address of the first byte of the image.
+  static constexpr uint64_t kBase = 0x1000;
+
+  /// The byte image, for the decoded interpreter to hold in registers over a
+  /// run and bounds-check against sizeBytes() itself. The pointer stays valid
+  /// for the memory's lifetime: reset() copies into the same storage.
+  std::byte* data() { return bytes_.data(); }
+
+  /// Throws the Error every out-of-bounds access raises.
+  [[noreturn]] static void throwOutOfBounds(uint64_t address);
 
  private:
   const std::byte* at(uint64_t address, size_t size) const;
   std::byte* at(uint64_t address, size_t size);
-
-  static constexpr uint64_t kBase = 0x1000;
 
   std::vector<std::byte> bytes_;
   std::vector<std::byte> initialBytes_;

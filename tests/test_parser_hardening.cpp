@@ -310,6 +310,33 @@ TEST(VerifierHardeningTest, StructuralViolationsAreReported) {
   }
 }
 
+TEST(VerifierHardeningTest, ValuesReadAsTheWrongKindAreRejected) {
+  // The parser types a named operand by its definition, so each of these
+  // parses; the verifier must reject reading an integer as a float or a
+  // float as an integer (the interpreters would otherwise disagree).
+  const char* bodies[] = {
+      "  %r = fadd f64 %a, %a\n  ret f64 %r\n",
+      "  %x = sitofp i64 %a to f64\n  %r = add i64 %x, 1\n"
+      "  %s = sitofp i64 %r to f64\n  ret f64 %s\n",
+      "  %r = add f64 1.5, 2.5\n  ret f64 %r\n",
+      "  %x = sitofp i64 %a to f64\n  %c = icmp lt i64 %a, 1\n"
+      "  %r = select f64 %c, %x, %a\n  ret f64 %r\n",
+  };
+  for (const char* body : bodies) {
+    std::string text = std::string("module \"m\" {\n"
+                                   "func @f(%a: i64) -> f64 {\n"
+                                   "entry:\n") +
+                       body + "}\n}\n";
+    support::Expected<std::unique_ptr<Module>> parsed =
+        parseModuleExpected(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    std::vector<std::string> errors = verifyModule(*parsed.value());
+    ASSERT_FALSE(errors.empty()) << text;
+    EXPECT_NE(errors.front().find("has type"), std::string::npos)
+        << errors.front();
+  }
+}
+
 TEST(VerifierHardeningTest, ErrorListIsCapped) {
   // A module with hundreds of violations must not build an unbounded report.
   Module module("flood");
