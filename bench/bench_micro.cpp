@@ -100,6 +100,37 @@ void BM_BlockScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockScheduling)->Arg(1)->Arg(4)->Arg(16);
 
+// The same block with every access on a scratchpad banked `unroll` ways (the
+// assignment an unrolled, pipelined loop gets), so the bank-contention path
+// is measured instead of the single coupled port.
+void BM_BlockSchedulingScratchpad(benchmark::State& state) {
+  auto module = workloads::build("3mm");
+  const ir::BasicBlock* body =
+      module->entryFunction()->blockByName("mm1.k.body");
+  hls::TechLibrary tech = hls::TechLibrary::nangate45();
+  hls::Scheduler scheduler(tech, hls::InterfaceTiming{}, 2.0);
+  unsigned unroll = static_cast<unsigned>(state.range(0));
+  hls::IfaceAssignment ifaces;
+  for (const auto& inst : body->instructions()) {
+    if (!inst->isMemoryAccess()) continue;
+    hls::AccessIface iface;
+    iface.kind = hls::IfaceKind::Scratchpad;
+    iface.partitions = unroll;
+    // Bank per backing array: walk the address chain down to the global.
+    const ir::Value* ptr = inst->pointerOperand();
+    while (const auto* def = ir::dynCast<ir::Instruction>(ptr)) {
+      ptr = def->operand(0);
+    }
+    iface.array = ir::dynCast<ir::GlobalArray>(ptr);
+    ifaces[inst.get()] = iface;
+  }
+  for (auto _ : state) {
+    hls::BlockSchedule sched = scheduler.scheduleBlock(*body, ifaces, unroll);
+    benchmark::DoNotOptimize(sched.latency);
+  }
+}
+BENCHMARK(BM_BlockSchedulingScratchpad)->Arg(1)->Arg(4)->Arg(16);
+
 void BM_SelectionDp(benchmark::State& state) {
   Framework fw(workloads::build("deriche"));
   for (auto _ : state) {

@@ -3,7 +3,8 @@
 // (fresh model, eager warmGenerateCache over every candidate region) and
 // warm (memoized generate() reads), plus a synthetic deep-loop-nest stress
 // kernel whose every level is a candidate region. The per-iteration counters
-// report the estimate()/scheduleBlock() totals behind BENCH_model.json.
+// report each cold sweep's estimate()/scheduleBlock() totals (DESIGN.md §12
+// has the sweep-wide counter table).
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"

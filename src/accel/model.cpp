@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -176,12 +175,42 @@ std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
   return configs;
 }
 
-hls::IfaceAssignment AcceleratorModel::assignInterfaces(
-    const Region* region, const std::vector<LoopConfig>& loops) const {
-  hls::IfaceAssignment assignment;
+std::vector<AcceleratorModel::AccessFacts> AcceleratorModel::accessFacts(
+    const Region* region) const {
+  std::vector<AccessFacts> facts;
   const KernelAnalyses& ka = analysesFor(region->function());
   const analysis::FunctionAnalyses& fa = wpst_.analyses(region->function());
   uint64_t entries = std::max<uint64_t>(1, profile_.entries(region));
+  for (const ir::BasicBlock* block : region->blocks()) {
+    for (const auto& inst : block->instructions()) {
+      if (!inst->isMemoryAccess()) continue;
+      const analysis::MemAccessInfo* info = ka.mem.infoFor(inst.get());
+      AccessFacts f;
+      f.inst = inst.get();
+      f.array = info != nullptr && info->addr.valid ? info->addr.base : nullptr;
+      f.countPerEntry = static_cast<double>(profile_.blockCount(block)) /
+                        static_cast<double>(entries);
+      f.loop = fa.loops.loopFor(block);
+      f.footprintElems = ka.mem.footprintElems(inst.get(), region,
+                                               params_.unknownTripFallback);
+      facts.push_back(f);
+    }
+  }
+  // Instruction order, so assignInterfaces() appends every map entry at the
+  // end instead of searching the tree (the rules are per access, so the
+  // visiting order cannot change an assignment).
+  std::sort(facts.begin(), facts.end(),
+            [](const AccessFacts& a, const AccessFacts& b) {
+              return std::less<const ir::Instruction*>{}(a.inst, b.inst);
+            });
+  return facts;
+}
+
+hls::IfaceAssignment AcceleratorModel::assignInterfaces(
+    const Region* region, std::vector<AccessFacts>& facts,
+    const std::vector<LoopConfig>& loops) const {
+  hls::IfaceAssignment assignment;
+  const KernelAnalyses& ka = analysesFor(region->function());
 
   auto loopConfig = [&](const Loop* loop) -> const LoopConfig* {
     for (const LoopConfig& lc : loops) {
@@ -190,60 +219,55 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
     return nullptr;
   };
 
-  for (const ir::BasicBlock* block : region->blocks()) {
-    for (const auto& inst : block->instructions()) {
-      if (!inst->isMemoryAccess()) continue;
-      const analysis::MemAccessInfo* info = ka.mem.infoFor(inst.get());
-      hls::AccessIface iface;
-      iface.kind = hls::IfaceKind::Coupled;
-      iface.array = info != nullptr && info->addr.valid ? info->addr.base
-                                                        : nullptr;
+  // The rules in priority order; each access takes the first that applies.
+  auto choose = [&](AccessFacts& f) {
+    hls::AccessIface iface;
+    iface.kind = hls::IfaceKind::Coupled;
+    iface.array = f.array;
+    const LoopConfig* lc = f.loop != nullptr ? loopConfig(f.loop) : nullptr;
+    bool pipelined = lc != nullptr && lc->pipelined;
 
-      double countPerEntry =
-          static_cast<double>(profile_.blockCount(block)) /
-          static_cast<double>(entries);
-      const Loop* inLoop = fa.loops.loopFor(block);
-      const LoopConfig* lc =
-          inLoop != nullptr ? loopConfig(inLoop) : nullptr;
-
-      // Register promotion inside pipelined loops: a loop-invariant scalar
-      // slot is held in a register; the load/store bracket the loop.
-      if (lc != nullptr && lc->pipelined && inLoop != nullptr &&
-          isPromotable(inst.get(), inLoop, ka)) {
-        iface.promoted = true;
-        assignment[inst.get()] = iface;
-        continue;
-      }
-
-      // Scratchpad rule: per-entry access count >= beta * footprint, with a
-      // statically-sized footprint (paper: "requires statically analyzed
-      // footprints to determine the scratchpad size").
-      std::optional<uint64_t> footprint = ka.mem.footprintElems(
-          inst.get(), region, params_.unknownTripFallback);
-      if (params_.allowScratchpad && footprint.has_value() &&
-          iface.array != nullptr && *footprint > 0) {
-        uint64_t footprintBytes =
-            *footprint * iface.array->elemType()->sizeBytes();
-        if (countPerEntry >= params_.beta * static_cast<double>(*footprint) &&
-            footprintBytes <= params_.maxScratchpadBytes) {
-          iface.kind = hls::IfaceKind::Scratchpad;
-          iface.footprintBytes = footprintBytes;
-          iface.partitions = lc != nullptr ? std::max(1u, lc->unroll) : 1;
-          assignment[inst.get()] = iface;
-          continue;
-        }
-      }
-
-      // Decoupled rule: stream accesses inside pipelined loops reach II=1.
-      if (params_.allowDecoupled && lc != nullptr && lc->pipelined &&
-          inLoop != nullptr && ka.mem.isStream(inst.get(), inLoop)) {
-        iface.kind = hls::IfaceKind::Decoupled;
-        assignment[inst.get()] = iface;
-        continue;
-      }
-
-      assignment[inst.get()] = iface;  // coupled fallback (area saving)
+    // Register promotion inside pipelined loops: a loop-invariant scalar
+    // slot is held in a register; the load/store bracket the loop.
+    if (pipelined && !f.promotable.has_value()) {
+      f.promotable = isPromotable(f.inst, f.loop, ka);
     }
+    if (pipelined && *f.promotable) {
+      iface.promoted = true;
+      return iface;
+    }
+
+    // Scratchpad rule: per-entry access count >= beta * footprint, with a
+    // statically-sized footprint (paper: "requires statically analyzed
+    // footprints to determine the scratchpad size").
+    const std::optional<uint64_t>& footprint = f.footprintElems;
+    if (params_.allowScratchpad && footprint.has_value() &&
+        iface.array != nullptr && *footprint > 0) {
+      uint64_t footprintBytes =
+          *footprint * iface.array->elemType()->sizeBytes();
+      if (f.countPerEntry >= params_.beta * static_cast<double>(*footprint) &&
+          footprintBytes <= params_.maxScratchpadBytes) {
+        iface.kind = hls::IfaceKind::Scratchpad;
+        iface.footprintBytes = footprintBytes;
+        iface.partitions = lc != nullptr ? std::max(1u, lc->unroll) : 1;
+        return iface;
+      }
+    }
+
+    // Decoupled rule: stream accesses inside pipelined loops reach II=1.
+    if (params_.allowDecoupled && pipelined) {
+      if (!f.stream.has_value()) f.stream = ka.mem.isStream(f.inst, f.loop);
+      if (*f.stream) {
+        iface.kind = hls::IfaceKind::Decoupled;
+        return iface;
+      }
+    }
+    return iface;  // coupled fallback (area saving)
+  };
+
+  // `facts` ascend by instruction, so each entry lands at the map's end.
+  for (AccessFacts& f : facts) {
+    assignment.emplace_hint(assignment.end(), f.inst, choose(f));
   }
   return assignment;
 }
@@ -456,7 +480,9 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
     // attribution deterministic for the serial byte-compare scenarios.
     auto runJob = [&](ColdJob& job) {
       support::trace::CounterCapture capture;
-      SchedLogScope logScope(&job.log);
+      // Only a recorded region keeps its schedule-insert log; logging the
+      // rest would copy every new schedule just to discard it.
+      SchedLogScope logScope(job.record ? &job.log : nullptr);
       job.configs = generateUncached(regions[job.slot]);
       job.estimates = capture.value("model.estimate_calls");
       job.blocks = capture.value("sched.block_calls");
@@ -590,6 +616,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
 std::vector<AcceleratorConfig> AcceleratorModel::generateReference(
     const Region* region) const {
   std::vector<AcceleratorConfig> result;
+  std::vector<AccessFacts> facts = accessFacts(region);
   auto makeConfig = [&](unsigned unroll, bool optimize) {
     if (params_.cancel != nullptr) {
       params_.cancel->check(support::Stage::Select, region->label());
@@ -597,7 +624,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateReference(
     AcceleratorConfig config;
     config.region = region;
     config.loops = makeLoopConfigs(region, unroll, optimize);
-    config.ifaces = assignInterfaces(region, config.loops);
+    config.ifaces = assignInterfaces(region, facts, config.loops);
     estimate(config);
     return config;
   };
@@ -690,10 +717,11 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
   };
 
   std::vector<AcceleratorConfig> result;
+  std::vector<AccessFacts> facts = accessFacts(region);
   // Cheapest point: fully sequential (same as the reference enumerator).
   {
     std::vector<LoopConfig> loops = makeLoopConfigs(region, 1, false);
-    hls::IfaceAssignment ifaces = assignInterfaces(region, loops);
+    hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
     result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
   }
   const std::vector<LoopConfig>& baselineLoops = result.front().loops;
@@ -713,7 +741,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     // deterministic function of the loop configs, so equal loop vectors
     // mean equal configs.
     if (loops != baselineLoops) {
-      hls::IfaceAssignment ifaces = assignInterfaces(region, loops);
+      hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
       result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
     }
     return result;
@@ -741,7 +769,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     bool duplicate = false;
     for (const Point& p : admitted) duplicate |= p.loops == loops;
     if (duplicate) continue;
-    hls::IfaceAssignment ifaces = assignInterfaces(region, loops);
+    hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
     double term = iiTreeTerm(region, loops, ifaces);
     // MII admission filter: a wider point whose recurrence/resource II term
     // does not strictly improve is dominated — depth and area only grow
@@ -784,11 +812,12 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
   return result;
 }
 
-hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
+const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
     const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
-    unsigned unroll) const {
+    unsigned unroll, hls::BlockSchedule& uncached) const {
   if (params_.generateMode == GenerateMode::Reference) {
-    return scheduler_.scheduleBlock(block, ifaces, unroll);
+    uncached = scheduler_.scheduleBlock(block, ifaces, unroll);
+    return uncached;
   }
   // The scheduler reads the assignment only through per-instruction
   // ifaceFor() lookups, so the AccessIface of each memory access (in program
@@ -796,10 +825,12 @@ hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
   // complete cache key for this (block, width). Normalized to the fields the
   // schedule can observe: a promoted access is register-held (latency 0, no
   // port, exempt from memory ordering) regardless of its other fields, and
-  // footprintBytes only prices scratchpad area in interfaceArea(), never the
+  // footprintBytes only prices scratchpad area in interfaceCosts(), never the
   // schedule — collapsing them turns nesting-level beta-rule variations of
   // one block into cache hits.
-  std::vector<hls::AccessIface> signature;
+  // Built in a per-thread buffer; a copy is made only when a miss inserts.
+  thread_local std::vector<hls::AccessIface> signature;
+  signature.clear();
   for (const auto& inst : block.instructions()) {
     if (!inst->isMemoryAccess()) continue;
     auto it = ifaces.find(inst.get());
@@ -825,15 +856,19 @@ hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
   SchedBucket& bucket =
       stripe.buckets.try_emplace(key, SigLess{&sigComparisons_})
           .first->second;
+  // Hits are returned by reference: bucket entries are map nodes, never
+  // erased and never moved by later insertions, so the schedule stays valid
+  // (and immutable) for the model's lifetime after the lock is released.
   auto it = bucket.find(signature);
   if (it != bucket.end()) return it->second;
-  hls::BlockSchedule schedule = scheduler_.scheduleBlock(block, ifaces, unroll);
-  auto inserted = bucket.emplace(std::move(signature), schedule).first;
+  auto inserted =
+      bucket.emplace(signature, scheduler_.scheduleBlock(block, ifaces, unroll))
+          .first;
   if (t_schedInsertLog != nullptr) {
     t_schedInsertLog->push_back(
         CachedSchedule{&block, unroll, inserted->first, inserted->second});
   }
-  return schedule;
+  return inserted->second;
 }
 
 AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
@@ -848,8 +883,9 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
       double execs = std::ceil(
           static_cast<double>(profile_.blockCount(block)) /
           static_cast<double>(unrollContext));
-      hls::BlockSchedule sched =
-          scheduleBlockCached(*block, config.ifaces, unrollContext);
+      hls::BlockSchedule uncached;
+      const hls::BlockSchedule& sched =
+          scheduleBlockCached(*block, config.ifaces, unrollContext, uncached);
       e.cycles = execs * static_cast<double>(sched.latency);
       e.area = sched.opAreaUm2 + sched.regAreaUm2 +
                tech_.fsmAreaPerState * sched.latency;
@@ -876,8 +912,9 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
         }
         CAYMAN_ASSERT(body != nullptr, "pipelined loop without body block");
         unsigned width = unroll * unrollContext;
-        hls::BlockSchedule sched =
-            scheduleBlockCached(*body, config.ifaces, width);
+        hls::BlockSchedule uncached;
+        const hls::BlockSchedule& sched =
+            scheduleBlockCached(*body, config.ifaces, width, uncached);
         unsigned depth = sched.latency + 1;  // +1: IV/exit-condition stage
         unsigned ii = std::max(
             scheduler_.recMII(ka.mem.carriedDeps(loop), config.ifaces),
@@ -942,99 +979,97 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
   return e;
 }
 
-/// Visit the interface assignment in program order (region block order,
-/// then instruction order within each block). `config.ifaces` is keyed by
-/// instruction pointer, so iterating the map directly follows heap-address
-/// order — which varies between runs and between sequential and threaded
-/// executions of the same process. Floating-point accumulations (and "first
-/// access per array" decisions) must use this stable order instead.
-template <typename Fn>
-static void forEachIfaceInProgramOrder(const AcceleratorConfig& config,
-                                       Fn&& fn) {
-  for (const ir::BasicBlock* block : config.region->blocks()) {
-    for (const auto& inst : block->instructions()) {
-      auto it = config.ifaces.find(inst.get());
-      if (it != config.ifaces.end()) fn(inst.get(), it->second);
-    }
-  }
-}
-
-double AcceleratorModel::interfaceArea(const AcceleratorConfig& config) const {
-  double area = 0.0;
-  std::set<const ir::GlobalArray*> scratchArrays;
-  forEachIfaceInProgramOrder(config, [&](const ir::Instruction* inst,
-                                         const hls::AccessIface& iface) {
-    if (iface.promoted) {
-      // One 64-bit holding register; the bracketing access reuses the
-      // loop's control FSM.
-      area += tech_.registerAreaPerBit * 64;
-      return;
-    }
-    switch (iface.kind) {
-      case hls::IfaceKind::Coupled:
-        area += tech_.lsuArea;
-        break;
-      case hls::IfaceKind::Decoupled: {
-        unsigned elemBytes = 8;
-        if (inst->opcode() == ir::Opcode::Load) {
-          elemBytes = inst->type()->sizeBytes();
-        } else if (inst->numOperands() > 0) {
-          elemBytes = inst->operand(0)->type()->sizeBytes();
-        }
-        area += tech_.aguArea +
-                tech_.fifoAreaPerByte *
-                    scheduler_.timing().fifoDepthElems * elemBytes;
-        break;
-      }
-      case hls::IfaceKind::Scratchpad: {
-        // Buffer + DMA costed once per backing array (charged to the first
-        // access in program order); banking per access.
-        if (iface.array != nullptr &&
-            scratchArrays.insert(iface.array).second) {
-          area += tech_.scratchpadAreaPerByte *
-                      static_cast<double>(iface.footprintBytes) +
-                  tech_.dmaEngineArea;
-        }
-        area += tech_.scratchpadPortArea * iface.partitions;
-        break;
-      }
-    }
-  });
-  return area;
-}
-
-double AcceleratorModel::dmaCyclesPerEntry(
+AcceleratorModel::IfaceCosts AcceleratorModel::interfaceCosts(
     const AcceleratorConfig& config) const {
-  // Fill before execution for read arrays, drain after for written arrays.
-  // Arrays are summed in first-access program order, not pointer order.
-  struct ArrayDma {
+  // One pass over the region's memory accesses in program order (region
+  // block order, then instruction order). `config.ifaces` is keyed by
+  // instruction pointer, so iterating the map directly would follow heap-
+  // address order — which varies between runs and between sequential and
+  // threaded executions. The floating-point sums and the "first access per
+  // array" decisions below depend on this stable order.
+  struct ArrayUse {
+    const ir::GlobalArray* array = nullptr;
     bool rd = false;
     bool wr = false;
-    uint64_t bytes = 0;
+    uint64_t bytes = 0;     ///< DMA transfer: largest access footprint
+    bool charged = false;   ///< buffer + DMA engine area already counted
   };
-  std::vector<const ir::GlobalArray*> order;
-  std::map<const ir::GlobalArray*, ArrayDma> arrays;
-  forEachIfaceInProgramOrder(config, [&](const ir::Instruction* inst,
-                                         const hls::AccessIface& iface) {
-    if (iface.kind != hls::IfaceKind::Scratchpad || iface.array == nullptr) {
-      return;
+  std::vector<ArrayUse> arrays;  // scratchpad arrays, first-access order
+  IfaceCosts costs;
+  size_t visited = 0;
+  for (const ir::BasicBlock* block : config.region->blocks()) {
+    for (const auto& inst : block->instructions()) {
+      if (!inst->isMemoryAccess()) continue;
+      auto it = config.ifaces.find(inst.get());
+      if (it == config.ifaces.end()) continue;
+      ++visited;
+      const hls::AccessIface& iface = it->second;
+
+      // DMA: fill before execution for read arrays, drain after for
+      // written arrays.
+      ArrayUse* use = nullptr;
+      if (iface.kind == hls::IfaceKind::Scratchpad && iface.array != nullptr) {
+        auto found = std::find_if(
+            arrays.begin(), arrays.end(),
+            [&](const ArrayUse& u) { return u.array == iface.array; });
+        if (found == arrays.end()) {
+          found = arrays.insert(arrays.end(), ArrayUse{iface.array});
+        }
+        use = &*found;
+        use->rd |= inst->opcode() == ir::Opcode::Load;
+        use->wr |= inst->opcode() == ir::Opcode::Store;
+        use->bytes = std::max(use->bytes, iface.footprintBytes);
+      }
+
+      if (iface.promoted) {
+        // One 64-bit holding register; the bracketing access reuses the
+        // loop's control FSM. Register-held: no Table II interface.
+        costs.area += tech_.registerAreaPerBit * 64;
+        continue;
+      }
+      switch (iface.kind) {
+        case hls::IfaceKind::Coupled:
+          costs.area += tech_.lsuArea;
+          ++costs.coupled;
+          break;
+        case hls::IfaceKind::Decoupled: {
+          unsigned elemBytes = 8;
+          if (inst->opcode() == ir::Opcode::Load) {
+            elemBytes = inst->type()->sizeBytes();
+          } else if (inst->numOperands() > 0) {
+            elemBytes = inst->operand(0)->type()->sizeBytes();
+          }
+          costs.area += tech_.aguArea +
+                        tech_.fifoAreaPerByte *
+                            scheduler_.timing().fifoDepthElems * elemBytes;
+          ++costs.decoupled;
+          break;
+        }
+        case hls::IfaceKind::Scratchpad:
+          // Buffer + DMA costed once per backing array (charged to the
+          // first access in program order); banking per access.
+          if (use != nullptr && !use->charged) {
+            use->charged = true;
+            costs.area += tech_.scratchpadAreaPerByte *
+                              static_cast<double>(iface.footprintBytes) +
+                          tech_.dmaEngineArea;
+          }
+          costs.area += tech_.scratchpadPortArea * iface.partitions;
+          ++costs.scratchpad;
+          break;
+      }
     }
-    auto [it, inserted] = arrays.try_emplace(iface.array);
-    if (inserted) order.push_back(iface.array);
-    it->second.rd |= inst->opcode() == ir::Opcode::Load;
-    it->second.wr |= inst->opcode() == ir::Opcode::Store;
-    it->second.bytes = std::max(it->second.bytes, iface.footprintBytes);
-  });
-  double cycles = 0.0;
-  for (const ir::GlobalArray* array : order) {
-    const ArrayDma& dma = arrays[array];
-    double transfer = std::ceil(
-        static_cast<double>(dma.bytes) /
-        static_cast<double>(scheduler_.timing().dmaBytesPerCycle));
-    if (dma.rd) cycles += transfer;
-    if (dma.wr) cycles += transfer;
   }
-  return cycles;
+  CAYMAN_ASSERT(visited == config.ifaces.size(),
+                "interface assigned to an access outside the region");
+  for (const ArrayUse& use : arrays) {
+    double transfer = std::ceil(
+        static_cast<double>(use.bytes) /
+        static_cast<double>(scheduler_.timing().dmaBytesPerCycle));
+    if (use.rd) costs.dmaCyclesPerEntry += transfer;
+    if (use.wr) costs.dmaCyclesPerEntry += transfer;
+  }
+  return costs;
 }
 
 void AcceleratorModel::estimate(AcceleratorConfig& config) const {
@@ -1042,23 +1077,16 @@ void AcceleratorModel::estimate(AcceleratorConfig& config) const {
   estimateCalls_.fetch_add(1, std::memory_order_relaxed);
   support::trace::count("model.estimate_calls", 1);
   Estimate e = estimateRegion(config.region, config, 1);
+  IfaceCosts ic = interfaceCosts(config);
   double entries = static_cast<double>(profile_.entries(config.region));
-  config.cycles = e.cycles + entries * dmaCyclesPerEntry(config);
+  config.cycles = e.cycles + entries * ic.dmaCyclesPerEntry;
   config.cpuCycles = profile_.cycles(config.region);
-  config.areaUm2 =
-      e.area + interfaceArea(config) + tech_.acceleratorWrapperArea;
+  config.areaUm2 = e.area + ic.area + tech_.acceleratorWrapperArea;
   config.numSeqBlocks = e.seqBlocks;
   config.numPipelinedRegions = e.pipelined;
-  config.numCoupled = config.numDecoupled = config.numScratchpad = 0;
-  for (const auto& [inst, iface] : config.ifaces) {
-    (void)inst;
-    if (iface.promoted) continue;  // register-held, no interface hardware
-    switch (iface.kind) {
-      case hls::IfaceKind::Coupled: ++config.numCoupled; break;
-      case hls::IfaceKind::Decoupled: ++config.numDecoupled; break;
-      case hls::IfaceKind::Scratchpad: ++config.numScratchpad; break;
-    }
-  }
+  config.numCoupled = ic.coupled;
+  config.numDecoupled = ic.decoupled;
+  config.numScratchpad = ic.scratchpad;
 }
 
 }  // namespace cayman::accel

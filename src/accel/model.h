@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "accel/config.h"
@@ -200,22 +201,49 @@ class AcceleratorModel {
                     const std::vector<LoopConfig>& loops,
                     const hls::IfaceAssignment& ifaces) const;
   /// scheduleBlock with guided-mode memoization: identical
-  /// (block, interface-restriction, width) requests are scheduled once.
-  /// Reference mode calls the scheduler directly so its call counts reflect
-  /// the full enumeration.
-  hls::BlockSchedule scheduleBlockCached(const ir::BasicBlock& block,
-                                         const hls::IfaceAssignment& ifaces,
-                                         unsigned unroll) const;
+  /// (block, interface-restriction, width) requests are scheduled once, and
+  /// the returned reference points into the cache (valid for the model's
+  /// lifetime). Reference mode calls the scheduler directly so its call
+  /// counts reflect the full enumeration; its result lands in the caller's
+  /// `uncached` and the reference points there.
+  const hls::BlockSchedule& scheduleBlockCached(
+      const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
+      unsigned unroll, hls::BlockSchedule& uncached) const;
   Estimate estimateRegion(const analysis::Region* region,
                           const AcceleratorConfig& config,
                           unsigned unrollContext) const;
   bool canUnroll(const analysis::Loop* loop, const KernelAnalyses& ka) const;
   bool isPromotable(const ir::Instruction* access, const analysis::Loop* loop,
                     const KernelAnalyses& ka) const;
-  double interfaceArea(const AcceleratorConfig& config) const;
-  double dmaCyclesPerEntry(const AcceleratorConfig& config) const;
+
+  /// What estimate() charges for a config's interfaces, gathered in one
+  /// program-order pass over the region's memory accesses.
+  struct IfaceCosts {
+    double area = 0.0;               ///< interface hardware (um^2)
+    double dmaCyclesPerEntry = 0.0;  ///< scratchpad fill + drain
+    unsigned coupled = 0;            ///< Table II #C / #D / #S
+    unsigned decoupled = 0;
+    unsigned scratchpad = 0;
+  };
+  IfaceCosts interfaceCosts(const AcceleratorConfig& config) const;
+
+  /// Facts about one memory access of a region that do not depend on the
+  /// ladder point: computed once per generate call, then shared by every
+  /// assignInterfaces() over the region. Promotability and stream-ness are
+  /// filled in lazily, only once a pipelined loop asks.
+  struct AccessFacts {
+    const ir::Instruction* inst = nullptr;
+    const ir::GlobalArray* array = nullptr;  ///< resolved base, else null
+    double countPerEntry = 0.0;  ///< executions per region entry
+    const analysis::Loop* loop = nullptr;  ///< innermost enclosing loop
+    std::optional<uint64_t> footprintElems;
+    std::optional<bool> promotable;
+    std::optional<bool> stream;
+  };
+  /// The region's memory accesses, sorted by instruction address.
+  std::vector<AccessFacts> accessFacts(const analysis::Region* region) const;
   hls::IfaceAssignment assignInterfaces(
-      const analysis::Region* region,
+      const analysis::Region* region, std::vector<AccessFacts>& facts,
       const std::vector<LoopConfig>& loops) const;
   std::vector<LoopConfig> makeLoopConfigs(const analysis::Region* region,
                                           unsigned unroll,

@@ -70,6 +70,11 @@ class Scheduler {
   void creditBlockCalls(uint64_t calls) const;
 
  private:
+  /// opLatency() with the access's interface already looked up (ignored
+  /// for non-memory operations).
+  unsigned latencyUnder(const ir::Instruction& inst,
+                        const AccessIface& iface) const;
+
   /// Resource key for scratchpad banking (per backing array).
   static const void* bankKey(const AccessIface& iface,
                              const ir::Instruction& inst);

@@ -173,6 +173,36 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
 }
 
 std::vector<Solution> CandidateSelector::select(Stats& stats) const {
+  return run(stats, /*winnerOnly=*/false);
+}
+
+Solution CandidateSelector::best(Stats& stats) const {
+  std::vector<Solution> winner = run(stats, /*winnerOnly=*/true);
+  return winner.empty() ? Solution{} : std::move(winner.front());
+}
+
+namespace {
+
+/// best()'s pick from a root front: the first strict maximum of
+/// Solution::savedCycles above 0, or -1 when nothing saves cycles.
+template <typename T, typename Saved>
+ptrdiff_t winnerIndex(const std::vector<T>& front, Saved saved) {
+  ptrdiff_t winner = -1;
+  double bestSaved = 0.0;
+  for (size_t i = 0; i < front.size(); ++i) {
+    double s = saved(front[i]);
+    if (s > bestSaved) {
+      bestSaved = s;
+      winner = static_cast<ptrdiff_t>(i);
+    }
+  }
+  return winner;
+}
+
+}  // namespace
+
+std::vector<Solution> CandidateSelector::run(Stats& stats,
+                                             bool winnerOnly) const {
   stats = Stats{};
   // Candidate generation first, outside the span: it is memoized model work
   // shared by every budget sweep and both DP engines, and folding its cold
@@ -182,18 +212,36 @@ std::vector<Solution> CandidateSelector::select(Stats& stats) const {
   CandidateLists lists;
   collectCandidates(model_.wpst().root(), lists);
   support::trace::Span span("select.dp", "select");
+  const double ratio = params_.clockRatio;
   std::vector<Solution> front;
   if (params_.mode == SelectMode::Reference) {
     front = dpReference(model_.wpst().root(), lists, stats);
+    if (winnerOnly) {
+      ptrdiff_t winner = winnerIndex(
+          front, [&](const Solution& s) { return s.savedCycles(ratio); });
+      std::vector<Solution> picked;
+      if (winner >= 0) picked.push_back(std::move(front[winner]));
+      front = std::move(picked);
+    }
   } else {
     SolutionArena arena;
     std::vector<FrontierEntry> entries =
         dpFrontier(model_.wpst().root(), lists, stats, arena);
     assert(arena.nodeCount() == stats.arenaNodes() &&
            "arena grew out of step with the leaf/pair counters");
-    front.reserve(entries.size());
-    for (const FrontierEntry& entry : entries) {
-      front.push_back(materialize(entry, arena));
+    if (winnerOnly) {
+      // Pick on the cost triple (the same expression Solution::savedCycles
+      // evaluates on the materialized sums), then materialize only the
+      // winner instead of copying every config of the front.
+      ptrdiff_t winner = winnerIndex(entries, [&](const FrontierEntry& e) {
+        return e.cpuCycles - e.accelCycles * ratio;
+      });
+      if (winner >= 0) front.push_back(materialize(entries[winner], arena));
+    } else {
+      front.reserve(entries.size());
+      for (const FrontierEntry& entry : entries) {
+        front.push_back(materialize(entry, arena));
+      }
     }
   }
   if (support::trace::on()) {
@@ -209,20 +257,6 @@ std::vector<Solution> CandidateSelector::select(Stats& stats) const {
     support::trace::count("select.arena_nodes", stats.arenaNodes());
   }
   return front;
-}
-
-Solution CandidateSelector::best(Stats& stats) const {
-  std::vector<Solution> front = select(stats);
-  Solution bestSolution;
-  double bestSaved = 0.0;
-  for (Solution& s : front) {
-    double saved = s.savedCycles(params_.clockRatio);
-    if (saved > bestSaved) {
-      bestSaved = saved;
-      bestSolution = std::move(s);
-    }
-  }
-  return bestSolution;
 }
 
 }  // namespace cayman::select

@@ -74,7 +74,10 @@ class CandidateSelector {
   /// synchronized; the selector itself holds no mutable state).
   std::vector<Solution> select(Stats& stats) const;
 
-  /// The single best solution under the budget (from select()).
+  /// The single best solution under the budget: the first element of
+  /// select() with the strictly largest savedCycles above 0, or the empty
+  /// solution when nothing saves cycles. Same DP, stats and counters as
+  /// select(); the frontier engine materializes only the winner.
   Solution best(Stats& stats) const;
 
   /// Convenience wrappers recording into the selector-owned stats block.
@@ -91,6 +94,11 @@ class CandidateSelector {
   using CandidateLists =
       std::unordered_map<const analysis::Region*,
                          const std::vector<accel::AcceleratorConfig>*>;
+
+  /// select() and best(): Algorithm 1 plus the select.* counters. Returns
+  /// the whole root front, or with `winnerOnly` just best()'s pick (empty
+  /// when nothing saves cycles).
+  std::vector<Solution> run(Stats& stats, bool winnerOnly) const;
 
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;

@@ -160,6 +160,158 @@ TEST(SchedulerTest, MemoryOrderingSerializesConflictingAccesses) {
   EXPECT_GE(sched.latency, 3 * timing.coupledLoadOccupancy);
 }
 
+// --- Hand-scheduled blocks ---------------------------------------------------
+//
+// Exact latencies and first-instance start cycles for small blocks, worked
+// out by hand from the default InterfaceTiming at 2 ns (fadd: 3 cycles;
+// coupled load: latency 3, port busy 3; coupled store: latency 1, port busy
+// 1; decoupled / scratchpad: latency 1). Loads and stores address the
+// globals directly, so the blocks need no address arithmetic.
+
+/// One-block function `f` whose single block `body` the caller fills.
+struct HandBlock {
+  ir::Module module{"hand"};
+  ir::GlobalArray* x = module.addGlobal("x", ir::Type::f64(), 8);
+  ir::GlobalArray* y = module.addGlobal("y", ir::Type::f64(), 8);
+  ir::Function* fn = module.addFunction("f", ir::Type::voidTy(), {});
+  ir::BasicBlock* body = fn->addBlock("body");
+  ir::IRBuilder b{&module};
+
+  HandBlock() { b.setInsertPoint(body); }
+
+  static AccessIface iface(IfaceKind kind, const ir::GlobalArray* array,
+                           unsigned partitions = 1) {
+    AccessIface result;
+    result.kind = kind;
+    result.array = array;
+    result.partitions = partitions;
+    return result;
+  }
+};
+
+const ir::Instruction* asInst(const ir::Value* value) {
+  return ir::dynCast<ir::Instruction>(value);
+}
+
+TEST(SchedulerTest, CoupledPortContendsAcrossUnrollInstances) {
+  // ld x -> fadd -> st y, four instances on the one coupled port. Instance
+  // 0: ld 0..3 (port to 3), fadd 3..6, st 6..7 (port to 7). Each later
+  // instance's load waits for the port: ld 7, 14, 21; the last store
+  // issues at 27 and finishes at 28.
+  HandBlock h;
+  ir::Value* v = h.b.load(ir::Type::f64(), h.x);
+  ir::Value* s = h.b.fadd(v, h.b.f64(1.0));
+  ir::Instruction* st = h.b.store(s, h.y);
+  h.b.ret();
+  IfaceAssignment ifaces;
+  ifaces[asInst(v)] = HandBlock::iface(IfaceKind::Coupled, h.x);
+  ifaces[st] = HandBlock::iface(IfaceKind::Coupled, h.y);
+
+  TechLibrary tech = TechLibrary::nangate45();
+  Scheduler scheduler(tech, InterfaceTiming{}, kClock);
+  BlockSchedule one = scheduler.scheduleBlock(*h.body, ifaces, 1);
+  EXPECT_EQ(one.latency, 7u);
+  BlockSchedule four = scheduler.scheduleBlock(*h.body, ifaces, 4);
+  EXPECT_EQ(four.latency, 28u);
+  EXPECT_EQ(four.numOps, 3u);
+  std::map<const ir::Instruction*, unsigned> expected{
+      {asInst(v), 0u}, {asInst(s), 3u}, {st, 6u}};
+  EXPECT_EQ(four.start, expected);
+  EXPECT_EQ(one.start, expected);
+}
+
+TEST(SchedulerTest, ScratchpadBanksContendAcrossUnrollInstances) {
+  // Two loads of x feed an fadd stored to y; every access is a scratchpad
+  // with two banks (one per array). Instance 0: both loads take one x bank
+  // each at 0, fadd 1..4, st y bank 0 at 4..5. Each later instance finds
+  // both x banks busy one cycle longer (loads at 1, 2, 3), and its store
+  // takes the next free y bank: 5, 6, and 7..8 for the last.
+  HandBlock h;
+  ir::Value* a = h.b.load(ir::Type::f64(), h.x);
+  ir::Value* c = h.b.load(ir::Type::f64(), h.x);
+  ir::Value* s = h.b.fadd(a, c);
+  ir::Instruction* st = h.b.store(s, h.y);
+  h.b.ret();
+  IfaceAssignment ifaces;
+  ifaces[asInst(a)] = HandBlock::iface(IfaceKind::Scratchpad, h.x, 2);
+  ifaces[asInst(c)] = HandBlock::iface(IfaceKind::Scratchpad, h.x, 2);
+  ifaces[st] = HandBlock::iface(IfaceKind::Scratchpad, h.y, 2);
+
+  TechLibrary tech = TechLibrary::nangate45();
+  Scheduler scheduler(tech, InterfaceTiming{}, kClock);
+  BlockSchedule sched = scheduler.scheduleBlock(*h.body, ifaces, 4);
+  EXPECT_EQ(sched.latency, 8u);
+  std::map<const ir::Instruction*, unsigned> expected{
+      {asInst(a), 0u}, {asInst(c), 0u}, {asInst(s), 1u}, {st, 4u}};
+  EXPECT_EQ(sched.start, expected);
+
+  // One bank: the two loads of each instance serialize on it, so every
+  // instance needs two x cycles — the last fadd starts at 8 and its store
+  // finishes at 12.
+  for (auto& [inst, iface] : ifaces) iface.partitions = 1;
+  EXPECT_EQ(scheduler.scheduleBlock(*h.body, ifaces, 4).latency, 12u);
+}
+
+TEST(SchedulerTest, UnknownBaseStoreAndLoadSerialize) {
+  // st x; ld y; fadd. Decoupled interfaces share no port, so only memory
+  // ordering can delay the load. With an unknown base the pair may alias:
+  // st 0..1, ld 1..2, fadd 2..5. With both bases known and distinct the
+  // load starts at 0.
+  HandBlock h;
+  ir::Instruction* st = h.b.store(h.b.f64(2.0), h.x);
+  ir::Value* v = h.b.load(ir::Type::f64(), h.y);
+  ir::Value* s = h.b.fadd(v, h.b.f64(1.0));
+  h.b.ret();
+  IfaceAssignment ifaces;
+  ifaces[st] = HandBlock::iface(IfaceKind::Decoupled, nullptr);
+  ifaces[asInst(v)] = HandBlock::iface(IfaceKind::Decoupled, h.y);
+
+  TechLibrary tech = TechLibrary::nangate45();
+  Scheduler scheduler(tech, InterfaceTiming{}, kClock);
+  BlockSchedule unknown = scheduler.scheduleBlock(*h.body, ifaces);
+  EXPECT_EQ(unknown.latency, 5u);
+  std::map<const ir::Instruction*, unsigned> expected{
+      {st, 0u}, {asInst(v), 1u}, {asInst(s), 2u}};
+  EXPECT_EQ(unknown.start, expected);
+
+  ifaces[st].array = h.x;
+  BlockSchedule known = scheduler.scheduleBlock(*h.body, ifaces);
+  EXPECT_EQ(known.latency, 4u);
+  EXPECT_EQ(known.start.at(asInst(v)), 0u);
+}
+
+TEST(SchedulerTest, PhiOperandsAndPromotedAccessesImposeNoOrdering) {
+  // Self-loop: p = phi; s = fadd p, 1; st s -> x (promoted); w = ld x.
+  // The phi is not scheduled and its use is ready at 0; the promoted store
+  // costs nothing and is exempt from memory ordering, so the coupled load
+  // of the same array starts at 0 instead of after the store.
+  HandBlock h;
+  ir::Instruction* p = h.b.phi(ir::Type::f64());
+  ir::Value* s = h.b.fadd(p, h.b.f64(1.0));
+  ir::Instruction* st = h.b.store(s, h.x);
+  ir::Value* w = h.b.load(ir::Type::f64(), h.x);
+  h.b.br(h.body);
+  p->addIncoming(s, h.body);
+  IfaceAssignment ifaces;
+  ifaces[st] = HandBlock::iface(IfaceKind::Coupled, h.x);
+  ifaces[st].promoted = true;
+  ifaces[asInst(w)] = HandBlock::iface(IfaceKind::Coupled, h.x);
+
+  TechLibrary tech = TechLibrary::nangate45();
+  Scheduler scheduler(tech, InterfaceTiming{}, kClock);
+  BlockSchedule sched = scheduler.scheduleBlock(*h.body, ifaces);
+  // fadd 0..3, st 3..3, ld 0..3.
+  EXPECT_EQ(sched.latency, 3u);
+  EXPECT_EQ(sched.numOps, 3u);
+  std::map<const ir::Instruction*, unsigned> expected{
+      {asInst(s), 0u}, {st, 3u}, {asInst(w), 0u}};
+  EXPECT_EQ(sched.start, expected);
+
+  // Unpromoted, the store (3..4) orders the same-array load behind it.
+  ifaces[st].promoted = false;
+  EXPECT_EQ(scheduler.scheduleBlock(*h.body, ifaces).start.at(asInst(w)), 4u);
+}
+
 TEST(SchedulerTest, RecMIIFromCarriedDeps) {
   auto module = testing::dotRowsKernel();
   const ir::Function* f = module->entryFunction();

@@ -81,6 +81,81 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
   }
 }
 
+/// best()'s contract spelled out over select()'s front: the first element
+/// whose savedCycles is a strict maximum above 0, else the empty solution.
+Solution bestOfFront(const std::vector<Solution>& front, double clockRatio) {
+  Solution best;
+  double bestSaved = 0.0;
+  for (const Solution& s : front) {
+    double saved = s.savedCycles(clockRatio);
+    if (saved > bestSaved) {
+      bestSaved = saved;
+      best = s;
+    }
+  }
+  return best;
+}
+
+// best() picks its winner before materializing anything; it must still be
+// value-equal to the best element of the fully materialized select() front,
+// with the same DP stats, for the Cayman selector in both DP engines and for
+// the QsCores baseline's best() vs paretoFront().
+TEST(SelectDifferentialTest, BestIsBestOfSelectOnAllWorkloads) {
+  for (const workloads::WorkloadInfo& info : workloads::all()) {
+    Framework fw(info.build());
+    const double ratio = fw.options().clockRatio();
+    for (double budgetRatio : {0.05, 0.25, 0.65}) {
+      std::string context =
+          info.name + " budget " + std::to_string(budgetRatio);
+      for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
+        SelectorParams params;
+        params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
+        params.clockRatio = ratio;
+        params.mode = mode;
+        CandidateSelector selector(fw.model(), params);
+        CandidateSelector::Stats selectStats;
+        CandidateSelector::Stats bestStats;
+        Solution expected = bestOfFront(selector.select(selectStats), ratio);
+        Solution best = selector.best(bestStats);
+        std::string where = context + (mode == SelectMode::Frontier
+                                           ? " frontier"
+                                           : " reference");
+        expectBitExact(best, expected, where);
+        expectSameStats(bestStats, selectStats, where);
+      }
+
+      const double budgetUm2 = fw.budgetUm2(budgetRatio);
+      expectBitExact(
+          fw.qscores().best(budgetUm2, ratio),
+          bestOfFront(fw.qscores().paretoFront(budgetUm2, ratio), ratio),
+          context + " qscores");
+    }
+  }
+}
+
+// A budget nothing fits under leaves only the empty solution, which saves
+// no cycles: best() returns the empty solution rather than any front entry.
+TEST(SelectDifferentialTest, BestIsEmptyWhenNothingSavesCycles) {
+  Framework fw(workloads::build("atax"));
+  const double ratio = fw.options().clockRatio();
+  for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
+    SelectorParams params;
+    params.areaBudgetUm2 = 1.0;  // um^2: below any accelerator's area
+    params.clockRatio = ratio;
+    params.mode = mode;
+    CandidateSelector selector(fw.model(), params);
+    CandidateSelector::Stats stats;
+    std::vector<Solution> front = selector.select(stats);
+    ASSERT_FALSE(front.empty());
+    for (const Solution& s : front) EXPECT_LE(s.savedCycles(ratio), 0.0);
+    Solution best = selector.best(stats);
+    EXPECT_TRUE(best.empty());
+    expectBitExact(best, Solution{}, "empty best");
+  }
+  Solution qsBest = fw.qscores().best(1.0, ratio);
+  EXPECT_TRUE(qsBest.empty());
+}
+
 // --------------------------------------------------------------------------
 // Randomized-front ⊗ equivalence (seeded LCG, no wall-clock or libc rand).
 // --------------------------------------------------------------------------
