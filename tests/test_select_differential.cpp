@@ -81,6 +81,53 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
   }
 }
 
+/// Runs select() and best() in both DP engines on `model` and demands the
+/// fronts, the winners and every Stats field agree bit for bit.
+void expectEnginesAgree(const accel::AcceleratorModel& model,
+                        SelectorParams params, const std::string& context) {
+  params.mode = SelectMode::Frontier;
+  CandidateSelector frontier(model, params);
+  params.mode = SelectMode::Reference;
+  CandidateSelector reference(model, params);
+
+  CandidateSelector::Stats frontierStats;
+  CandidateSelector::Stats referenceStats;
+  std::vector<Solution> frontierFront = frontier.select(frontierStats);
+  std::vector<Solution> referenceFront = reference.select(referenceStats);
+  ASSERT_EQ(frontierFront.size(), referenceFront.size()) << context;
+  for (size_t i = 0; i < frontierFront.size(); ++i) {
+    expectBitExact(frontierFront[i], referenceFront[i],
+                   context + " index " + std::to_string(i));
+  }
+  expectSameStats(frontierStats, referenceStats, context);
+
+  Solution frontierBest = frontier.best(frontierStats);
+  Solution referenceBest = reference.best(referenceStats);
+  expectBitExact(frontierBest, referenceBest, context + " best");
+  expectSameStats(frontierStats, referenceStats, context + " best");
+}
+
+// A design-space explorer's budget grid — twelve points over [0.02, 1.0],
+// where the small budgets prune hardest and most ⊗ operands collapse to the
+// one-entry {∅} front — for the Cayman model and the QsCores baseline's
+// restricted model, which runs the same selector.
+TEST(SelectDifferentialTest, FrontierMatchesReferenceOnBudgetGrid) {
+  for (const workloads::WorkloadInfo& info : workloads::all()) {
+    Framework fw(info.build());
+    for (int step = 0; step < 12; ++step) {
+      const double budgetRatio = 0.02 + 0.98 * step / 11.0;
+      SelectorParams params;
+      params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
+      params.alpha = 1.12;
+      params.clockRatio = fw.options().clockRatio();
+      const std::string context =
+          info.name + " budget " + std::to_string(budgetRatio);
+      expectEnginesAgree(fw.model(), params, context + " cayman");
+      expectEnginesAgree(fw.qscores().model(), params, context + " qscores");
+    }
+  }
+}
+
 /// best()'s contract spelled out over select()'s front: the first element
 /// whose savedCycles is a strict maximum above 0, else the empty solution.
 Solution bestOfFront(const std::vector<Solution>& front, double clockRatio) {
