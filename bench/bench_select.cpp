@@ -1,6 +1,6 @@
 // Selector micro-benchmarks (google-benchmark): the Algorithm 1 DP on the
-// largest workloads in both engines, plus a synthetic wide-front ⊗ stress
-// case. The Framework is built once per benchmark, so the model's generate
+// largest workloads in both engines, a twelve-budget best() sweep, plus a
+// synthetic wide-front ⊗ stress case. The Framework is built once per benchmark, so the model's generate
 // cache is warm after the first iteration and the steady state measures the
 // DP itself — the same quantity the select.dp span times now that candidate
 // generation runs in the selector's pre-pass.
@@ -45,6 +45,38 @@ BENCHMARK_CAPTURE(BM_SelectDp, cjpeg_reference, "cjpeg",
 BENCHMARK_CAPTURE(BM_SelectDp, 3mm_frontier, "3mm",
                   select::SelectMode::Frontier);
 BENCHMARK_CAPTURE(BM_SelectDp, 3mm_reference, "3mm",
+                  select::SelectMode::Reference);
+
+// A design-space explorer's query pattern: warm cjpeg and 3mm Frameworks
+// asked for Cayman's and the QsCores baseline's best() at twelve budgets
+// over [0.02, 1.0]. The small budgets collapse many ⊗ operands to the
+// one-entry {∅} front, the frontier DP's identity fast path.
+void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
+  FrameworkOptions options;
+  options.selectMode = mode;
+  std::vector<std::unique_ptr<Framework>> frameworks;
+  for (const char* workload : {"cjpeg", "3mm"}) {
+    frameworks.push_back(
+        std::make_unique<Framework>(workloads::build(workload), options));
+  }
+  auto sweep = [&] {
+    for (const std::unique_ptr<Framework>& fw : frameworks) {
+      const double ratio = fw->options().clockRatio();
+      for (int step = 0; step < 12; ++step) {
+        const double budgetRatio = 0.02 + 0.98 * step / 11.0;
+        benchmark::DoNotOptimize(fw->best(budgetRatio).areaUm2);
+        benchmark::DoNotOptimize(
+            fw->qscores().best(fw->budgetUm2(budgetRatio), ratio, mode)
+                .areaUm2);
+      }
+    }
+  };
+  sweep();  // warms both models' generate caches
+  for (auto _ : state) sweep();
+}
+BENCHMARK_CAPTURE(BM_SelectBudgetSweep, frontier,
+                  select::SelectMode::Frontier);
+BENCHMARK_CAPTURE(BM_SelectBudgetSweep, reference,
                   select::SelectMode::Reference);
 
 // Synthetic wide-front stress: two strict Pareto fronts of `width`

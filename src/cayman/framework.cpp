@@ -152,7 +152,7 @@ EvaluationReport Framework::evaluate(double budgetRatio) const {
   report.totalCpuCycles = tAll;
   report.caymanSpeedup = report.solution.speedup(tAll, ratio);
 
-  runStage(support::Stage::Select, unit, options_, [&] {
+  runStage(support::Stage::Baselines, unit, options_, [&] {
     baselines::NoviaFlow::Point noviaBest =
         novia_->best(budgetUm2(budgetRatio));
     report.noviaSpeedup = noviaBest.speedup(tAll);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "select/pareto.h"
 #include "support/trace.h"
 
 namespace cayman::select {
@@ -11,17 +10,38 @@ namespace cayman::select {
 namespace {
 
 #ifndef NDEBUG
-/// Debug postcondition of pareto(): strictly area-ascending with strictly
-/// increasing saved cycles. combine()'s early budget break-out and the
-/// α-filter's spacing rule both depend on it.
-bool isStrictFront(const std::vector<FrontierEntry>& front) {
-  for (size_t i = 1; i < front.size(); ++i) {
-    if (!(front[i - 1].areaUm2 < front[i].areaUm2)) return false;
-    if (!(front[i - 1].savedCycles < front[i].savedCycles)) return false;
+/// Debug postcondition of pareto(): buffer[first, last) is strictly
+/// area-ascending with strictly increasing saved cycles. combine()'s early
+/// budget break-out and the α-filter's spacing rule both depend on it.
+bool isStrictFront(const std::vector<FrontierEntry>& buffer, size_t first,
+                   size_t last) {
+  for (size_t i = first + 1; i < last; ++i) {
+    if (!(buffer[i - 1].areaUm2 < buffer[i].areaUm2)) return false;
+    if (!(buffer[i - 1].savedCycles < buffer[i].savedCycles)) return false;
+  }
+  return true;
+}
+
+/// True when filterByAlpha(alpha) keeps every entry of buffer[first, last):
+/// each interior entry clears the spacing rule against its predecessor.
+bool isAlphaFiltered(const std::vector<FrontierEntry>& buffer, size_t first,
+                     size_t last, double alpha) {
+  if (alpha <= 1.0) return true;
+  for (size_t i = first + 1; i + 1 < last; ++i) {
+    if (!(buffer[i].areaUm2 > alpha * std::max(buffer[i - 1].areaUm2, 1.0))) {
+      return false;
+    }
   }
   return true;
 }
 #endif
+
+/// The one-entry front {∅}: a pruned subtree, a region where nothing fits
+/// the budget, or a parent's front before its first child.
+bool isEmptyFront(const std::vector<FrontierEntry>& buffer, size_t first,
+                  size_t last) {
+  return last - first == 1 && buffer[first].empty();
+}
 
 }  // namespace
 
@@ -87,46 +107,86 @@ FrontierEntry mergeEntries(const FrontierEntry& x, const FrontierEntry& y,
   return merged;
 }
 
-std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries) {
-  std::sort(entries.begin(), entries.end(),
+void pareto(std::vector<FrontierEntry>& buffer, size_t first) {
+  const auto begin = buffer.begin() + static_cast<ptrdiff_t>(first);
+  std::sort(begin, buffer.end(),
             [](const FrontierEntry& a, const FrontierEntry& b) {
               if (a.areaUm2 != b.areaUm2) return a.areaUm2 < b.areaUm2;
               return a.savedCycles > b.savedCycles;
             });
-  std::vector<FrontierEntry> front;
+  size_t kept = first;
   double bestSaved = -1e300;
-  for (const FrontierEntry& entry : entries) {
-    bool keep =
-        entry.empty() ? front.empty() : entry.savedCycles > bestSaved;
+  for (size_t i = first; i < buffer.size(); ++i) {
+    const FrontierEntry entry = buffer[i];
+    bool keep = entry.empty() ? kept == first : entry.savedCycles > bestSaved;
     if (!keep) continue;
     bestSaved = std::max(bestSaved, entry.savedCycles);
-    front.push_back(entry);
+    buffer[kept++] = entry;
   }
-  if (support::trace::on() && front.size() < entries.size()) {
-    support::trace::count("select.pareto_dropped",
-                          entries.size() - front.size());
+  if (support::trace::on() && kept < buffer.size()) {
+    support::trace::count("select.pareto_dropped", buffer.size() - kept);
   }
-  assert(isStrictFront(front) && "pareto() front not strictly monotone");
-  return front;
+  buffer.resize(kept);
+  assert(isStrictFront(buffer, first, kept) &&
+         "pareto() front not strictly monotone");
 }
 
-std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
-                                         double alpha) {
-  if (entries.size() <= 2 || alpha <= 1.0) return entries;
-  std::vector<FrontierEntry> kept;
-  kept.push_back(entries.front());
-  for (size_t i = 1; i + 1 < entries.size(); ++i) {
-    double previousArea = kept.back().areaUm2;
-    if (entries[i].areaUm2 > alpha * std::max(previousArea, 1.0)) {
-      kept.push_back(entries[i]);
+void filterByAlpha(std::vector<FrontierEntry>& buffer, size_t first,
+                   double alpha) {
+  const size_t last = buffer.size();
+  if (last - first <= 2 || alpha <= 1.0) return;
+  size_t kept = first + 1;
+  for (size_t i = first + 1; i + 1 < last; ++i) {
+    double previousArea = buffer[kept - 1].areaUm2;
+    if (buffer[i].areaUm2 > alpha * std::max(previousArea, 1.0)) {
+      buffer[kept++] = buffer[i];
     }
   }
-  kept.push_back(entries.back());
-  if (support::trace::on() && kept.size() < entries.size()) {
-    support::trace::count("select.alpha_dropped",
-                          entries.size() - kept.size());
+  buffer[kept++] = buffer[last - 1];
+  if (support::trace::on() && kept < last) {
+    support::trace::count("select.alpha_dropped", last - kept);
   }
-  return kept;
+  buffer.resize(kept);
+}
+
+void combine(std::vector<FrontierEntry>& buffer, size_t a, size_t b,
+             double areaBudget, double clockRatio, double alpha,
+             SolutionArena& arena, uint64_t* pairsAdmitted) {
+  const size_t end = buffer.size();
+  assert(isStrictFront(buffer, a, b) && isStrictFront(buffer, b, end) &&
+         "combine() requires area-sorted fronts for the early break");
+  assert(isAlphaFiltered(buffer, a, b, alpha) &&
+         isAlphaFiltered(buffer, b, end, alpha) &&
+         "combine() requires alpha-filtered operands");
+  for (size_t x = a; x < b; ++x) {
+    for (size_t y = b; y < end; ++y) {
+      // B ascends in area, so every later y is at least as large: the whole
+      // remaining row is over budget (floating-point addition is monotone).
+      if (buffer[x].areaUm2 + buffer[y].areaUm2 > areaBudget) break;
+      const FrontierEntry merged =
+          mergeEntries(buffer[x], buffer[y], clockRatio, arena);
+      buffer.push_back(merged);
+    }
+  }
+  const size_t admitted = buffer.size() - end;
+  if (pairsAdmitted != nullptr) *pairsAdmitted += admitted;
+  // Identity: when either operand is {∅}, the admitted pairs are a prefix
+  // of the other front with every scalar unchanged (x + 0.0 == x), and only
+  // the arena nodes are new. That prefix is already a strict front, which
+  // std::sort leaves as it is (no two entries compare equivalent), and
+  // which passed filterByAlpha, which is idempotent on its own output. So
+  // pareto() and the α-filter would return it unchanged and drop nothing.
+  if (!isEmptyFront(buffer, a, b) && !isEmptyFront(buffer, b, end)) {
+    pareto(buffer, end);
+    filterByAlpha(buffer, end, alpha);
+  }
+  assert(isStrictFront(buffer, end, buffer.size()));
+  // The result replaces both operands (the copy moves downwards, so the
+  // overlap is safe).
+  const size_t kept = buffer.size() - end;
+  std::copy(buffer.begin() + static_cast<ptrdiff_t>(end), buffer.end(),
+            buffer.begin() + static_cast<ptrdiff_t>(a));
+  buffer.resize(a + kept);
 }
 
 std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,
@@ -134,20 +194,11 @@ std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,
                                    double areaBudget, double clockRatio,
                                    SolutionArena& arena,
                                    uint64_t* pairsAdmitted) {
-  assert(isStrictFront(a) && isStrictFront(b) &&
-         "combine() requires area-sorted fronts for the early break");
-  std::vector<FrontierEntry> merged;
-  merged.reserve(std::min(a.size() * b.size(), kCombineReserveCap));
-  for (const FrontierEntry& x : a) {
-    for (const FrontierEntry& y : b) {
-      // b ascends in area, so every later y is at least as large: the whole
-      // remaining row is over budget (floating-point addition is monotone).
-      if (x.areaUm2 + y.areaUm2 > areaBudget) break;
-      merged.push_back(mergeEntries(x, y, clockRatio, arena));
-    }
-  }
-  if (pairsAdmitted != nullptr) *pairsAdmitted += merged.size();
-  return pareto(std::move(merged));
+  std::vector<FrontierEntry> buffer = a;
+  buffer.insert(buffer.end(), b.begin(), b.end());
+  combine(buffer, 0, a.size(), areaBudget, clockRatio, /*alpha=*/1.0, arena,
+          pairsAdmitted);
+  return buffer;
 }
 
 Solution materialize(const FrontierEntry& entry, const SolutionArena& arena) {

@@ -15,6 +15,10 @@
 // iterates arena nodes in allocation order — never pointer-keyed maps — so
 // it is deterministic across runs and jobs counts.
 //
+// The fronts themselves are flat: one scratch vector per thread holds every
+// live front as a stack, and pareto / α-filter / ⊗ rewrite the top of it in
+// place (see "Flat fronts" below), so a DP run allocates nothing per region.
+//
 // Bit-exactness contract with SelectMode::Reference: every scalar is
 // accumulated through the same additions in the same order as
 // Solution::merge, and savedCycles is always recomputed from the summed
@@ -63,6 +67,8 @@ class SolutionArena {
   int32_t merge(int32_t left, int32_t right);
 
   size_t nodeCount() const { return nodes_.size(); }
+  /// Drops every node, keeping the capacity.
+  void clear() { nodes_.clear(); configs_.clear(); }
 
   /// Appends the configs reachable from `node` in program order.
   void appendConfigs(int32_t node,
@@ -87,25 +93,50 @@ FrontierEntry entryFromConfig(const accel::AcceleratorConfig& config,
 FrontierEntry mergeEntries(const FrontierEntry& x, const FrontierEntry& y,
                            double clockRatio, SolutionArena& arena);
 
-/// pareto() over frontier entries — same algorithm, comparator semantics
-/// and trace counter as the Solution overload, minus the per-comparison
-/// savedCycles recomputation (it is cached in the entry).
-std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries);
+// ---------------------------------------------------------------------------
+// Flat fronts. The frontier DP keeps every live front in one scratch vector
+// used as a stack: a front is the range [first, buffer.size()) at the top,
+// and the primitives below rewrite that range in place, shrinking the
+// buffer to the survivors. They take offsets, never references or
+// iterators, because combine() appends to the same vector it reads.
+// ---------------------------------------------------------------------------
 
-/// filterByAlpha() over frontier entries — same algorithm and trace counter
-/// as the Solution overload.
-std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
-                                         double alpha);
+/// pareto() over buffer[first, end) — same std::sort, comparator, survivor
+/// rule and trace counter as the Solution overload, minus the
+/// per-comparison savedCycles recomputation (it is cached in the entry).
+/// Leaves the strict front at [first, end).
+void pareto(std::vector<FrontierEntry>& buffer, size_t first);
 
-/// The ⊗ operation over two area-ascending fronts with early budget
-/// break-out: because `b` ascends in area, once x.area + y.area exceeds the
-/// budget no later y can fit, so the inner loop stops instead of filtering
-/// pair by pair. Admits exactly the pairs the reference combine admits, in
-/// the same order. `pairsAdmitted`, when non-null, accumulates the number
-/// of merged pairs created (the select.combine_pairs counter).
+/// filterByAlpha() over buffer[first, end) — same algorithm and trace
+/// counter as the Solution overload.
+void filterByAlpha(std::vector<FrontierEntry>& buffer, size_t first,
+                   double alpha);
+
+/// The ⊗ operation plus Algorithm 1's pareto and α-filter over two adjacent
+/// fronts, A = buffer[a, b) and B = buffer[b, end): the filtered result
+/// replaces both, starting at `a`. Pairs are merged x-major (x from A, y
+/// from B) with an early budget break-out: B ascends in area, so once
+/// x.area + y.area exceeds the budget no later y fits. That admits exactly
+/// the pairs the reference combine admits, in the same order.
+/// `pairsAdmitted`, when non-null, accumulates the number of merged pairs
+/// created (the select.combine_pairs counter).
 ///
-/// Precondition: both inputs ascend strictly in area — the pareto()
-/// postcondition, checked in debug builds.
+/// Preconditions (checked in debug builds): A and B are strictly ascending
+/// in area and saved cycles — the pareto() postcondition — and each already
+/// passes filterByAlpha at `alpha` unchanged. Every DP front meets both.
+void combine(std::vector<FrontierEntry>& buffer, size_t a, size_t b,
+             double areaBudget, double clockRatio, double alpha,
+             SolutionArena& arena, uint64_t* pairsAdmitted = nullptr);
+
+/// Vector conveniences over the range forms, for tests and benchmarks.
+inline std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries) {
+  pareto(entries, 0); return entries;
+}
+inline std::vector<FrontierEntry> filterByAlpha(
+    std::vector<FrontierEntry> entries, double alpha) {
+  filterByAlpha(entries, 0, alpha); return entries;
+}
+/// ⊗ plus pareto, without the α-filter (alpha = 1 keeps every entry).
 std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,
                                    const std::vector<FrontierEntry>& b,
                                    double areaBudget, double clockRatio,

@@ -9,11 +9,11 @@
 
 namespace cayman::select {
 
-/// Shared by both combine() paths: reserve at most this many merged slots up
-/// front. α-filtered fronts are short, but a full a.size()*b.size() cross
-/// product can run to tens of thousands of slots of which the budget filter
-/// admits a fraction — the old unconditional reserve made peak memory scale
-/// with the product instead of the admitted count.
+/// combine() reserves at most this many merged slots up front. α-filtered
+/// fronts are short, but a full a.size()*b.size() cross product can run to
+/// tens of thousands of slots of which the budget filter admits a fraction —
+/// the old unconditional reserve made peak memory scale with the product
+/// instead of the admitted count.
 constexpr size_t kCombineReserveCap = 256;
 
 /// Area-ascending Pareto front over (area, saved cycles): keeps solutions

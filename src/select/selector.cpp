@@ -1,6 +1,7 @@
 #include "select/selector.h"
 
 #include <cassert>
+#include <span>
 
 #include "support/error.h"
 #include "support/trace.h"
@@ -12,6 +13,25 @@ using analysis::RegionKind;
 
 namespace {
 
+/// The calling thread's frontier-DP workspace: the front stack and the
+/// reconstruction arena. Both keep their capacity between runs, so a warm
+/// thread's DP allocates nothing.
+struct Scratch {
+  std::vector<FrontierEntry> buffer;
+  SolutionArena arena;
+};
+Scratch& threadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+/// Empties the workspace when a run ends, also when a cancellation check
+/// throws out of the DP.
+struct ScratchRelease {
+  Scratch& scratch;
+  ~ScratchRelease() { scratch.buffer.clear(); scratch.arena.clear(); }
+};
+
 /// Peak-front bookkeeping, fired after every α-filter in both DP paths (the
 /// same program points, so the stat is mode-independent).
 void notePeak(CandidateSelector::Stats& stats, size_t frontSize) {
@@ -22,10 +42,11 @@ void notePeak(CandidateSelector::Stats& stats, size_t frontSize) {
 
 const std::vector<accel::AcceleratorConfig>& CandidateSelector::candidatesFor(
     const CandidateLists& lists, const Region* region) {
-  auto it = lists.find(region);
-  CAYMAN_ASSERT(it != lists.end(),
+  const std::vector<accel::AcceleratorConfig>* list =
+      lists[static_cast<size_t>(region->id())];
+  CAYMAN_ASSERT(list != nullptr,
                 "selector pre-pass missed a region the DP queries");
-  return *it->second;
+  return *list;
 }
 
 bool CandidateSelector::prunes(const Region* region) const {
@@ -58,9 +79,9 @@ void CandidateSelector::collectCandidates(const Region* region,
   collectRegions(region, order);
   std::vector<const std::vector<accel::AcceleratorConfig>*> generated =
       model_.generateAll(order);
-  lists.reserve(order.size());
+  lists.assign(model_.wpst().allRegions().size(), nullptr);
   for (size_t i = 0; i < order.size(); ++i) {
-    lists.emplace(order[i], generated[i]);
+    lists[static_cast<size_t>(order[i]->id())] = generated[i];
   }
 }
 
@@ -119,43 +140,43 @@ std::vector<Solution> CandidateSelector::dpReference(
   return front;
 }
 
-std::vector<FrontierEntry> CandidateSelector::dpFrontier(
-    const Region* region, const CandidateLists& lists, Stats& stats,
-    SolutionArena& arena) const {
+size_t CandidateSelector::dpFrontier(const Region* region,
+                                     const CandidateLists& lists, Stats& stats,
+                                     SolutionArena& arena,
+                                     std::vector<FrontierEntry>& buffer) const {
   ++stats.regionsVisited;
   if (params_.cancel != nullptr) {
     params_.cancel->check(support::Stage::Select, region->label());
   }
 
+  // F[region] starts as {∅} at the top of the stack; every step below
+  // rewrites [begin, buffer.size()) in place.
+  const size_t begin = buffer.size();
+  buffer.emplace_back();
   if (prunes(region)) {
     ++stats.regionsPruned;
-    return {FrontierEntry{}};
+    return begin;
   }
 
-  std::vector<FrontierEntry> front{FrontierEntry{}};
-
   if (region->kind() == RegionKind::Bb) {
-    std::vector<FrontierEntry> options{FrontierEntry{}};
     for (const accel::AcceleratorConfig& config :
          candidatesFor(lists, region)) {
       ++stats.configsGenerated;
       if (config.areaUm2 > params_.areaBudgetUm2) continue;
       ++stats.singleConfigSolutions;
-      options.push_back(entryFromConfig(config, params_.clockRatio, arena));
+      buffer.push_back(entryFromConfig(config, params_.clockRatio, arena));
     }
-    front = filterByAlpha(pareto(std::move(options)), params_.alpha);
-    notePeak(stats, front.size());
-    return front;
+    pareto(buffer, begin);
+    filterByAlpha(buffer, begin, params_.alpha);
+    notePeak(stats, buffer.size() - begin);
+    return begin;
   }
 
   for (const auto& child : region->children()) {
-    std::vector<FrontierEntry> childFront =
-        dpFrontier(child.get(), lists, stats, arena);
-    front = filterByAlpha(
-        combine(front, childFront, params_.areaBudgetUm2, params_.clockRatio,
-                arena, &stats.combinePairs),
-        params_.alpha);
-    notePeak(stats, front.size());
+    size_t childBegin = dpFrontier(child.get(), lists, stats, arena, buffer);
+    combine(buffer, begin, childBegin, params_.areaBudgetUm2,
+            params_.clockRatio, params_.alpha, arena, &stats.combinePairs);
+    notePeak(stats, buffer.size() - begin);
   }
 
   if (region->isCtrlFlow()) {
@@ -164,12 +185,13 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
       ++stats.configsGenerated;
       if (config.areaUm2 > params_.areaBudgetUm2) continue;
       ++stats.singleConfigSolutions;
-      front.push_back(entryFromConfig(config, params_.clockRatio, arena));
+      buffer.push_back(entryFromConfig(config, params_.clockRatio, arena));
     }
-    front = filterByAlpha(pareto(std::move(front)), params_.alpha);
-    notePeak(stats, front.size());
+    pareto(buffer, begin);
+    filterByAlpha(buffer, begin, params_.alpha);
+    notePeak(stats, buffer.size() - begin);
   }
-  return front;
+  return begin;
 }
 
 std::vector<Solution> CandidateSelector::select(Stats& stats) const {
@@ -185,8 +207,8 @@ namespace {
 
 /// best()'s pick from a root front: the first strict maximum of
 /// Solution::savedCycles above 0, or -1 when nothing saves cycles.
-template <typename T, typename Saved>
-ptrdiff_t winnerIndex(const std::vector<T>& front, Saved saved) {
+template <typename Front, typename Saved>
+ptrdiff_t winnerIndex(const Front& front, Saved saved) {
   ptrdiff_t winner = -1;
   double bestSaved = 0.0;
   for (size_t i = 0; i < front.size(); ++i) {
@@ -224,9 +246,14 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
       front = std::move(picked);
     }
   } else {
-    SolutionArena arena;
-    std::vector<FrontierEntry> entries =
-        dpFrontier(model_.wpst().root(), lists, stats, arena);
+    Scratch& scratch = threadScratch();
+    std::vector<FrontierEntry>& buffer = scratch.buffer;
+    SolutionArena& arena = scratch.arena;
+    assert(buffer.empty() && "selector runs never nest on one thread");
+    ScratchRelease release{scratch};
+    // The stack starts empty, so the root front is all of it.
+    dpFrontier(model_.wpst().root(), lists, stats, arena, buffer);
+    std::span<const FrontierEntry> entries(buffer);
     assert(arena.nodeCount() == stats.arenaNodes() &&
            "arena grew out of step with the leaf/pair counters");
     if (winnerOnly) {

@@ -3,8 +3,6 @@
 // α-filter and heuristic hotspot pruning.
 #pragma once
 
-#include <unordered_map>
-
 #include "accel/model.h"
 #include "select/frontier.h"
 #include "select/pareto.h"
@@ -18,7 +16,8 @@ namespace cayman::select {
 enum class SelectMode {
   /// Frontier-compressed DP (default): scalar cost records with O(1)
   /// merges, arena-backed reconstruction, sorted-front combine with early
-  /// budget break-out. See select/frontier.h.
+  /// budget break-out, all fronts on one per-thread scratch stack. See
+  /// select/frontier.h.
   Frontier,
   /// The original Solution-copying DP, kept in-tree as the differential
   /// oracle (the same role ExecMode::Reference plays for the interpreter).
@@ -89,11 +88,10 @@ class CandidateSelector {
   const SelectorParams& params() const { return params_; }
 
  private:
-  /// Candidate lists the DP consumes, keyed by region. Lookup-only (never
-  /// iterated), so the pointer keys cannot leak into output ordering.
+  /// Candidate lists the DP consumes, indexed by Region::id() over
+  /// wpst().allRegions(); nullptr for regions the DP never queries.
   using CandidateLists =
-      std::unordered_map<const analysis::Region*,
-                         const std::vector<accel::AcceleratorConfig>*>;
+      std::vector<const std::vector<accel::AcceleratorConfig>*>;
 
   /// select() and best(): Algorithm 1 plus the select.* counters. Returns
   /// the whole root front, or with `winnerOnly` just best()'s pick (empty
@@ -127,10 +125,14 @@ class CandidateSelector {
   std::vector<Solution> dpReference(const analysis::Region* region,
                                     const CandidateLists& lists,
                                     Stats& stats) const;
-  std::vector<FrontierEntry> dpFrontier(const analysis::Region* region,
-                                        const CandidateLists& lists,
-                                        Stats& stats,
-                                        SolutionArena& arena) const;
+  /// The frontier DP over one scratch stack: pushes F[region] onto the top
+  /// of `buffer` and returns its begin offset (the front ends at
+  /// buffer.size()). Children's fronts are pushed above the parent's and
+  /// consumed by combine() in place, so no region allocates.
+  size_t dpFrontier(const analysis::Region* region,
+                    const CandidateLists& lists, Stats& stats,
+                    SolutionArena& arena,
+                    std::vector<FrontierEntry>& buffer) const;
 
   const accel::AcceleratorModel& model_;
   SelectorParams params_;

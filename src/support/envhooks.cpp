@@ -56,7 +56,7 @@ Expected<FaultSpec> parseInjectFault(std::string_view text) {
   if (!stage.has_value()) {
     return badSpec(var, text,
                    "a stage name (parse/verify/analyze/profile/cache/"
-                   "select/merge/internal) after ':'");
+                   "select/merge/baselines/internal) after ':'");
   }
   return FaultSpec{std::string(pieces[0]), *stage};
 }

@@ -13,6 +13,7 @@ const char* stageName(Stage stage) {
     case Stage::Cache: return "cache";
     case Stage::Select: return "select";
     case Stage::Merge: return "merge";
+    case Stage::Baselines: return "baselines";
     case Stage::Internal: return "internal";
   }
   return "internal";
@@ -21,7 +22,7 @@ const char* stageName(Stage stage) {
 std::optional<Stage> stageByName(std::string_view name) {
   for (Stage stage : {Stage::Parse, Stage::Verify, Stage::Analyze,
                       Stage::Profile, Stage::Cache, Stage::Select,
-                      Stage::Merge, Stage::Internal}) {
+                      Stage::Merge, Stage::Baselines, Stage::Internal}) {
     if (name == stageName(stage)) return stage;
   }
   return std::nullopt;

@@ -1,8 +1,8 @@
 // Structured status reporting for the evaluation pipeline.
 //
 // A `Diagnostic` pins a failure to a pipeline stage (parse/verify/analyze/
-// profile/cache/select/merge), the pipeline unit it happened in (workload or module
-// name), and — for ingestion stages — a 1-based line:col source position.
+// profile/cache/select/merge/baselines), the pipeline unit it happened in
+// (workload or module name), and — for ingestion stages — a 1-based line:col source position.
 // `DiagnosticError` carries one through the exception path so the driver can
 // turn it into a per-workload FAILED row instead of aborting a whole sweep;
 // `Expected<T>` carries one through return values for callers that prefer
@@ -28,6 +28,8 @@ enum class Stage {
   Cache,
   Select,
   Merge,
+  /// The NOVIA + QsCores comparison pass after Cayman's own selection.
+  Baselines,
   Internal,
 };
 

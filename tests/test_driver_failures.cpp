@@ -70,6 +70,18 @@ TEST(DriverFailureTest, FailAfterStageOptionInjectsEverywhere) {
   }
 }
 
+// The NOVIA + QsCores pass is its own stage, after Cayman's select and
+// merge: a fault injected there is attributed to it, not to select.
+TEST(DriverFailureTest, BaselinesStageInjection) {
+  FrameworkOptions options;
+  options.failAfterStage = Stage::Baselines;
+  WorkloadEvaluation evaluation = evaluateWorkload("atax", kBudget, options);
+  ASSERT_FALSE(evaluation.ok());
+  EXPECT_EQ(evaluation.failure->stage, Stage::Baselines);
+  EXPECT_NE(formatEvaluationLine(evaluation).find("FAILED baselines:"),
+            std::string::npos);
+}
+
 TEST(DriverFailureTest, ParseStageInjection) {
   FrameworkOptions options;
   options.failAfterStage = Stage::Parse;

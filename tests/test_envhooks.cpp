@@ -20,6 +20,10 @@ TEST(InjectFaultTest, ParsesWorkloadAndStage) {
   spec = parseInjectFault("atax:cache");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec.value().stage, Stage::Cache);
+
+  spec = parseInjectFault("atax:baselines");
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec.value().stage, Stage::Baselines);
 }
 
 TEST(InjectFaultTest, RejectsMalformedSpecs) {

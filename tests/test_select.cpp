@@ -2,6 +2,8 @@
 // combine, and Algorithm 1's DP over the wPST.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "select/selector.h"
 #include "test_kernels.h"
 
@@ -392,6 +394,136 @@ TEST(FrontierTest, MergeEntriesMatchesSolutionMerge) {
   EXPECT_EQ(materialize(withEmpty, arena).accelerators.size(), 3u);
 }
 
+/// A strict, α-filtered front over random configs: every DP front's shape.
+std::vector<FrontierEntry> filteredFront(
+    const std::vector<accel::AcceleratorConfig>& configs, double alpha,
+    SolutionArena& arena) {
+  return filterByAlpha(pareto(entriesFrom(configs, arena)), alpha);
+}
+
+void expectSameEntries(const std::vector<FrontierEntry>& expected,
+                       const std::vector<FrontierEntry>& actual,
+                       const SolutionArena& arena) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].areaUm2, actual[i].areaUm2) << "index " << i;
+    EXPECT_EQ(expected[i].accelCycles, actual[i].accelCycles) << "index " << i;
+    EXPECT_EQ(expected[i].cpuCycles, actual[i].cpuCycles) << "index " << i;
+    EXPECT_EQ(expected[i].savedCycles, actual[i].savedCycles) << "index " << i;
+    Solution want = materialize(expected[i], arena);
+    Solution got = materialize(actual[i], arena);
+    ASSERT_EQ(want.accelerators.size(), got.accelerators.size())
+        << "index " << i;
+    for (size_t k = 0; k < want.accelerators.size(); ++k) {
+      EXPECT_TRUE(want.accelerators[k] == got.accelerators[k])
+          << "index " << i << " accelerator " << k;
+    }
+  }
+}
+
+// ⊗ with the one-entry front {∅} on either side takes the identity fast
+// path: the result is the other front, scalar for scalar and config for
+// config, and every pair still counts toward select.combine_pairs.
+TEST(FrontierTest, CombineWithEmptyFrontIsIdentity) {
+  constexpr double kAlpha = 1.12;
+  for (uint64_t seed : {4ULL, 58ULL, 2024ULL}) {
+    Lcg rng(seed);
+    std::vector<accel::AcceleratorConfig> configs = randomConfigs(rng, 60);
+    SolutionArena arena;
+    const std::vector<FrontierEntry> front =
+        filteredFront(configs, kAlpha, arena);
+    ASSERT_GT(front.size(), 2u) << "seed " << seed;
+    const std::vector<Solution> solutionFront =
+        filterByAlpha(pareto(solutionsFrom(configs), kRatio), kAlpha);
+    for (bool emptyOnLeft : {true, false}) {
+      std::vector<FrontierEntry> buffer;
+      if (emptyOnLeft) buffer.emplace_back();
+      buffer.insert(buffer.end(), front.begin(), front.end());
+      if (!emptyOnLeft) buffer.emplace_back();
+      const size_t split = emptyOnLeft ? 1 : front.size();
+      uint64_t pairs = 0;
+      combine(buffer, 0, split, 1e9, kRatio, kAlpha, arena, &pairs);
+      SCOPED_TRACE(std::string("seed ") + std::to_string(seed) +
+                   (emptyOnLeft ? " {∅} ⊗ F" : " F ⊗ {∅}"));
+      EXPECT_EQ(pairs, front.size());
+      expectSameEntries(front, buffer, arena);
+      // ...which is also what the reference ⊗ + α-filter produce.
+      const std::vector<Solution> emptyFront{Solution{}};
+      uint64_t referencePairs = 0;
+      std::vector<Solution> reference = filterByAlpha(
+          emptyOnLeft ? combine(emptyFront, solutionFront, 1e9, kRatio,
+                                &referencePairs)
+                      : combine(solutionFront, emptyFront, 1e9, kRatio,
+                                &referencePairs),
+          kAlpha);
+      EXPECT_EQ(pairs, referencePairs);
+      expectSameFront(reference, buffer, arena);
+      // Every pair is a new arena node, so no survivor is flagged empty().
+      for (const FrontierEntry& entry : buffer) EXPECT_FALSE(entry.empty());
+    }
+  }
+}
+
+TEST(FrontierTest, FilterIsIdempotentOnFilteredFronts) {
+  for (double alpha : {1.02, 1.12, 1.5}) {
+    for (uint64_t seed : {8ULL, 64ULL, 512ULL}) {
+      Lcg rng(seed);
+      std::vector<accel::AcceleratorConfig> configs = randomConfigs(rng, 120);
+      SolutionArena arena;
+      std::vector<FrontierEntry> once = filteredFront(configs, alpha, arena);
+      std::vector<FrontierEntry> twice = filterByAlpha(once, alpha);
+      SCOPED_TRACE("alpha " + std::to_string(alpha) + " seed " +
+                   std::to_string(seed));
+      expectSameEntries(once, twice, arena);
+    }
+  }
+}
+
+// An exact (area, saved) tie between the empty entry and a zero-cost
+// accelerator: std::sort's order decides which one survives, and both
+// engines must keep the same one — in either input order, and inside a
+// larger input where introsort partitions instead of insertion-sorting.
+TEST(FrontierTest, ExactTieWithEmptyKeepsReferenceSurvivor) {
+  accel::AcceleratorConfig zero;  // area 0, saves 0: ties with ∅
+  zero.numSeqBlocks = 7;
+  std::vector<accel::AcceleratorConfig> tiny{zero};
+  SolutionArena arena;
+  std::vector<Solution> sForward = pareto(solutionsFrom(tiny), kRatio);
+  std::vector<FrontierEntry> eForward = pareto(entriesFrom(tiny, arena));
+  expectSameFront(sForward, eForward, arena);
+  EXPECT_EQ(sForward.front().empty(), eForward.front().empty());
+
+  std::vector<Solution> sReversed = solutionsFrom(tiny);
+  std::vector<FrontierEntry> eReversed = entriesFrom(tiny, arena);
+  std::swap(sReversed[0], sReversed[1]);
+  std::swap(eReversed[0], eReversed[1]);
+  sReversed = pareto(std::move(sReversed), kRatio);
+  eReversed = pareto(std::move(eReversed));
+  expectSameFront(sReversed, eReversed, arena);
+  EXPECT_EQ(sReversed.front().empty(), eReversed.front().empty());
+
+  for (uint64_t seed : {6ULL, 60ULL, 600ULL}) {
+    Lcg rng(seed);
+    std::vector<accel::AcceleratorConfig> configs = randomConfigs(rng, 40);
+    for (size_t i = 0; i < configs.size(); i += 5) {
+      configs[i] = zero;
+      configs[i].numSeqBlocks = static_cast<unsigned>(i);
+    }
+    // Exact duplicates of non-empty points too, told apart by numSeqBlocks.
+    for (size_t i = 1; i + 1 < configs.size(); i += 7) {
+      configs[i + 1] = configs[i];
+      configs[i + 1].numSeqBlocks = 100 + static_cast<unsigned>(i);
+    }
+    std::vector<Solution> solutions = solutionsFrom(configs);
+    std::vector<FrontierEntry> entries = entriesFrom(configs, arena);
+    std::swap(solutions[0], solutions[20]);
+    std::swap(entries[0], entries[20]);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expectSameFront(pareto(std::move(solutions), kRatio),
+                    pareto(std::move(entries)), arena);
+  }
+}
+
 // --------------------------------------------------------------------------
 // Algorithm 1 end-to-end over real kernels.
 // --------------------------------------------------------------------------
@@ -493,6 +625,65 @@ TEST(SelectorTest, BestPicksMaximumSaving) {
   for (const Solution& s : front) {
     EXPECT_GE(best.savedCycles(p.params.clockRatio),
               s.savedCycles(p.params.clockRatio));
+  }
+}
+
+/// Binary tree of loops `depth` levels deep: every loop updates its own
+/// slots of `a` and holds two child loops, so the wPST is deep and every
+/// level combines several non-trivial fronts.
+void loopTree(workloads::KernelBuilder& kb, ir::GlobalArray* a, int depth,
+              ir::Value* slot) {
+  ir::Value* i = kb.beginLoop(0, 2, "l" + std::to_string(depth));
+  ir::Value* index = kb.ir().add(kb.ir().mul(slot, kb.ir().i64(2)), i);
+  kb.storeAt(a, index,
+             kb.ir().fadd(kb.loadAt(a, index), kb.ir().f64(1.0)));
+  if (depth > 0) {
+    loopTree(kb, a, depth - 1, index);
+    loopTree(kb, a, depth - 1, index);
+  }
+  kb.endLoop();
+}
+
+std::unique_ptr<ir::Module> loopTreeKernel(int depth) {
+  auto module = std::make_unique<ir::Module>("looptree");
+  auto* a = module->addGlobal("a", ir::Type::f64(), uint64_t{4} << depth);
+  workloads::KernelBuilder kb(module.get());
+  kb.beginFunction("main");
+  loopTree(kb, a, depth, kb.ir().i64(0));
+  kb.endFunction();
+  ir::verifyOrThrow(*module);
+  return module;
+}
+
+// The frontier DP's scratch stack starts empty on a new thread, so on a
+// deep wPST it reallocates while parent fronts still sit below the child
+// being combined. Offsets, not references, must carry across every growth
+// (ASan builds turn a dangling read into a failure); the result must still
+// equal the reference DP.
+TEST(SelectorTest, DeepTreeStackGrowthMatchesReference) {
+  SelectPipeline p(loopTreeKernel(6), 2e5);
+  p.params.pruneHotFraction = 0.0;
+  std::vector<Solution> frontier;
+  CandidateSelector::Stats frontierStats;
+  std::thread([&] {
+    frontier = CandidateSelector(p.model, p.params).select(frontierStats);
+  }).join();
+  SelectorParams reference = p.params;
+  reference.mode = SelectMode::Reference;
+  CandidateSelector::Stats referenceStats;
+  std::vector<Solution> expected =
+      CandidateSelector(p.model, reference).select(referenceStats);
+
+  EXPECT_GT(frontierStats.regionsVisited, 500);
+  EXPECT_GT(frontierStats.frontPeak, 16u);
+  EXPECT_EQ(frontierStats.combinePairs, referenceStats.combinePairs);
+  EXPECT_EQ(frontierStats.frontPeak, referenceStats.frontPeak);
+  ASSERT_EQ(frontier.size(), expected.size());
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    EXPECT_EQ(frontier[i].areaUm2, expected[i].areaUm2) << "index " << i;
+    EXPECT_EQ(frontier[i].accelCycles, expected[i].accelCycles);
+    EXPECT_EQ(frontier[i].cpuCycles, expected[i].cpuCycles);
+    EXPECT_TRUE(frontier[i].accelerators == expected[i].accelerators);
   }
 }
 

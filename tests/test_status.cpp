@@ -11,9 +11,9 @@ namespace cayman::support {
 namespace {
 
 TEST(StatusTest, StageNamesRoundTrip) {
-  const Stage stages[] = {Stage::Parse,   Stage::Verify, Stage::Analyze,
-                          Stage::Profile, Stage::Select, Stage::Merge,
-                          Stage::Internal};
+  const Stage stages[] = {Stage::Parse,   Stage::Verify,    Stage::Analyze,
+                          Stage::Profile, Stage::Cache,     Stage::Select,
+                          Stage::Merge,   Stage::Baselines, Stage::Internal};
   for (Stage stage : stages) {
     std::optional<Stage> back = stageByName(stageName(stage));
     ASSERT_TRUE(back.has_value()) << stageName(stage);

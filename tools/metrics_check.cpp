@@ -11,6 +11,7 @@
 #include <string>
 
 #include "support/json.h"
+#include "support/status.h"
 
 using cayman::support::json::Value;
 
@@ -110,7 +111,13 @@ void checkWorkload(const Value& entry, size_t position) {
       if (failure == nullptr || !failure->isObject()) {
         fail(where, "failed row lacks a failure object");
       } else {
-        require(*failure, where + ".failure", "stage", "string");
+        const Value* stage =
+            require(*failure, where + ".failure", "stage", "string");
+        if (stage != nullptr &&
+            !cayman::support::stageByName(stage->stringValue())) {
+          fail(where, "failure.stage '" + stage->stringValue() +
+                          "' is not a pipeline stage");
+        }
         require(*failure, where + ".failure", "message", "string");
       }
     }
@@ -175,6 +182,9 @@ void checkWorkload(const Value& entry, size_t position) {
     } else {
       double sum = 0.0;
       for (const auto& [stage, seconds] : stages->members()) {
+        if (!cayman::support::stageByName(stage)) {
+          fail(where, "stage_seconds['" + stage + "'] is not a pipeline stage");
+        }
         if (!seconds.isNumber() || seconds.numberValue() < 0.0) {
           fail(where, "stage_seconds['" + stage + "'] is not >= 0");
         } else {
