@@ -1,4 +1,4 @@
-// Parallelism benchmarks behind BENCH_parallel.json:
+// Parallelism benchmarks (recorded results: DESIGN.md §15):
 //   1. stall overlap — two workloads carrying injected 50 ms generate
 //      stalls, evaluated at jobs=1 then jobs=2; the elapsed ratio proves
 //      independent cold generations overlap (sleeps overlap even on one

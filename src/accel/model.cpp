@@ -38,21 +38,6 @@ struct ColdInflightScope {
   }
 };
 
-/// While a region generates cold under the persistent cache, its schedule-
-/// cache insertions are logged here for the region's record. Thread-local:
-/// one region's generation runs entirely on one thread, so concurrent cold
-/// regions log independently without sharing a guarded model-wide log.
-thread_local std::vector<CachedSchedule>* t_schedInsertLog = nullptr;
-
-struct SchedLogScope {
-  std::vector<CachedSchedule>* previous;
-  explicit SchedLogScope(std::vector<CachedSchedule>* log)
-      : previous(t_schedInsertLog) {
-    t_schedInsertLog = log;
-  }
-  ~SchedLogScope() { t_schedInsertLog = previous; }
-};
-
 }  // namespace
 
 int64_t coldGenerationInflightPeak() {
@@ -319,69 +304,9 @@ void AcceleratorModel::abandonEntry(const Region* region) const {
   shard.ready.notify_all();
 }
 
-void AcceleratorModel::replayDiskHit(const CachedRegion& hit) const {
-  // Replay the cold generation's observable side effects. The schedule cache
-  // gains this region's insertions now, at hit time, so interleaved warm and
-  // cold regions see exactly the cache states they saw when the snapshot was
-  // recorded — later cold regions' hit/miss counts (and so sched.block_calls)
-  // stay byte-identical.
-  for (const CachedSchedule& sched : hit.schedInserts) {
-    SchedStripe& stripe = stripeFor(sched.block);
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    SchedBucket& bucket =
-        stripe.buckets
-            .try_emplace(std::make_pair(sched.block, sched.width),
-                         SigLess{&sigComparisons_})
-            .first->second;
-    bucket.try_emplace(sched.signature, sched.schedule);
-  }
-  // Counter deltas mirror the cold emission discipline: estimate and
-  // schedule counts appear only when nonzero (cold emits one count per
-  // call), candidates_total unconditionally (cold emits it once per full
-  // generateUncached).
-  if (hit.estimateCalls > 0) {
-    estimateCalls_.fetch_add(hit.estimateCalls, std::memory_order_relaxed);
-    support::trace::count("model.estimate_calls", hit.estimateCalls);
-  }
-  scheduler_.creditBlockCalls(hit.schedBlockCalls);
-  candidatesTotal_.fetch_add(hit.configs.size(), std::memory_order_relaxed);
-  support::trace::count("model.candidates_total", hit.configs.size());
-}
-
 const std::vector<AcceleratorConfig>& AcceleratorModel::generateCold(
     const Region* region, GenerateEntry* entry) const {
   try {
-    if (diskEligible(region)) {
-      if (const CachedRegion* hit = persistentCache_->find(region)) {
-        replayDiskHit(*hit);
-        return finalizeEntry(region, entry,
-                             std::vector<AcceleratorConfig>(hit->configs));
-      }
-      // Disk miss: generate cold under a thread-local counter capture and
-      // schedule-insert log, then replay the captured counts into the
-      // ambient scope — same totals as counting directly, but the recorded
-      // deltas belong to this region alone even while other regions
-      // generate concurrently on sibling threads.
-      std::vector<AcceleratorConfig> configs;
-      std::vector<CachedSchedule> log;
-      std::vector<std::pair<std::string, uint64_t>> counters;
-      uint64_t estimates = 0;
-      uint64_t blocks = 0;
-      {
-        support::trace::CounterCapture capture;
-        SchedLogScope logScope(&log);
-        configs = generateUncached(region);
-        estimates = capture.value("model.estimate_calls");
-        blocks = capture.value("sched.block_calls");
-        counters = capture.take();
-      }
-      for (const auto& [name, delta] : counters) {
-        support::trace::count(name, delta);
-      }
-      persistentCache_->record(region, configs, estimates, blocks,
-                               std::move(log));
-      return finalizeEntry(region, entry, std::move(configs));
-    }
     return finalizeEntry(region, entry, generateUncached(region));
   } catch (...) {
     // Cancellation (or any failure) mid-generation: erase the latch so
@@ -414,21 +339,14 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
   struct ColdJob {
     size_t slot = 0;
     GenerateEntry* entry = nullptr;
-    bool record = false;  ///< disk-eligible: record the capture for save()
     std::vector<AcceleratorConfig> configs;
-    std::vector<CachedSchedule> log;
     std::vector<std::pair<std::string, uint64_t>> counters;
-    uint64_t estimates = 0;
-    uint64_t blocks = 0;
   };
   std::vector<ColdJob> cold;
   std::vector<size_t> deferred;  ///< slots another thread is generating
 
-  // Phase A — serial, input order: resolve in-memory hits and disk-hit
-  // replays, claim cold regions, and emit every hit/miss count exactly where
-  // a serial generate() loop would. Disk-hit replay must stay serial and
-  // ordered so the schedule cache evolves exactly as the recorded cold run's
-  // traversal did.
+  // Phase A — serial, input order: resolve hits, claim cold regions, and
+  // emit every hit/miss count exactly where a serial generate() loop would.
   for (size_t i = 0; i < regions.size(); ++i) {
     const Region* region = regions[i];
     Claim claim = claimEntry(region, /*wait=*/false);
@@ -447,45 +365,21 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
       continue;
     }
     support::trace::count("model.cache_misses", 1);
-    bool eligible = diskEligible(region);
-    if (eligible) {
-      const CachedRegion* hit = nullptr;
-      try {
-        hit = persistentCache_->find(region);
-        if (hit != nullptr) replayDiskHit(*hit);
-      } catch (...) {
-        abandonEntry(region);
-        for (const ColdJob& job : cold) abandonEntry(regions[job.slot]);
-        throw;
-      }
-      if (hit != nullptr) {
-        lists[i] = &finalizeEntry(
-            region, claim.entry, std::vector<AcceleratorConfig>(hit->configs));
-        continue;
-      }
-    }
     ColdJob job;
     job.slot = i;
     job.entry = claim.entry;
-    job.record = eligible;
     cold.push_back(job);
   }
 
   if (!cold.empty()) {
     // Phase B — cold generation, fanned out on the pool when one is
-    // configured. Each job runs under a thread-local CounterCapture and
-    // schedule-insert log, so nothing schedule-dependent escapes into the
-    // ambient trace scope; with no pool (or one job) the loop below runs the
-    // jobs inline in input order, which also keeps persistent-cache record
-    // attribution deterministic for the serial byte-compare scenarios.
+    // configured. Each job runs under a thread-local CounterCapture, so
+    // nothing schedule-dependent escapes into the ambient trace scope; with
+    // no pool (or one job) the loop below runs the jobs inline in input
+    // order.
     auto runJob = [&](ColdJob& job) {
       support::trace::CounterCapture capture;
-      // Only a recorded region keeps its schedule-insert log; logging the
-      // rest would copy every new schedule just to discard it.
-      SchedLogScope logScope(job.record ? &job.log : nullptr);
       job.configs = generateUncached(regions[job.slot]);
-      job.estimates = capture.value("model.estimate_calls");
-      job.blocks = capture.value("sched.block_calls");
       job.counters = capture.take();
     };
     try {
@@ -508,15 +402,10 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
 
     // Phase C — serial, input order: replay each job's captured counters
     // into the ambient scope (a sorted map, so per-task records accumulate
-    // identically to direct counting), record disk-cacheable regions, and
-    // open the latches.
+    // identically to direct counting) and open the latches.
     for (ColdJob& job : cold) {
       for (const auto& [name, delta] : job.counters) {
         support::trace::count(name, delta);
-      }
-      if (job.record) {
-        persistentCache_->record(regions[job.slot], job.configs, job.estimates,
-                                 job.blocks, std::move(job.log));
       }
       lists[job.slot] =
           &finalizeEntry(regions[job.slot], job.entry, std::move(job.configs));
@@ -861,14 +750,9 @@ const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
   // (and immutable) for the model's lifetime after the lock is released.
   auto it = bucket.find(signature);
   if (it != bucket.end()) return it->second;
-  auto inserted =
-      bucket.emplace(signature, scheduler_.scheduleBlock(block, ifaces, unroll))
-          .first;
-  if (t_schedInsertLog != nullptr) {
-    t_schedInsertLog->push_back(
-        CachedSchedule{&block, unroll, inserted->first, inserted->second});
-  }
-  return inserted->second;
+  return bucket
+      .emplace(signature, scheduler_.scheduleBlock(block, ifaces, unroll))
+      .first->second;
 }
 
 AcceleratorModel::Estimate AcceleratorModel::estimateRegion(

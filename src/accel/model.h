@@ -15,7 +15,6 @@
 #include <unordered_map>
 
 #include "accel/config.h"
-#include "accel/model_cache.h"
 #include "analysis/roofline.h"
 #include "hls/scheduler.h"
 #include "sim/profiler.h"
@@ -71,9 +70,7 @@ struct ModelParams {
   /// Worker pool for generateAll()'s region-level fan-out: cold generations
   /// of distinct regions run concurrently on it. Not owned; nullptr keeps
   /// generateAll serial. Scheduling only — results, counters, and traces are
-  /// byte-identical at any worker count. Deliberately NOT part of the
-  /// persistent-cache model fingerprint (modelFingerprint hashes only the
-  /// result-affecting fields).
+  /// byte-identical at any worker count.
   ThreadPool* pool = nullptr;
 };
 
@@ -112,10 +109,10 @@ class AcceleratorModel {
   /// Batch generate(): one entry per input region, in input order (the
   /// pointed-to lists stay valid for the model's lifetime, exactly like
   /// generate()'s return). When params().pool is set, cold generations of
-  /// distinct regions run concurrently on it; warm hits, disk-hit replay,
-  /// and all counter emission stay serial in input order, so the observable
-  /// counter/trace stream is byte-identical to calling generate() on each
-  /// region in sequence — at any worker count, warm or cold.
+  /// distinct regions run concurrently on it; hits and all counter emission
+  /// stay serial in input order, so the observable counter/trace stream is
+  /// byte-identical to calling generate() on each region in sequence — at
+  /// any worker count.
   ///
   /// Deadlock-free under concurrent calls: a generateAll never *blocks* on a
   /// region another thread is generating until it has finalized (or
@@ -167,16 +164,6 @@ class AcceleratorModel {
   uint64_t schedSignatureComparisons() const {
     return sigComparisons_.load(std::memory_order_relaxed);
   }
-
-  /// Attaches a persistent snapshot (not owned; must outlive the model, or
-  /// be detached with nullptr first). generate() then consults it behind the
-  /// in-memory cache: a disk hit replays the cold generation's observable
-  /// side effects (counter deltas, schedule-cache insertions) instead of
-  /// regenerating, and a disk miss records them for the next save. Attach
-  /// before the first generate() call — warm replay assumes the schedule
-  /// cache evolves exactly as it did during the recorded cold run.
-  void attachPersistentCache(ModelCache* cache) { persistentCache_ = cache; }
-  ModelCache* persistentCache() const { return persistentCache_; }
 
  private:
   struct Estimate {
@@ -301,8 +288,7 @@ class AcceleratorModel {
   // caller either returns the finished list (counting a hit) or waits on the
   // shard's condition variable until the claimer finalizes. Distinct regions
   // on distinct shards generate fully concurrently — there is no global
-  // model lock left, and the persistent cache (internally synchronized) is
-  // consulted without one.
+  // model lock.
   //
   // Entry references are stable: unordered_map rehash moves buckets, not
   // nodes, so finished lists are handed out by reference while other regions
@@ -341,27 +327,12 @@ class AcceleratorModel {
   /// Erases a claimed entry after a failed generation (cancellation) so
   /// waiters re-claim and retry instead of reading a corpse.
   void abandonEntry(const analysis::Region* region) const;
-  /// Cold path for one claimed region: disk-hit replay or capture-generate-
-  /// record, then finalize (abandon on throw). Does not count hit/miss —
-  /// callers already did, in deterministic order.
+  /// Cold path for one claimed region: generate, then finalize (abandon on
+  /// throw). Does not count hit/miss — callers already did, in deterministic
+  /// order.
   const std::vector<AcceleratorConfig>& generateCold(
       const analysis::Region* region, GenerateEntry* entry) const;
-  /// Replays a disk hit's observable side effects (schedule-cache inserts,
-  /// counter deltas) exactly as the recorded cold run emitted them.
-  void replayDiskHit(const CachedRegion& hit) const;
-  /// Regions whose cold generation is disk-cacheable (the generateUncached
-  /// early-outs emit no counters, so only fully-generated regions record).
-  bool diskEligible(const analysis::Region* region) const {
-    return persistentCache_ != nullptr && region->isCandidate() &&
-           profile_.cycles(region) > 0.0;
-  }
   mutable std::array<GenerateShard, kGenerateShards> generateShards_;
-
-  /// Optional persistent snapshot (not owned). Internally synchronized, so
-  /// concurrent cold generations consult and record without a model-level
-  /// lock; per-region counter deltas come from thread-local CounterCaptures
-  /// instead of global before/after reads.
-  ModelCache* persistentCache_ = nullptr;
 };
 
 /// Process-wide high-water mark of concurrently running cold candidate

@@ -138,15 +138,6 @@ WorkloadEvaluation evaluateWorkload(const std::string& name,
       decision.numScratchpad = config.numScratchpad;
       evaluation.decisions.push_back(std::move(decision));
     }
-    // Publish newly generated regions for the next run. Only successful
-    // rows save: a failed row may hold a partially generated model whose
-    // counters never reached their deterministic emission points. Save
-    // failures degrade to diagnostics (stderr), never to a failed row.
-    if (framework.modelCache() != nullptr) {
-      (void)framework.saveModelCache();
-      evaluation.cacheStats = framework.modelCache()->stats();
-      evaluation.cacheDiagnostics = framework.modelCache()->diagnostics();
-    }
   } catch (const support::DiagnosticError& e) {
     evaluation.failure = e.diagnostic();
     evaluation.report.budgetRatio = budgetRatio;

@@ -55,13 +55,6 @@ struct WorkloadEvaluation {
   /// Set when the pipeline failed; `report` is then only partially filled.
   std::optional<support::Diagnostic> failure;
 
-  /// Persistent model-cache activity (zeros when options.cacheDir was empty
-  /// or the row failed before the cache stage). Never part of the
-  /// deterministic stdout/metrics surface — the CLI reports it on stderr.
-  accel::ModelCacheStats cacheStats;
-  /// Cache degradation notes (corrupt records skipped, failed saves, ...).
-  std::vector<support::Diagnostic> cacheDiagnostics;
-
   bool ok() const { return !failure.has_value(); }
 };
 

@@ -82,26 +82,6 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
     qscores_ = std::make_unique<baselines::QsCoresFlow>(
         *wpst_, *profile_, tech_, options_.generateMode, options_.cancel);
   });
-
-  // Warm-state stage: present (span, stage seconds, fault/cancel checkpoint)
-  // whenever a cache dir is configured, whether or not a snapshot exists, so
-  // cold-with-cache and warm runs walk identical stage sequences.
-  if (!options_.cacheDir.empty()) {
-    runStage(support::Stage::Cache, unit, options_, [&] {
-      uint64_t irHash = accel::ModelCache::irContentHash(*module_);
-      uint64_t fingerprint = accel::ModelCache::modelFingerprint(
-          model_->params(), tech_, model_->timing());
-      modelCache_ = std::make_unique<accel::ModelCache>(
-          options_.cacheDir, *wpst_, irHash, fingerprint);
-      modelCache_->load();
-      model_->attachPersistentCache(modelCache_.get());
-    });
-  }
-}
-
-support::Expected<uint64_t> Framework::saveModelCache() {
-  if (modelCache_ == nullptr) return uint64_t{0};
-  return modelCache_->save();
 }
 
 select::SelectorParams Framework::selectorParams(double budgetRatio) const {

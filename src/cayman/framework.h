@@ -54,17 +54,11 @@ struct FrameworkOptions {
   /// generation, so deadline tests can force a slow select stage. The driver
   /// also honours env CAYMAN_INJECT_SLOW=<workload>:generate:<us>.
   unsigned injectGenerateStallUs = 0;
-  /// Directory for the persistent model cache (empty disables it). When set,
-  /// a Cache stage after Profile loads the snapshot keyed by (IR content
-  /// hash, model fingerprint) and attaches it to the model; cache damage
-  /// never fails the pipeline — affected regions just regenerate cold.
-  std::string cacheDir;
   /// Worker pool for nested region-level fan-out inside this workload: the
   /// model's generateAll() runs cold candidate generations of distinct
   /// regions concurrently on it. Not owned; must outlive the Framework.
   /// nullptr keeps generation serial. Counter/trace/output bytes are
-  /// identical either way — only wall-clock changes. Deliberately excluded
-  /// from the persistent-cache model fingerprint.
+  /// identical either way — only wall-clock changes.
   ThreadPool* pool = nullptr;
 
   /// Per-workload wall-clock deadline in seconds (<= 0 disables). Policy
@@ -126,8 +120,8 @@ class Framework {
 
   /// Pareto-optimal solution sequence under the budget (Algorithm 1).
   /// Thread-safe: concurrent explore/best/evaluate calls on one Framework
-  /// share only the model's mutex-guarded generate cache; selector state is
-  /// per-call.
+  /// share only the model's generate cache (sharded, each region generated
+  /// once); selector state is per-call.
   std::vector<select::Solution> explore(double budgetRatio) const;
   /// Best (highest-saving) solution under the budget.
   select::Solution best(double budgetRatio) const;
@@ -146,16 +140,6 @@ class Framework {
   const baselines::NoviaFlow& novia() const { return *novia_; }
   const baselines::QsCoresFlow& qscores() const { return *qscores_; }
 
-  /// The persistent model cache; nullptr when options.cacheDir is empty.
-  /// (The QsCores baseline runs its own model under different parameters
-  /// and always generates cold.)
-  const accel::ModelCache* modelCache() const { return modelCache_.get(); }
-  /// Publishes newly recorded regions atomically (temp file + rename).
-  /// No-op returning 0 when the cache is absent or clean; failures come
-  /// back as a Diagnostic (and are also queued on modelCache()->
-  /// diagnostics()) — never an exception.
-  support::Expected<uint64_t> saveModelCache();
-
  private:
   select::SelectorParams selectorParams(double budgetRatio) const;
 
@@ -166,7 +150,6 @@ class Framework {
   std::unique_ptr<sim::ProfileData> profile_;
   hls::TechLibrary tech_;
   std::unique_ptr<accel::AcceleratorModel> model_;
-  std::unique_ptr<accel::ModelCache> modelCache_;
   std::unique_ptr<baselines::NoviaFlow> novia_;
   std::unique_ptr<baselines::QsCoresFlow> qscores_;
 };

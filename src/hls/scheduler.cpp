@@ -93,12 +93,6 @@ const void* Scheduler::bankKey(const AccessIface& iface,
                                 : static_cast<const void*>(&inst);
 }
 
-void Scheduler::creditBlockCalls(uint64_t calls) const {
-  if (calls == 0) return;
-  blockCalls_.fetch_add(calls, std::memory_order_relaxed);
-  support::trace::count("sched.block_calls", calls);
-}
-
 BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
                                        const IfaceAssignment& ifaces,
                                        unsigned unroll) const {

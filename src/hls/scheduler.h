@@ -62,13 +62,6 @@ class Scheduler {
     return blockCalls_.load(std::memory_order_relaxed);
   }
 
-  /// Credits `calls` scheduleBlock() invocations without running them —
-  /// counter and trace side effects only. Used by the persistent model cache
-  /// to replay a warm region's cold-generation call count so warm and cold
-  /// runs emit identical metrics. No-op when `calls` is 0 (a cold run with
-  /// zero calls emits no counter either).
-  void creditBlockCalls(uint64_t calls) const;
-
  private:
   /// opLatency() with the access's interface already looked up (ignored
   /// for non-memory operations).

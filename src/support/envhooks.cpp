@@ -16,35 +16,10 @@ Diagnostic badSpec(const char* var, std::string_view text,
                         expected};
 }
 
-/// Offsets are byte positions inside a cache file; anything beyond 1 TiB is
-/// a typo, not a file.
-constexpr long kMaxOffset = 1ll << 40;
 /// Stalls above 1000 s per call would deadlock CI long before testing it.
 constexpr long kMaxStallUs = 1'000'000'000;
 
-template <typename T>
-Expected<std::optional<T>> fromEnv(const char* var,
-                                   Expected<T> (*parse)(std::string_view)) {
-  const char* value = std::getenv(var);
-  if (value == nullptr || *value == '\0') {
-    return std::optional<T>(std::nullopt);
-  }
-  Expected<T> parsed = parse(value);
-  if (!parsed.ok()) return parsed.diagnostic();
-  return std::optional<T>(parsed.takeValue());
-}
-
 }  // namespace
-
-const char* corruptModeName(CorruptMode mode) {
-  switch (mode) {
-    case CorruptMode::Truncate: return "truncate";
-    case CorruptMode::Bitflip: return "bitflip";
-    case CorruptMode::Torn: return "torn";
-    case CorruptMode::Crash: return "crash";
-  }
-  return "truncate";
-}
 
 Expected<FaultSpec> parseInjectFault(std::string_view text) {
   const char* var = "CAYMAN_INJECT_FAULT";
@@ -55,8 +30,8 @@ Expected<FaultSpec> parseInjectFault(std::string_view text) {
   std::optional<Stage> stage = stageByName(pieces[1]);
   if (!stage.has_value()) {
     return badSpec(var, text,
-                   "a stage name (parse/verify/analyze/profile/cache/"
-                   "select/merge/baselines/internal) after ':'");
+                   "a stage name (parse/verify/analyze/profile/select/"
+                   "merge/baselines/internal) after ':'");
   }
   return FaultSpec{std::string(pieces[0]), *stage};
 }
@@ -75,28 +50,6 @@ Expected<SlowSpec> parseInjectSlow(std::string_view text) {
                    "':generate:'");
   }
   return SlowSpec{std::string(pieces[0]), static_cast<uint64_t>(*micros)};
-}
-
-Expected<CorruptSpec> parseInjectCorrupt(std::string_view text) {
-  const char* var = "CAYMAN_INJECT_CORRUPT";
-  std::vector<std::string_view> pieces = split(text, ':');
-  if (pieces.size() != 2) {
-    return badSpec(var, text, "<truncate|bitflip|torn|crash>:<offset>");
-  }
-  std::optional<CorruptMode> mode;
-  for (CorruptMode m : {CorruptMode::Truncate, CorruptMode::Bitflip,
-                        CorruptMode::Torn, CorruptMode::Crash}) {
-    if (pieces[0] == corruptModeName(m)) mode = m;
-  }
-  if (!mode.has_value()) {
-    return badSpec(var, text, "a mode in {truncate, bitflip, torn, crash}");
-  }
-  std::optional<long> offset =
-      parseLong(std::string(pieces[1]).c_str(), 0, kMaxOffset);
-  if (!offset.has_value()) {
-    return badSpec(var, text, "a byte offset in [0, 2^40] after ':'");
-  }
-  return CorruptSpec{*mode, static_cast<uint64_t>(*offset)};
 }
 
 Expected<std::vector<SlowSpec>> parseInjectSlowList(std::string_view text) {
@@ -124,7 +77,13 @@ Expected<std::vector<SlowSpec>> parseInjectSlowList(std::string_view text) {
 }
 
 Expected<std::optional<FaultSpec>> envInjectFault() {
-  return fromEnv("CAYMAN_INJECT_FAULT", parseInjectFault);
+  const char* value = std::getenv("CAYMAN_INJECT_FAULT");
+  if (value == nullptr || *value == '\0') {
+    return std::optional<FaultSpec>(std::nullopt);
+  }
+  Expected<FaultSpec> parsed = parseInjectFault(value);
+  if (!parsed.ok()) return parsed.diagnostic();
+  return std::optional<FaultSpec>(parsed.takeValue());
 }
 
 Expected<std::vector<SlowSpec>> envInjectSlow() {
@@ -133,10 +92,6 @@ Expected<std::vector<SlowSpec>> envInjectSlow() {
     return std::vector<SlowSpec>{};
   }
   return parseInjectSlowList(value);
-}
-
-Expected<std::optional<CorruptSpec>> envInjectCorrupt() {
-  return fromEnv("CAYMAN_INJECT_CORRUPT", parseInjectCorrupt);
 }
 
 }  // namespace cayman::support::envhooks

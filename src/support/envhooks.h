@@ -1,11 +1,10 @@
 // Strict parsing for the CAYMAN_INJECT_* test hooks.
 //
-// Three environment variables deliberately break the pipeline for fault-
-// isolation and recovery testing:
+// Two environment variables deliberately break the pipeline for fault-
+// isolation and deadline testing:
 //
 //   CAYMAN_INJECT_FAULT=<workload>:<stage>       throw after a stage
 //   CAYMAN_INJECT_SLOW=<workload>:generate:<us>  stall each generate() call
-//   CAYMAN_INJECT_CORRUPT=<mode>:<offset>        damage a cache publish
 //
 // They used to be hand-parsed with silent fallbacks; a typo meant the hook
 // quietly did nothing and the test passed vacuously. These parsers apply the
@@ -35,26 +34,10 @@ struct SlowSpec {
   uint64_t micros = 0;
 };
 
-/// How CAYMAN_INJECT_CORRUPT damages a blobio publish (see blobio.h).
-enum class CorruptMode {
-  Truncate,  ///< after rename, truncate the published file to <offset> bytes
-  Bitflip,   ///< after rename, flip one bit at byte <offset>
-  Torn,      ///< publish only the first <offset> bytes (lost unsynced tail)
-  Crash,     ///< write the temp file, then die before rename
-};
-
-struct CorruptSpec {
-  CorruptMode mode = CorruptMode::Truncate;
-  uint64_t offset = 0;
-};
-
-const char* corruptModeName(CorruptMode mode);
-
-// Spec parsers: exact segment counts, strict numerics, named stages/modes.
+// Spec parsers: exact segment counts, strict numerics, named stages.
 // `text` is the raw variable value; the Diagnostic names the variable.
 Expected<FaultSpec> parseInjectFault(std::string_view text);
 Expected<SlowSpec> parseInjectSlow(std::string_view text);
-Expected<CorruptSpec> parseInjectCorrupt(std::string_view text);
 
 /// CAYMAN_INJECT_SLOW accepts a comma-separated list of specs so overlap
 /// tests can stall *several* workloads in one run
@@ -68,6 +51,5 @@ Expected<std::vector<SlowSpec>> parseInjectSlowList(std::string_view text);
 // set but malformed -> the parser's failed Expected.
 Expected<std::optional<FaultSpec>> envInjectFault();
 Expected<std::vector<SlowSpec>> envInjectSlow();
-Expected<std::optional<CorruptSpec>> envInjectCorrupt();
 
 }  // namespace cayman::support::envhooks

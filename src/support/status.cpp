@@ -10,7 +10,6 @@ const char* stageName(Stage stage) {
     case Stage::Verify: return "verify";
     case Stage::Analyze: return "analyze";
     case Stage::Profile: return "profile";
-    case Stage::Cache: return "cache";
     case Stage::Select: return "select";
     case Stage::Merge: return "merge";
     case Stage::Baselines: return "baselines";
@@ -21,8 +20,8 @@ const char* stageName(Stage stage) {
 
 std::optional<Stage> stageByName(std::string_view name) {
   for (Stage stage : {Stage::Parse, Stage::Verify, Stage::Analyze,
-                      Stage::Profile, Stage::Cache, Stage::Select,
-                      Stage::Merge, Stage::Baselines, Stage::Internal}) {
+                      Stage::Profile, Stage::Select, Stage::Merge,
+                      Stage::Baselines, Stage::Internal}) {
     if (name == stageName(stage)) return stage;
   }
   return std::nullopt;

@@ -1,7 +1,7 @@
 // Structured status reporting for the evaluation pipeline.
 //
 // A `Diagnostic` pins a failure to a pipeline stage (parse/verify/analyze/
-// profile/cache/select/merge/baselines), the pipeline unit it happened in
+// profile/select/merge/baselines), the pipeline unit it happened in
 // (workload or module name), and — for ingestion stages — a 1-based line:col source position.
 // `DiagnosticError` carries one through the exception path so the driver can
 // turn it into a per-workload FAILED row instead of aborting a whole sweep;
@@ -25,7 +25,6 @@ enum class Stage {
   Verify,
   Analyze,
   Profile,
-  Cache,
   Select,
   Merge,
   /// The NOVIA + QsCores comparison pass after Cayman's own selection.

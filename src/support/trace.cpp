@@ -241,11 +241,6 @@ std::vector<std::pair<std::string, uint64_t>> CounterCapture::take() {
   return result;
 }
 
-uint64_t CounterCapture::value(const std::string& name) const {
-  auto it = state_->counters.find(name);
-  return it == state_->counters.end() ? 0 : it->second;
-}
-
 Span::Span(std::string name, std::string category) {
   // Captures suppress spans: a span fired while generating on behalf of
   // another task is position-dependent and cannot be replayed
@@ -263,8 +258,8 @@ Span::~Span() {
 }
 
 void count(const std::string& name, uint64_t delta) {
-  // The capture check precedes on(): persistent-cache accounting consumes
-  // captured deltas even when tracing is disabled.
+  // The capture check precedes on(), so a capture holds the same deltas
+  // whether or not tracing is enabled.
   if (t_capture != nullptr) {
     t_capture->counters[name] += delta;
     return;

@@ -156,8 +156,8 @@ class Span {
 /// executing thread happens to carry; the coordinating thread later replays
 /// the captured deltas into W's TaskScope in traversal order.
 ///
-/// Captures intercept *before* the global on() check: the persistent model
-/// cache needs per-region counter deltas even when tracing is disabled.
+/// Captures intercept *before* the global on() check, so what a capture
+/// holds does not depend on whether tracing is enabled.
 /// Spans and addStageSeconds are suppressed while a capture is active
 /// (events are position-dependent and cannot be replayed deterministically).
 /// Captures nest; the innermost wins.
@@ -170,8 +170,6 @@ class CounterCapture {
 
   /// All captured (name, delta) pairs sorted by name; clears the capture.
   std::vector<std::pair<std::string, uint64_t>> take();
-  /// Current captured total for `name` (0 when absent).
-  uint64_t value(const std::string& name) const;
 
   /// Implementation detail (defined in trace.cpp).
   struct State;

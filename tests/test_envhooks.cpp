@@ -17,10 +17,6 @@ TEST(InjectFaultTest, ParsesWorkloadAndStage) {
   EXPECT_EQ(spec.value().workload, "bicg");
   EXPECT_EQ(spec.value().stage, Stage::Select);
 
-  spec = parseInjectFault("atax:cache");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec.value().stage, Stage::Cache);
-
   spec = parseInjectFault("atax:baselines");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec.value().stage, Stage::Baselines);
@@ -29,7 +25,7 @@ TEST(InjectFaultTest, ParsesWorkloadAndStage) {
 TEST(InjectFaultTest, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "atax", "atax:", ":select", "atax:compile", "atax:select:extra",
-        "atax:Select"}) {
+        "atax:Select", "atax:cache"}) {
     Expected<FaultSpec> spec = parseInjectFault(bad);
     EXPECT_FALSE(spec.ok()) << "'" << bad << "' should be rejected";
     if (!spec.ok()) {
@@ -64,77 +60,28 @@ TEST(InjectSlowTest, RejectsMalformedSpecs) {
   }
 }
 
-TEST(InjectCorruptTest, ParsesEveryMode) {
-  struct Case {
-    const char* text;
-    CorruptMode mode;
-    uint64_t offset;
-  };
-  for (const Case& c : {Case{"truncate:0", CorruptMode::Truncate, 0},
-                        Case{"bitflip:100", CorruptMode::Bitflip, 100},
-                        Case{"torn:40", CorruptMode::Torn, 40},
-                        Case{"crash:0", CorruptMode::Crash, 0}}) {
-    Expected<CorruptSpec> spec = parseInjectCorrupt(c.text);
-    ASSERT_TRUE(spec.ok()) << c.text;
-    EXPECT_EQ(spec.value().mode, c.mode) << c.text;
-    EXPECT_EQ(spec.value().offset, c.offset) << c.text;
-  }
-}
-
-TEST(InjectCorruptTest, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "melt:12", "truncate", "truncate:", ":12",
-                          "truncate:-1", "truncate:abc", "torn:40:extra",
-                          "Truncate:0", "truncate:9999999999999999"}) {
-    Expected<CorruptSpec> spec = parseInjectCorrupt(bad);
-    EXPECT_FALSE(spec.ok()) << "'" << bad << "' should be rejected";
-    if (!spec.ok()) {
-      EXPECT_EQ(spec.diagnostic().unit, "CAYMAN_INJECT_CORRUPT");
-      EXPECT_NE(spec.diagnostic().message.find("invalid spec"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(InjectCorruptTest, ModeNamesRoundTrip) {
-  for (CorruptMode m : {CorruptMode::Truncate, CorruptMode::Bitflip,
-                        CorruptMode::Torn, CorruptMode::Crash}) {
-    Expected<CorruptSpec> spec =
-        parseInjectCorrupt(std::string(corruptModeName(m)) + ":7");
-    ASSERT_TRUE(spec.ok());
-    EXPECT_EQ(spec.value().mode, m);
-  }
-}
-
 TEST(EnvWrapperTest, UnsetAndEmptyAreCleanNullopt) {
-  unsetenv("CAYMAN_INJECT_CORRUPT");
-  Expected<std::optional<CorruptSpec>> unset = envInjectCorrupt();
+  unsetenv("CAYMAN_INJECT_FAULT");
+  Expected<std::optional<FaultSpec>> unset = envInjectFault();
   ASSERT_TRUE(unset.ok());
   EXPECT_FALSE(unset.value().has_value());
 
-  setenv("CAYMAN_INJECT_CORRUPT", "", 1);
-  Expected<std::optional<CorruptSpec>> empty = envInjectCorrupt();
+  setenv("CAYMAN_INJECT_FAULT", "", 1);
+  Expected<std::optional<FaultSpec>> empty = envInjectFault();
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(empty.value().has_value());
-  unsetenv("CAYMAN_INJECT_CORRUPT");
+  unsetenv("CAYMAN_INJECT_FAULT");
 }
 
 TEST(EnvWrapperTest, SetValuesParseAndMalformedFail) {
-  setenv("CAYMAN_INJECT_CORRUPT", "bitflip:5", 1);
-  Expected<std::optional<CorruptSpec>> good = envInjectCorrupt();
-  ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(good.value().has_value());
-  EXPECT_EQ(good.value()->mode, CorruptMode::Bitflip);
-  EXPECT_EQ(good.value()->offset, 5u);
-
-  setenv("CAYMAN_INJECT_CORRUPT", "melt:5", 1);
-  EXPECT_FALSE(envInjectCorrupt().ok());
-  unsetenv("CAYMAN_INJECT_CORRUPT");
-
   setenv("CAYMAN_INJECT_FAULT", "atax:select", 1);
   Expected<std::optional<FaultSpec>> fault = envInjectFault();
   ASSERT_TRUE(fault.ok());
   ASSERT_TRUE(fault.value().has_value());
   EXPECT_EQ(fault.value()->stage, Stage::Select);
+
+  setenv("CAYMAN_INJECT_FAULT", "atax:melt", 1);
+  EXPECT_FALSE(envInjectFault().ok());
   unsetenv("CAYMAN_INJECT_FAULT");
 
   setenv("CAYMAN_INJECT_SLOW", "atax:generate:10", 1);

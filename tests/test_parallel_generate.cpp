@@ -8,21 +8,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "accel/model.h"
-#include "accel/model_cache.h"
 #include "hls/interface.h"
 #include "support/thread_pool.h"
 #include "test_kernels.h"
 
 namespace cayman::accel {
 namespace {
-
-namespace fs = std::filesystem;
 
 struct Pipeline {
   explicit Pipeline(std::unique_ptr<ir::Module> m, ModelParams params = {})
@@ -136,53 +132,6 @@ TEST(ParallelGenerateTest, PooledGenerateAllMatchesSerialModel) {
   // So do the design-space totals (selector-facing counters).
   EXPECT_EQ(parallel.model.estimateCalls(), serial.model.estimateCalls());
   EXPECT_EQ(parallel.model.candidatesTotal(), serial.model.candidatesTotal());
-}
-
-TEST(ParallelGenerateTest, ConcurrentGenerateWithPersistentCache) {
-  // The persistent cache's record path under racing cold generations: each
-  // region records exactly once, and a warm model replays identical lists.
-  fs::path dir = fs::temp_directory_path() / "cayman_parallel_generate";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  ThreadPool pool(4);
-  ModelParams params;
-  params.pool = &pool;
-  Pipeline cold(testing::dotRowsKernel(), params);
-  uint64_t irHash = ModelCache::irContentHash(*cold.module);
-  uint64_t fp = ModelCache::modelFingerprint(cold.model.params(), cold.tech,
-                                             cold.model.timing());
-  ModelCache coldCache(dir.string(), cold.wpst, irHash, fp);
-  coldCache.load();
-  cold.model.attachPersistentCache(&coldCache);
-
-  std::vector<const analysis::Region*> regions = allRegions(cold.wpst);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] { (void)cold.model.generateAll(regions); });
-  }
-  for (std::thread& t : threads) t.join();
-  ASSERT_TRUE(coldCache.save().ok());
-
-  Pipeline warm(testing::dotRowsKernel(), params);
-  ModelCache warmCache(dir.string(), warm.wpst, irHash, fp);
-  EXPECT_GE(warmCache.load(), 1u);
-  warm.model.attachPersistentCache(&warmCache);
-  std::vector<const analysis::Region*> warmRegions = allRegions(warm.wpst);
-  std::vector<const std::vector<AcceleratorConfig>*> warmLists =
-      warm.model.generateAll(warmRegions);
-  ASSERT_EQ(warmLists.size(), regions.size());
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const std::vector<AcceleratorConfig>& coldList =
-        cold.model.generate(regions[i]);
-    ASSERT_EQ(warmLists[i]->size(), coldList.size()) << "region " << i;
-    for (size_t j = 0; j < coldList.size(); ++j) {
-      EXPECT_EQ((*warmLists[i])[j].cycles, coldList[j].cycles);
-      EXPECT_EQ((*warmLists[i])[j].areaUm2, coldList[j].areaUm2);
-    }
-  }
-  EXPECT_GE(warmCache.stats().diskHits, 1u);
-  fs::remove_all(dir);
 }
 
 TEST(SchedCacheComplexityTest, SortedBucketStaysLogarithmic) {

@@ -11,7 +11,6 @@
 //   cayman_cli run <file.cir> [budget]       evaluate IR parsed from a file
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -45,7 +44,6 @@ int usage() {
                "               [--select-mode frontier|reference]\n"
                "               [--generate-mode guided|reference]\n"
                "               [--merge-mode graph|reference]\n"
-               "               [--cache-dir DIR]\n"
                "                               evaluate all workloads in "
                "parallel\n"
                "  report <workload> [budget]   print a cayman-metrics-v1 "
@@ -67,10 +65,6 @@ int usage() {
                "write a metrics report / Chrome trace-event JSON; both are\n"
                "deterministic (byte-identical across --jobs counts) unless\n"
                "--trace-wall opts into real wall-clock timestamps\n"
-               "--cache-dir persists the model's generate cache between\n"
-               "runs (crash-safe, corruption-tolerant); warm runs are\n"
-               "byte-identical to cold ones — cache activity reports on\n"
-               "stderr only\n"
                "exit codes: 0 ok, 1 evaluation error/failed workloads, "
                "2 usage, 3 internal error\n");
   return 2;
@@ -264,20 +258,6 @@ int cmdEvaluateAll(int argc, char** argv) {
                      mode.c_str());
         return 2;
       }
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) return usage();
-      options.cacheDir = argv[++i];
-      if (options.cacheDir.empty()) {
-        std::fprintf(stderr, "error: --cache-dir names an empty path\n");
-        return 2;
-      }
-      std::error_code ec;
-      std::filesystem::create_directories(options.cacheDir, ec);
-      if (ec) {
-        std::fprintf(stderr, "error: cannot create --cache-dir '%s': %s\n",
-                     options.cacheDir.c_str(), ec.message().c_str());
-        return 2;
-      }
     } else if (arg == "--only") {
       if (i + 1 >= argc) return usage();
       for (std::string_view piece : split(argv[++i], ',')) {
@@ -294,6 +274,9 @@ int cmdEvaluateAll(int argc, char** argv) {
         std::fprintf(stderr, "error: --only names no workloads\n");
         return 2;
       }
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
+      return 2;
     } else if (!parseBudget(arg.c_str(), &budget)) {
       return badBudget(arg.c_str());
     }
@@ -321,8 +304,7 @@ int cmdEvaluateAll(int argc, char** argv) {
   }
 
   // Pre-validate the CAYMAN_INJECT_* hooks: a malformed spec is a usage
-  // error before any work starts, not 28 identically failed rows (and for
-  // CAYMAN_INJECT_CORRUPT, not a surprise at first cache publish).
+  // error before any work starts, not 28 identically failed rows.
   {
     support::Expected<std::optional<support::envhooks::FaultSpec>> fault =
         support::envhooks::envInjectFault();
@@ -334,12 +316,6 @@ int cmdEvaluateAll(int argc, char** argv) {
         support::envhooks::envInjectSlow();
     if (!slow.ok()) {
       std::fprintf(stderr, "error: %s\n", slow.diagnostic().str().c_str());
-      return 2;
-    }
-    support::Expected<std::optional<support::envhooks::CorruptSpec>> corrupt =
-        support::envhooks::envInjectCorrupt();
-    if (!corrupt.ok()) {
-      std::fprintf(stderr, "error: %s\n", corrupt.diagnostic().str().c_str());
       return 2;
     }
   }
@@ -356,33 +332,6 @@ int cmdEvaluateAll(int argc, char** argv) {
       only.empty() ? evaluateAll(budget, jobs, options)
                    : evaluateWorkloads(only, budget, jobs, options);
   std::fputs(formatEvaluationTable(evaluations).c_str(), stdout);
-
-  // Cache activity reports on stderr only: stdout (and the metrics/trace
-  // JSON) must stay byte-identical between cold, warm, and degraded-warm
-  // runs. The summary line itself is deterministic for a given cache state,
-  // so CI can grep it.
-  if (!options.cacheDir.empty()) {
-    uint64_t hits = 0, misses = 0, rejected = 0, loaded = 0, saved = 0;
-    for (const WorkloadEvaluation& evaluation : evaluations) {
-      hits += evaluation.cacheStats.diskHits;
-      misses += evaluation.cacheStats.diskMisses;
-      rejected += evaluation.cacheStats.rejectedRecords;
-      loaded += evaluation.cacheStats.loadedRegions;
-      saved += evaluation.cacheStats.savedRegions;
-      for (const support::Diagnostic& diagnostic :
-           evaluation.cacheDiagnostics) {
-        std::fprintf(stderr, "cayman: %s\n", diagnostic.str().c_str());
-      }
-    }
-    std::fprintf(stderr,
-                 "cayman: cache summary: disk_hits=%llu disk_misses=%llu "
-                 "rejected=%llu loaded=%llu saved=%llu\n",
-                 static_cast<unsigned long long>(hits),
-                 static_cast<unsigned long long>(misses),
-                 static_cast<unsigned long long>(rejected),
-                 static_cast<unsigned long long>(loaded),
-                 static_cast<unsigned long long>(saved));
-  }
 
   if (tracing) {
     support::trace::TraceRecorder& recorder =
