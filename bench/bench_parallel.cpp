@@ -3,9 +3,7 @@
 //      stalls, evaluated at jobs=1 then jobs=2; the elapsed ratio proves
 //      independent cold generations overlap (sleeps overlap even on one
 //      hardware core, so the ratio is meaningful anywhere),
-//   2. work-stealing traffic — pool.tasks / pool.steals / pool.tasks_nested
-//      for a pooled evaluate-all over a workload subset,
-//   3. LPT vs FIFO — synthetic makespan of one long and many short tasks on
+//   2. LPT vs FIFO — synthetic makespan of one long and many short tasks on
 //      two workers, submitted in registry order vs longest-processing-time
 //      order (the driver's submitOrder heuristic).
 //
@@ -20,7 +18,6 @@
 
 #include "cayman/driver.h"
 #include "support/thread_pool.h"
-#include "support/trace.h"
 
 namespace {
 
@@ -54,31 +51,6 @@ void benchStallOverlap() {
               identical ? "true" : "false");
 }
 
-void benchStealTraffic() {
-  support::trace::TraceRecorder& recorder =
-      support::trace::TraceRecorder::global();
-  recorder.clear();
-  recorder.setEnabled(true);
-  const std::vector<std::string> names = {"atax", "bicg", "mvt", "doitgen",
-                                          "3mm", "symm", "syrk", "trmm"};
-  (void)evaluateWorkloads(names, 0.25, 4);
-  uint64_t tasks = 0;
-  uint64_t steals = 0;
-  uint64_t nested = 0;
-  for (const auto& [name, value] : recorder.globalCounters()) {
-    if (name == "pool.tasks") tasks = value;
-    if (name == "pool.steals") steals = value;
-    if (name == "pool.tasks_nested") nested = value;
-  }
-  recorder.setEnabled(false);
-  recorder.clear();
-  std::printf("steal_traffic: workloads=%zu jobs=4 pool_tasks=%llu "
-              "pool_steals=%llu pool_tasks_nested=%llu\n",
-              names.size(), static_cast<unsigned long long>(tasks),
-              static_cast<unsigned long long>(steals),
-              static_cast<unsigned long long>(nested));
-}
-
 double syntheticMakespan(const std::vector<size_t>& submitOrder) {
   // One 80 ms task and seven 10 ms tasks on two workers. FIFO runs the
   // short tasks first and the long one last (makespan ~110 ms); LPT fronts
@@ -109,7 +81,6 @@ void benchLptVsFifo() {
 
 int main() {
   benchStallOverlap();
-  benchStealTraffic();
   benchLptVsFifo();
   return 0;
 }

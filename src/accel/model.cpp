@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace cayman::accel {
@@ -19,7 +18,7 @@ namespace {
 
 /// Process-wide count (and high-water mark) of generateUncached bodies in
 /// flight, across all models: the injected-stall overlap tests read the peak
-/// to prove distinct regions/workloads really generated concurrently, and
+/// to prove distinct workloads really generated concurrently, and
 /// wall-mode metrics export it as the model.cold_inflight_peak gauge.
 std::atomic<int64_t> g_coldInflight{0};
 std::atomic<int64_t> g_coldInflightPeak{0};
@@ -57,7 +56,8 @@ AcceleratorModel::AcceleratorModel(const analysis::WPst& wpst,
       profile_(profile),
       tech_(tech),
       scheduler_(tech, timing, params.clockNs),
-      params_(std::move(params)) {
+      params_(std::move(params)),
+      generateSlots_(wpst.allRegions().size()) {
   for (const auto& function : wpst.module().functions()) {
     analyses_.emplace(function.get(),
                       std::make_unique<KernelAnalyses>(
@@ -257,184 +257,48 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
   return assignment;
 }
 
-AcceleratorModel::GenerateShard& AcceleratorModel::shardFor(
-    const Region* region) const {
-  size_t h = std::hash<const Region*>{}(region);
-  h ^= h >> 9;  // pointers are aligned; fold the live bits into the index
-  return generateShards_[h % kGenerateShards];
-}
-
-AcceleratorModel::SchedStripe& AcceleratorModel::stripeFor(
-    const ir::BasicBlock* block) const {
-  size_t h = std::hash<const ir::BasicBlock*>{}(block);
-  h ^= h >> 9;
-  return schedStripes_[h % kSchedStripes];
-}
-
-AcceleratorModel::Claim AcceleratorModel::claimEntry(const Region* region,
-                                                     bool wait) const {
-  GenerateShard& shard = shardFor(region);
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  while (true) {
-    auto [it, inserted] = shard.entries.try_emplace(region);
-    if (inserted) return Claim{&it->second, ClaimKind::Claimed};
-    if (it->second.done) return Claim{&it->second, ClaimKind::Hit};
-    if (!wait) return Claim{nullptr, ClaimKind::Running};
-    // The latch owner finalizes (or abandons, on failure) under this mutex
-    // and notifies; spurious wakeups just re-run the lookup.
-    shard.ready.wait(lock);
-  }
-}
-
-const std::vector<AcceleratorConfig>& AcceleratorModel::finalizeEntry(
-    const Region* region, GenerateEntry* entry,
-    std::vector<AcceleratorConfig> configs) const {
-  GenerateShard& shard = shardFor(region);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  entry->configs = std::move(configs);
-  entry->done = true;
-  shard.ready.notify_all();
-  return entry->configs;
-}
-
-void AcceleratorModel::abandonEntry(const Region* region) const {
-  GenerateShard& shard = shardFor(region);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries.erase(region);
-  shard.ready.notify_all();
-}
-
-const std::vector<AcceleratorConfig>& AcceleratorModel::generateCold(
-    const Region* region, GenerateEntry* entry) const {
-  try {
-    return finalizeEntry(region, entry, generateUncached(region));
-  } catch (...) {
-    // Cancellation (or any failure) mid-generation: erase the latch so
-    // waiters re-claim and retry instead of blocking on a corpse.
-    abandonEntry(region);
-    throw;
-  }
-}
-
 const std::vector<AcceleratorConfig>& AcceleratorModel::generate(
     const Region* region) const {
-  Claim claim = claimEntry(region, /*wait=*/true);
-  if (claim.kind == ClaimKind::Hit) {
+  GenerateSlot& slot = generateSlots_.at(static_cast<size_t>(region->id()));
+  std::unique_lock<std::mutex> lock(generateMutex_);
+  // Another caller is generating this region: wait for it to publish (or,
+  // if its generation threw, to reset the slot so this caller retries).
+  generateReady_.wait(lock,
+                      [&slot] { return slot.state != SlotState::Running; });
+  if (slot.state == SlotState::Done) {
+    lock.unlock();
     support::trace::count("model.cache_hits", 1);
-    return claim.entry->configs;
+    return slot.configs;
   }
-  // We own the cold generation; everyone who arrives before finalizeEntry
-  // waits on the shard latch and then counts a hit — the hit/miss totals
-  // match a serial run at any concurrency.
+  // We own the cold generation; everyone who arrives before it is published
+  // waits above and then counts a hit — the hit/miss totals match a serial
+  // run at any concurrency.
+  slot.state = SlotState::Running;
+  lock.unlock();
   support::trace::count("model.cache_misses", 1);
-  return generateCold(region, claim.entry);
-}
-
-std::vector<const std::vector<AcceleratorConfig>*>
-AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
-  std::vector<const std::vector<AcceleratorConfig>*> lists(regions.size(),
-                                                           nullptr);
-  // A cold region this call claimed: generation state shuttled between the
-  // phases below.
-  struct ColdJob {
-    size_t slot = 0;
-    GenerateEntry* entry = nullptr;
-    std::vector<AcceleratorConfig> configs;
-    std::vector<std::pair<std::string, uint64_t>> counters;
-  };
-  std::vector<ColdJob> cold;
-  std::vector<size_t> deferred;  ///< slots another thread is generating
-
-  // Phase A — serial, input order: resolve hits, claim cold regions, and
-  // emit every hit/miss count exactly where a serial generate() loop would.
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const Region* region = regions[i];
-    Claim claim = claimEntry(region, /*wait=*/false);
-    if (claim.kind == ClaimKind::Hit) {
-      support::trace::count("model.cache_hits", 1);
-      lists[i] = &claim.entry->configs;
-      continue;
-    }
-    if (claim.kind == ClaimKind::Running) {
-      // Another thread's claim is the miss; our observation is a hit. Block
-      // for the result only in phase D, after every region we claimed is
-      // finalized or abandoned — never while holding claims, so concurrent
-      // generateAll calls cannot form a claim-wait cycle.
-      support::trace::count("model.cache_hits", 1);
-      deferred.push_back(i);
-      continue;
-    }
-    support::trace::count("model.cache_misses", 1);
-    ColdJob job;
-    job.slot = i;
-    job.entry = claim.entry;
-    cold.push_back(job);
+  std::vector<AcceleratorConfig> configs;
+  try {
+    configs = generateUncached(region);
+  } catch (...) {
+    lock.lock();
+    slot.state = SlotState::Empty;
+    generateReady_.notify_all();
+    throw;
   }
-
-  if (!cold.empty()) {
-    // Phase B — cold generation, fanned out on the pool when one is
-    // configured. Each job runs under a thread-local CounterCapture, so
-    // nothing schedule-dependent escapes into the ambient trace scope; with
-    // no pool (or one job) the loop below runs the jobs inline in input
-    // order.
-    auto runJob = [&](ColdJob& job) {
-      support::trace::CounterCapture capture;
-      job.configs = generateUncached(regions[job.slot]);
-      job.counters = capture.take();
-    };
-    try {
-      if (params_.pool != nullptr && cold.size() > 1) {
-        TaskGroup group(*params_.pool);
-        for (ColdJob& job : cold) {
-          group.run([&runJob, &job] { runJob(job); });
-        }
-        group.wait();  // rethrows the lowest-input-index failure
-      } else {
-        for (ColdJob& job : cold) runJob(job);
-      }
-    } catch (...) {
-      // Abandon every claimed entry — completed jobs' counters were never
-      // replayed, so finalizing them would desynchronize totals if a caller
-      // retried after cancellation. Waiters re-claim and regenerate.
-      for (const ColdJob& job : cold) abandonEntry(regions[job.slot]);
-      throw;
-    }
-
-    // Phase C — serial, input order: replay each job's captured counters
-    // into the ambient scope (a sorted map, so per-task records accumulate
-    // identically to direct counting) and open the latches.
-    for (ColdJob& job : cold) {
-      for (const auto& [name, delta] : job.counters) {
-        support::trace::count(name, delta);
-      }
-      lists[job.slot] =
-          &finalizeEntry(regions[job.slot], job.entry, std::move(job.configs));
-    }
-  }
-
-  // Phase D — resolve regions other threads were generating. No claims are
-  // held here, so blocking is deadlock-free; if the owner abandoned (its
-  // generation failed), generate locally — the hit was already counted in
-  // phase A, and this path only exists after a concurrent failure, where
-  // byte-identity is moot.
-  for (size_t slot : deferred) {
-    Claim claim = claimEntry(regions[slot], /*wait=*/true);
-    lists[slot] = claim.kind == ClaimKind::Hit
-                      ? &claim.entry->configs
-                      : &generateCold(regions[slot], claim.entry);
-  }
-  return lists;
+  lock.lock();
+  slot.configs = std::move(configs);
+  slot.state = SlotState::Done;
+  generateReady_.notify_all();
+  return slot.configs;
 }
 
 void AcceleratorModel::warmGenerateCache() const {
-  std::vector<const Region*> regions;
   wpst_.root()->walk([&](const Region& region) {
     if (params_.cancel != nullptr) {
       params_.cancel->check(support::Stage::Select, region.label());
     }
-    regions.push_back(&region);
+    generate(&region);
   });
-  generateAll(regions);
 }
 
 const analysis::RooflineAnalysis& AcceleratorModel::roofline() const {
@@ -733,18 +597,15 @@ const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
     signature.push_back(iface);
   }
   const auto key = std::make_pair(&block, unroll);
-  // The stripe lock spans the miss-path scheduling so concurrent callers
-  // cannot double-schedule one tuple: the sched.block_calls total must be
+  // The lock spans the miss-path scheduling so concurrent callers cannot
+  // double-schedule one tuple: the sched.block_calls total must be
   // deterministic across --jobs counts (the metrics exporter's byte-identity
   // contract), and scheduleBlock is cheap enough that contention is noise.
-  // Striping by block keeps concurrent cold generations of distinct regions
-  // off each other's locks, and the sorted bucket turns the old O(entries)
-  // signature scan into O(log entries) comparisons.
-  SchedStripe& stripe = stripeFor(&block);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
+  // The sorted bucket turns the old O(entries) signature scan into
+  // O(log entries) comparisons.
+  std::lock_guard<std::mutex> lock(schedMutex_);
   SchedBucket& bucket =
-      stripe.buckets.try_emplace(key, SigLess{&sigComparisons_})
-          .first->second;
+      schedBuckets_.try_emplace(key, SigLess{&sigComparisons_}).first->second;
   // Hits are returned by reference: bucket entries are map nodes, never
   // erased and never moved by later insertions, so the schedule stays valid
   // (and immutable) for the model's lifetime after the lock is released.

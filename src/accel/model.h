@@ -5,14 +5,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "accel/config.h"
 #include "analysis/roofline.h"
@@ -67,10 +65,8 @@ struct ModelParams {
   /// Test hook: microseconds slept per generateUncached() call (deadline
   /// tests force slowness here the way CAYMAN_INJECT_FAULT forces failures).
   unsigned injectGenerateStallUs = 0;
-  /// Worker pool for generateAll()'s region-level fan-out: cold generations
-  /// of distinct regions run concurrently on it. Not owned; nullptr keeps
-  /// generateAll serial. Scheduling only — results, counters, and traces are
-  /// byte-identical at any worker count.
+  /// Unused: the model generates every region on the calling thread. Kept
+  /// declared only because the benchmark harness still assigns it.
   ThreadPool* pool = nullptr;
 };
 
@@ -101,30 +97,15 @@ class AcceleratorModel {
   ///
   /// Memoized: the result is budget-independent (budget filtering happens in
   /// the selector), so repeated budget sweeps over one model reuse the cached
-  /// list. Safe to call from concurrent selector runs; the returned reference
+  /// list. Safe to call from concurrent selector runs: one caller generates
+  /// a region while the others wait for its list. The returned reference
   /// stays valid for the model's lifetime.
   const std::vector<AcceleratorConfig>& generate(
       const analysis::Region* region) const;
 
-  /// Batch generate(): one entry per input region, in input order (the
-  /// pointed-to lists stay valid for the model's lifetime, exactly like
-  /// generate()'s return). When params().pool is set, cold generations of
-  /// distinct regions run concurrently on it; hits and all counter emission
-  /// stay serial in input order, so the observable counter/trace stream is
-  /// byte-identical to calling generate() on each region in sequence — at
-  /// any worker count.
-  ///
-  /// Deadlock-free under concurrent calls: a generateAll never *blocks* on a
-  /// region another thread is generating until it has finalized (or
-  /// abandoned) every region it claimed itself, so claim-wait cycles cannot
-  /// form.
-  std::vector<const std::vector<AcceleratorConfig>*> generateAll(
-      const std::vector<const analysis::Region*>& regions) const;
-
-  /// Eagerly fills the generate cache for every candidate region of the
-  /// wPST (through generateAll, so params().pool parallelizes the cold
-  /// generations), leaving later concurrent explore() calls pure cache
-  /// reads.
+  /// Eagerly fills the generate cache for every region of the wPST (calling
+  /// generate() in pre-order), leaving later concurrent explore() calls pure
+  /// cache reads.
   void warmGenerateCache() const;
 
   /// Re-estimates (cycles, area, counters) for a fully-specified config.
@@ -252,11 +233,10 @@ class AcceleratorModel {
 
   // --- Guided-mode schedule memoization ------------------------------------
   //
-  // Striped by block pointer so concurrent cold generations of distinct
-  // regions rarely contend, and each (block, width) bucket is a sorted map
-  // keyed by the interface signature (AccessIface per memory access in
-  // program order) — O(log n) signature comparisons per lookup where the old
-  // linear bucket scan paid O(n).
+  // Each (block, width) bucket is a sorted map keyed by the interface
+  // signature (AccessIface per memory access in program order) — O(log n)
+  // signature comparisons per lookup where the old linear bucket scan paid
+  // O(n).
 
   /// Signature order for the sorted buckets: lexicographic over AccessIface
   /// operator<. Stateful so every comparison is counted (the container-
@@ -272,73 +252,32 @@ class AcceleratorModel {
   };
   using SchedBucket =
       std::map<std::vector<hls::AccessIface>, hls::BlockSchedule, SigLess>;
-  struct SchedStripe {
-    std::mutex mutex;
-    std::map<std::pair<const ir::BasicBlock*, unsigned>, SchedBucket> buckets;
-  };
-  static constexpr size_t kSchedStripes = 16;
-  SchedStripe& stripeFor(const ir::BasicBlock* block) const;
-  mutable std::array<SchedStripe, kSchedStripes> schedStripes_;
+  mutable std::mutex schedMutex_;
+  mutable std::map<std::pair<const ir::BasicBlock*, unsigned>, SchedBucket>
+      schedBuckets_;
   mutable std::atomic<uint64_t> sigComparisons_{0};
 
   // --- generate() memoization ----------------------------------------------
   //
-  // Sharded latch cache: each region's entry is claimed exactly once (the
-  // claimer runs the cold path; it alone counts the miss) and every other
-  // caller either returns the finished list (counting a hit) or waits on the
-  // shard's condition variable until the claimer finalizes. Distinct regions
-  // on distinct shards generate fully concurrently — there is no global
-  // model lock.
-  //
-  // Entry references are stable: unordered_map rehash moves buckets, not
-  // nodes, so finished lists are handed out by reference while other regions
-  // are still being inserted.
-
-  struct GenerateEntry {
-    bool done = false;  ///< false = cold generation in flight (latch closed)
+  // One slot per region, indexed by Region::id(). The first caller marks the
+  // slot Running and generates outside the lock; later callers wait on
+  // generateReady_ until it is Done (a hit) or, when the generation threw,
+  // back to Empty (they retry it themselves). A Done slot's list never moves,
+  // so it is handed out by reference.
+  enum class SlotState : uint8_t { Empty, Running, Done };
+  struct GenerateSlot {
+    SlotState state = SlotState::Empty;
     std::vector<AcceleratorConfig> configs;
   };
-  struct GenerateShard {
-    std::mutex mutex;
-    std::condition_variable ready;
-    std::unordered_map<const analysis::Region*, GenerateEntry> entries;
-  };
-  static constexpr size_t kGenerateShards = 16;
-  enum class ClaimKind {
-    Hit,      ///< entry finished: configs are readable, a cache hit
-    Claimed,  ///< we inserted the entry: we own the cold generation
-    Running,  ///< another thread owns it (only when wait == false)
-  };
-  struct Claim {
-    GenerateEntry* entry = nullptr;
-    ClaimKind kind = ClaimKind::Hit;
-  };
-  GenerateShard& shardFor(const analysis::Region* region) const;
-  /// Claim `region`'s entry or resolve it as a hit. With wait == true blocks
-  /// until an in-flight generation finishes (never returns Running); with
-  /// wait == false returns Running instead (generateAll's deadlock-free
-  /// deferral).
-  Claim claimEntry(const analysis::Region* region, bool wait) const;
-  /// Publishes a claimed entry's configs and opens the latch. Returns the
-  /// now-stable cached list.
-  const std::vector<AcceleratorConfig>& finalizeEntry(
-      const analysis::Region* region, GenerateEntry* entry,
-      std::vector<AcceleratorConfig> configs) const;
-  /// Erases a claimed entry after a failed generation (cancellation) so
-  /// waiters re-claim and retry instead of reading a corpse.
-  void abandonEntry(const analysis::Region* region) const;
-  /// Cold path for one claimed region: generate, then finalize (abandon on
-  /// throw). Does not count hit/miss — callers already did, in deterministic
-  /// order.
-  const std::vector<AcceleratorConfig>& generateCold(
-      const analysis::Region* region, GenerateEntry* entry) const;
-  mutable std::array<GenerateShard, kGenerateShards> generateShards_;
+  mutable std::mutex generateMutex_;
+  mutable std::condition_variable generateReady_;
+  mutable std::vector<GenerateSlot> generateSlots_;
 };
 
 /// Process-wide high-water mark of concurrently running cold candidate
 /// generations (generateUncached bodies, all models). Exported as the
 /// model.cold_inflight_peak gauge in wall-clock trace mode; tests read it
-/// directly to prove cold generations actually overlapped.
+/// directly to prove cold generations of distinct workloads overlapped.
 int64_t coldGenerationInflightPeak();
 /// Resets the peak (tests only; the gauge in an already-attached trace
 /// recorder keeps its high-water mark).

@@ -159,13 +159,11 @@ std::vector<WorkloadEvaluation> evaluateWorkloads(
   // schedule differs.
   ThreadPool& pool = ThreadPool::shared();
   pool.ensureWorkers(jobs);
-  FrameworkOptions taskOptions = options;
-  if (taskOptions.pool == nullptr) taskOptions.pool = &pool;
   // LPT (longest-processing-time-first) list scheduling: submit the
   // heaviest workloads first so the cjpeg/3mm-class tails start early
-  // instead of landing last on an otherwise-drained pool. Submission order
-  // only — output stays in `names` order, exceptions still surface
-  // lowest-index-first.
+  // instead of landing last on an otherwise-drained pool. The pool is FIFO,
+  // so submission order is start order; output stays in `names` order and
+  // exceptions still surface lowest-index-first.
   std::vector<size_t> submitOrder(names.size());
   for (size_t i = 0; i < submitOrder.size(); ++i) submitOrder[i] = i;
   std::vector<double> hints(names.size(), 1.0);
@@ -179,7 +177,7 @@ std::vector<WorkloadEvaluation> evaluateWorkloads(
   return parallelIndexMap(
       pool, names.size(),
       [&](size_t i) {
-        return evaluateWorkload(names[i], budgetRatio, taskOptions, i);
+        return evaluateWorkload(names[i], budgetRatio, options, i);
       },
       submitOrder);
 }

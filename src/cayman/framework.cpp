@@ -72,7 +72,6 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
     params.generateMode = options_.generateMode;
     params.cancel = options_.cancel;
     params.injectGenerateStallUs = options_.injectGenerateStallUs;
-    params.pool = options_.pool;
     model_ = std::make_unique<accel::AcceleratorModel>(
         *wpst_, *profile_, tech_, hls::InterfaceTiming{}, params);
 

@@ -54,11 +54,9 @@ struct FrameworkOptions {
   /// generation, so deadline tests can force a slow select stage. The driver
   /// also honours env CAYMAN_INJECT_SLOW=<workload>:generate:<us>.
   unsigned injectGenerateStallUs = 0;
-  /// Worker pool for nested region-level fan-out inside this workload: the
-  /// model's generateAll() runs cold candidate generations of distinct
-  /// regions concurrently on it. Not owned; must outlive the Framework.
-  /// nullptr keeps generation serial. Counter/trace/output bytes are
-  /// identical either way — only wall-clock changes.
+  /// Unused: a Framework evaluates its workload on the calling thread, and
+  /// the driver parallelizes across workloads only. Kept declared because
+  /// the benchmark harness still assigns it.
   ThreadPool* pool = nullptr;
 
   /// Per-workload wall-clock deadline in seconds (<= 0 disables). Policy
@@ -120,8 +118,9 @@ class Framework {
 
   /// Pareto-optimal solution sequence under the budget (Algorithm 1).
   /// Thread-safe: concurrent explore/best/evaluate calls on one Framework
-  /// share only the model's generate cache (sharded, each region generated
-  /// once); selector state is per-call.
+  /// share only the model's generate cache (each region generated once, by
+  /// the first caller to ask; the others wait for its list); selector state
+  /// is per-call.
   std::vector<select::Solution> explore(double budgetRatio) const;
   /// Best (highest-saving) solution under the budget.
   select::Solution best(double budgetRatio) const;

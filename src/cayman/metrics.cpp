@@ -114,7 +114,7 @@ Value buildMetricsJson(const std::vector<WorkloadEvaluation>& evaluations,
   for (const auto& [name, value] : totals) totalsJson.set(name, value);
   document.set("totals", std::move(totalsJson));
 
-  // Out-of-task pool/gauge data is schedule-dependent (which thread steals
+  // Out-of-task pool/gauge data is schedule-dependent (which worker runs
   // which task varies run to run), so it rides the same wall-mode opt-in as
   // stage_seconds and never perturbs the deterministic document.
   if (options.includeWallTimes &&

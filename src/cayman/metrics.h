@@ -22,10 +22,10 @@ struct MetricsOptions {
   /// Adds stage_seconds / total_seconds / selection_seconds (wall clock) to
   /// each workload entry. Off by default to keep the document deterministic.
   bool includeWallTimes = false;
-  /// Out-of-task counters (pool.tasks, pool.steals, pool.tasks_nested) from
-  /// TraceRecorder::globalCounters(). Exported under "global" only when
-  /// includeWallTimes is set: which thread executes which task is schedule-
-  /// dependent, so these values would break deterministic byte-identity.
+  /// Out-of-task counters (pool.tasks) from TraceRecorder::globalCounters().
+  /// Exported under "global" only when includeWallTimes is set: which thread
+  /// executes which task is schedule-dependent, so these values would break
+  /// deterministic byte-identity.
   std::vector<std::pair<std::string, uint64_t>> globalCounters;
   /// Global gauges (model.cold_inflight_peak, pool.workers) from
   /// TraceRecorder::gauges(). Same wall-mode-only export rule.

@@ -57,32 +57,21 @@ bool CandidateSelector::prunes(const Region* region) const {
          model_.profile().hotFraction(region) < params_.pruneHotFraction;
 }
 
-void CandidateSelector::collectRegions(
-    const Region* region, std::vector<const Region*>& order) const {
+void CandidateSelector::collectCandidates(const Region* region,
+                                          CandidateLists& lists) const {
   if (params_.cancel != nullptr) {
     params_.cancel->check(support::Stage::Select, region->label());
   }
   if (prunes(region)) return;
+  const size_t id = static_cast<size_t>(region->id());
   if (region->kind() == RegionKind::Bb) {
-    order.push_back(region);
+    lists[id] = &model_.generate(region);
     return;
   }
   for (const auto& child : region->children()) {
-    collectRegions(child.get(), order);
+    collectCandidates(child.get(), lists);
   }
-  if (region->isCtrlFlow()) order.push_back(region);
-}
-
-void CandidateSelector::collectCandidates(const Region* region,
-                                          CandidateLists& lists) const {
-  std::vector<const Region*> order;
-  collectRegions(region, order);
-  std::vector<const std::vector<accel::AcceleratorConfig>*> generated =
-      model_.generateAll(order);
-  lists.assign(model_.wpst().allRegions().size(), nullptr);
-  for (size_t i = 0; i < order.size(); ++i) {
-    lists[static_cast<size_t>(order[i]->id())] = generated[i];
-  }
+  if (region->isCtrlFlow()) lists[id] = &model_.generate(region);
 }
 
 std::vector<Solution> CandidateSelector::dpReference(
@@ -231,7 +220,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
   // first computation into select.dp made the DP look ~5x more expensive
   // than it is. No new span is opened for it, so the deterministic trace
   // event stream is unchanged.
-  CandidateLists lists;
+  CandidateLists lists(model_.wpst().allRegions().size(), nullptr);
   collectCandidates(model_.wpst().root(), lists);
   support::trace::Span span("select.dp", "select");
   const double ratio = params_.clockRatio;

@@ -101,21 +101,17 @@ class CandidateSelector {
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;
 
-  /// Pre-pass mirroring the DP traversal: records, in the DP's exact query
-  /// order, every region the DP will ask candidates for, then batch-
-  /// generates them through model_.generateAll() — the same per-region call
-  /// pattern the DP used to make inline (so model.cache_* counter totals are
-  /// unchanged), except cold regions fan out on the model's worker pool when
-  /// one is configured. Runs outside the select.dp span: generation is
-  /// memoized, budget-independent model work, and attributing its first
-  /// (cold) computation to the DP span hid what the DP itself costs.
+  /// Pre-pass mirroring the DP traversal: generates, in the DP's exact
+  /// query order (post-order: Bb leaves as encountered, ctrl-flow regions
+  /// after their children), every region the DP will ask candidates for,
+  /// and files each list under its Region::id() in `lists` (sized to the
+  /// wPST by the caller). The same per-region generate() calls the DP used
+  /// to make inline, so model.cache_* counter totals are unchanged. Runs
+  /// outside the select.dp span: generation is memoized, budget-independent
+  /// model work, and attributing its first (cold) computation to the DP span
+  /// hid what the DP itself costs.
   void collectCandidates(const analysis::Region* region,
                          CandidateLists& lists) const;
-  /// The recursive walk behind collectCandidates: emits the DP-queried
-  /// regions post-order into `order` (Bb leaves as encountered, ctrl-flow
-  /// regions after their children).
-  void collectRegions(const analysis::Region* region,
-                      std::vector<const analysis::Region*>& order) const;
 
   /// Looks up a pre-collected candidate list; the pre-pass mirrors the DP
   /// traversal exactly, so a miss is a traversal bug, not a data condition.

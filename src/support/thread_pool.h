@@ -1,45 +1,34 @@
-// Work-stealing thread pool for the evaluation driver and the model's
-// nested region-level fan-out.
+// Fixed FIFO thread pool for the evaluation driver.
 //
-// Architecture:
-//   - One deque per worker. A submit from a worker thread pushes to that
-//     worker's own deque (LIFO bottom — cache-warm, depth-first); a submit
-//     from any other thread lands in a global injection queue. Idle workers
-//     drain their own deque first, then the injection queue, then steal from
-//     sibling deques (FIFO top, so thieves take the oldest — coarsest —
-//     work). Steals are counted on pool.steals.
-//   - TaskGroup is the structured-fork primitive for nested parallelism:
-//     run() submits subtasks, wait() *helps* — it pops and runs this group's
-//     pending subtasks inline instead of blocking — so a task on a fixed
-//     pool can fan out subtasks and join them without ever deadlocking, even
-//     on a 1-worker pool (the waiter itself supplies the missing worker).
-//   - Workers grow but never shrink: ensureWorkers() lets one shared()
-//     process-wide pool be reused across driver and bench invocations
-//     instead of constructing (and tearing down) a pool per call.
+// One queue, one mutex, one condition variable: workers pop tasks in
+// submission order, so a caller that enqueues its longest tasks first (the
+// driver's LPT order) gets them started first. Workers grow but never
+// shrink: ensureWorkers() lets one shared() process-wide pool be reused
+// across driver and bench invocations instead of constructing (and tearing
+// down) a pool per call.
+//
+// A task must not block on work it submits to its own pool: there is no
+// helping wait, so on a pool whose workers are all blocked that way the
+// submitted work never runs. The driver's tasks are whole workloads and
+// submit nothing.
 //
 // Determinism contract: parallelIndexMap returns results in index order and
-// surfaces the lowest-index exception; TaskGroup::wait rethrows the
-// lowest-submission-index exception. The pool's own counters (pool.tasks,
-// pool.steals, pool.tasks_nested) are schedule-dependent and therefore
-// always recorded as *global* trace counters — they never enter the
-// deterministic per-task records, so metrics and traces stay byte-identical
-// at any worker count.
+// surfaces the lowest-index exception. The pool's own counter (pool.tasks)
+// and its pool.task spans are schedule-dependent and therefore recorded as
+// *global* trace data — they never enter the deterministic per-task records,
+// so metrics and traces stay byte-identical at any worker count.
 //
 // Shutdown: the destructor drains every queued task, then joins. submit()
 // during or after shutdown throws std::runtime_error — a silently dropped
 // task is a hang in the caller, a thrown one is a bug report.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -67,18 +56,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned workers() const {
-    return workerCount_.load(std::memory_order_acquire);
-  }
+  unsigned workers() const;
 
   /// Grows the pool to at least `workers` workers (never shrinks; capped at
   /// kMaxWorkers). Thread-safe; no-op when already large enough.
   void ensureWorkers(unsigned workers);
 
   /// True once destruction has begun (submit() would throw).
-  bool stopping() const {
-    return stopping_.load(std::memory_order_acquire);
-  }
+  bool stopping() const;
 
   /// Enqueues `fn` and returns its future. Exceptions thrown by `fn`
   /// propagate through the future. Throws std::runtime_error when the pool
@@ -89,84 +74,28 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<Result()>>(std::forward<Fn>(fn));
     std::future<Result> future = task->get_future();
-    submitRaw([task] { (*task)(); });
+    enqueue([task] { (*task)(); });
     return future;
   }
 
-  /// Fire-and-forget submission (TaskGroup ticks, packaged submits). Same
-  /// stopping behavior as submit().
-  void submitRaw(std::function<void()> fn);
-
-  /// True when the calling thread is currently executing a task of this
-  /// pool (directly as a worker or inline through a helping wait).
-  static bool inPoolTask();
-
  private:
-  friend class TaskGroup;
-
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> deque;
-    std::thread thread;
-  };
-
+  void enqueue(std::function<void()> fn);
   void workerLoop(unsigned index);
-  void runTask(std::function<void()>& task);
-  bool findTask(unsigned selfIndex, std::function<void()>& task);
-  void notifyOne();
 
-  /// Fixed slot table so the steal scan can index workers lock-free: slots
-  /// [0, workerCount_) are fully constructed before the count is published
-  /// with release ordering.
-  std::array<std::unique_ptr<Worker>, kMaxWorkers> slots_;
-  std::atomic<unsigned> workerCount_{0};
-  std::mutex growMutex_;  ///< serializes ensureWorkers
-
-  std::mutex injectMutex_;
-  std::deque<std::function<void()>> inject_;
-
-  /// Sleep coordination: workers re-scan when `version_` moved since their
-  /// last empty scan, so a submit between scan and wait cannot be lost.
-  std::mutex sleepMutex_;
+  mutable std::mutex mutex_;
   std::condition_variable wake_;
-  uint64_t version_ = 0;
-
-  std::atomic<bool> stopping_{false};
-};
-
-/// Structured fork/join for nested parallelism on a fixed pool. run()
-/// submits subtasks; wait() helps (runs pending subtasks of *this group*
-/// inline) until every subtask finished, then rethrows the exception of the
-/// lowest-submission-index failed subtask, if any. The destructor waits too
-/// (swallowing exceptions), so a group can never outlive its subtasks.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool);
-  ~TaskGroup();
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Submits one subtask. Counted on pool.tasks_nested when called from
-  /// inside a pool task (the nested-parallelism case this type exists for).
-  void run(std::function<void()> fn);
-
-  /// Helping join; safe to call repeatedly (later calls join later run()s).
-  void wait();
-
- private:
-  struct Shared;
-  static void runOne(const std::shared_ptr<Shared>& shared);
-
-  ThreadPool& pool_;
-  std::shared_ptr<Shared> shared_;
+  std::deque<std::function<void()>> queue_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
 };
 
 /// Runs fn(0), ..., fn(n - 1) on the pool and returns the results ordered by
 /// index. The schedule is nondeterministic; the result vector is not.
 /// `submitOrder`, when non-empty, must be a permutation of [0, n) and only
-/// changes the order tasks are *enqueued* (e.g. LPT: longest first) — never
-/// the order of results or which exception surfaces (always the
-/// lowest-index one, because futures are consumed in index order).
+/// changes the order tasks are *enqueued* — and so, on the FIFO pool, the
+/// order they start (e.g. LPT: longest first) — never the order of results
+/// or which exception surfaces (always the lowest-index one, because futures
+/// are consumed in index order).
 template <typename Fn>
 auto parallelIndexMap(ThreadPool& pool, size_t n, Fn fn,
                       const std::vector<size_t>& submitOrder = {})

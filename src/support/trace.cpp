@@ -206,13 +206,7 @@ TaskScope::~TaskScope() {
   delete state_;
 }
 
-struct CounterCapture::State {
-  std::map<std::string, uint64_t> counters;
-};
-
 namespace {
-
-thread_local CounterCapture::State* t_capture = nullptr;
 
 /// The buffer a span or event lands in: the active task if any, otherwise
 /// the thread's orphan buffer.
@@ -223,29 +217,8 @@ std::vector<Event>& eventSink() {
 
 }  // namespace
 
-CounterCapture::CounterCapture() {
-  state_ = new State();
-  previous_ = t_capture;
-  t_capture = state_;
-}
-
-CounterCapture::~CounterCapture() {
-  t_capture = previous_;
-  delete state_;
-}
-
-std::vector<std::pair<std::string, uint64_t>> CounterCapture::take() {
-  std::vector<std::pair<std::string, uint64_t>> result(
-      state_->counters.begin(), state_->counters.end());
-  state_->counters.clear();
-  return result;
-}
-
 Span::Span(std::string name, std::string category) {
-  // Captures suppress spans: a span fired while generating on behalf of
-  // another task is position-dependent and cannot be replayed
-  // deterministically the way counter deltas can.
-  if (!on() || t_capture != nullptr) return;
+  if (!on()) return;
   active_ = true;
   name_ = std::move(name);
   category_ = std::move(category);
@@ -258,12 +231,6 @@ Span::~Span() {
 }
 
 void count(const std::string& name, uint64_t delta) {
-  // The capture check precedes on(), so a capture holds the same deltas
-  // whether or not tracing is enabled.
-  if (t_capture != nullptr) {
-    t_capture->counters[name] += delta;
-    return;
-  }
   if (!on()) return;
   if (t_current != nullptr) {
     t_current->counters[name] += delta;
@@ -277,10 +244,8 @@ void countGlobal(const std::string& name, uint64_t delta) {
   TraceRecorder::global().countGlobal(name, delta);
 }
 
-bool inTask() { return t_current != nullptr; }
-
 void addStageSeconds(const std::string& stage, double seconds) {
-  if (!on() || t_capture != nullptr) return;
+  if (!on()) return;
   if (t_current != nullptr) t_current->stages[stage] += seconds;
 }
 

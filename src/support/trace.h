@@ -10,7 +10,10 @@
 //     no locking, no cross-thread contention — and the buffer is published
 //     to the recorder when the scope closes. Records are drained sorted by
 //     index, so parallel runs export byte-identically to sequential ones
-//     (the same discipline as parallelIndexMap).
+//     (the same discipline as parallelIndexMap). A task's record is
+//     exactly what fired on its own thread while its scope was open, so
+//     work whose counters belong to a task (candidate generation included)
+//     runs on that task's thread, never fanned out to another one.
 //   - Probes fired outside any TaskScope go to a per-thread "orphan" buffer
 //     (worker-lifetime spans) or a global counter map. Orphan data is
 //     inherently schedule-dependent and is only exported in wall-clock mode.
@@ -148,50 +151,14 @@ class Span {
   std::string category_;
 };
 
-/// Captures every trace::count fired on this thread while alive, instead of
-/// letting it reach the ambient TaskScope or the global map. This is the
-/// determinism primitive for nested parallelism: a pool worker (or helping
-/// waiter) generating region R on behalf of workload W runs under a capture,
-/// so R's model.*/sched.* deltas never leak into whatever scope the
-/// executing thread happens to carry; the coordinating thread later replays
-/// the captured deltas into W's TaskScope in traversal order.
-///
-/// Captures intercept *before* the global on() check, so what a capture
-/// holds does not depend on whether tracing is enabled.
-/// Spans and addStageSeconds are suppressed while a capture is active
-/// (events are position-dependent and cannot be replayed deterministically).
-/// Captures nest; the innermost wins.
-class CounterCapture {
- public:
-  CounterCapture();
-  ~CounterCapture();
-  CounterCapture(const CounterCapture&) = delete;
-  CounterCapture& operator=(const CounterCapture&) = delete;
-
-  /// All captured (name, delta) pairs sorted by name; clears the capture.
-  std::vector<std::pair<std::string, uint64_t>> take();
-
-  /// Implementation detail (defined in trace.cpp).
-  struct State;
-
- private:
-  State* state_ = nullptr;
-  State* previous_ = nullptr;
-};
-
-/// Adds `delta` to counter `name`: into the innermost CounterCapture if one
-/// is active on this thread (even with tracing off), else task-local inside
-/// a TaskScope (fully deterministic), else global.
+/// Adds `delta` to counter `name`: task-local inside a TaskScope (fully
+/// deterministic), else global.
 void count(const std::string& name, uint64_t delta);
 
-/// Adds `delta` directly to the global counter map, bypassing any TaskScope
-/// or CounterCapture. For schedule-dependent pool internals (pool.tasks,
-/// pool.steals, pool.tasks_nested) that must never enter a deterministic
-/// task record — or a capture that replays into one.
+/// Adds `delta` directly to the global counter map, bypassing any TaskScope.
+/// For schedule-dependent pool internals (pool.tasks) that must never enter
+/// a deterministic task record.
 void countGlobal(const std::string& name, uint64_t delta);
-
-/// True when the calling thread is inside a TaskScope.
-bool inTask();
 
 /// Accumulates pipeline-stage wall seconds into the current TaskScope.
 void addStageSeconds(const std::string& stage, double seconds);

@@ -255,5 +255,39 @@ TEST(GenerateCancellationTest, ExpiredTokenAbortsGeneration) {
   EXPECT_THROW(p.model.warmGenerateCache(), support::CancelledError);
 }
 
+TEST(GenerateCancellationTest, CancelledGenerationIsRetried) {
+  // A cancelled generation must not be cached: once the token is disarmed,
+  // the same region generates in full, exactly as on a fresh model.
+  Pipeline fresh(testing::linearKernel(), accel::ModelParams{});
+  size_t index = 0;  // the first region with candidates
+  while (index < fresh.wpst.allRegions().size() &&
+         fresh.model.generate(fresh.wpst.allRegions()[index]).empty()) {
+    ++index;
+  }
+  ASSERT_LT(index, fresh.wpst.allRegions().size());
+  const std::vector<accel::AcceleratorConfig>& expected =
+      fresh.model.generate(fresh.wpst.allRegions()[index]);
+
+  support::CancelToken token;
+  token.setTimeout(1e-9);
+  while (!token.expired()) {
+  }
+  accel::ModelParams params;
+  params.cancel = &token;
+  Pipeline p(testing::linearKernel(), params);
+  const analysis::Region* region = p.wpst.allRegions()[index];
+  EXPECT_THROW(p.model.generate(region), support::CancelledError);
+
+  token.setTimeout(0);
+  const std::vector<accel::AcceleratorConfig>& retried =
+      p.model.generate(region);
+  ASSERT_EQ(retried.size(), expected.size());
+  for (size_t i = 0; i < retried.size(); ++i) {
+    EXPECT_EQ(retried[i].cycles, expected[i].cycles) << "config " << i;
+    EXPECT_EQ(retried[i].areaUm2, expected[i].areaUm2) << "config " << i;
+  }
+  EXPECT_EQ(p.model.candidatesTotal(), fresh.model.candidatesTotal());
+}
+
 }  // namespace
 }  // namespace cayman

@@ -1,8 +1,7 @@
-// Concurrency stress for the model's sharded generate cache and striped
-// schedule cache (the TSan CI job runs this binary), plus the container-
-// complexity regression for the sorted schedule buckets: lookups cost
-// O(log entries) signature comparisons where the old linear bucket scan
-// paid O(entries).
+// Concurrency stress for the model's generate cache and schedule cache (the
+// TSan CI job runs this binary), plus the container-complexity regression
+// for the sorted schedule buckets: lookups cost O(log entries) signature
+// comparisons where the old linear bucket scan paid O(entries).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,21 +13,20 @@
 
 #include "accel/model.h"
 #include "hls/interface.h"
-#include "support/thread_pool.h"
 #include "test_kernels.h"
 
 namespace cayman::accel {
 namespace {
 
 struct Pipeline {
-  explicit Pipeline(std::unique_ptr<ir::Module> m, ModelParams params = {})
+  explicit Pipeline(std::unique_ptr<ir::Module> m)
       : module(std::move(m)),
         wpst(*module),
         interp(*module),
         run(interp.run()),
         profile(wpst, run, interp.costModel()),
         tech(hls::TechLibrary::nangate45()),
-        model(wpst, profile, tech, hls::InterfaceTiming{}, params) {}
+        model(wpst, profile, tech, hls::InterfaceTiming{}) {}
 
   std::unique_ptr<ir::Module> module;
   analysis::WPst wpst;
@@ -73,65 +71,6 @@ TEST(ParallelGenerateTest, ConcurrentGenerateReturnsOneStableList) {
       EXPECT_EQ(seen[t][i], seen[0][i]) << "thread " << t << " region " << i;
     }
   }
-}
-
-TEST(ParallelGenerateTest, ConcurrentGenerateAllWithPoolFanOut) {
-  // generateAll on a pooled model racing against itself (the concurrent-
-  // explore shape): nested TaskGroup fan-out, claim deferral, and the
-  // striped schedule cache all under contention.
-  ThreadPool pool(4);
-  ModelParams params;
-  params.pool = &pool;
-  Pipeline p(testing::dotRowsKernel(), params);
-  std::vector<const analysis::Region*> regions = allRegions(p.wpst);
-
-  constexpr int kCallers = 4;
-  std::vector<std::vector<const std::vector<AcceleratorConfig>*>> results(
-      kCallers);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kCallers; ++t) {
-    threads.emplace_back(
-        [&, t] { results[t] = p.model.generateAll(regions); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int t = 1; t < kCallers; ++t) {
-    ASSERT_EQ(results[t].size(), results[0].size());
-    for (size_t i = 0; i < results[t].size(); ++i) {
-      EXPECT_EQ(results[t][i], results[0][i]);
-    }
-  }
-}
-
-TEST(ParallelGenerateTest, PooledGenerateAllMatchesSerialModel) {
-  // The determinism contract at the model level: a pooled generateAll and a
-  // serial one produce identical config lists (values, not just counts).
-  ThreadPool pool(4);
-  ModelParams pooled;
-  pooled.pool = &pool;
-  Pipeline parallel(testing::dotRowsKernel(), pooled);
-  Pipeline serial(testing::dotRowsKernel());
-
-  std::vector<const analysis::Region*> parallelRegions =
-      allRegions(parallel.wpst);
-  std::vector<const analysis::Region*> serialRegions = allRegions(serial.wpst);
-  ASSERT_EQ(parallelRegions.size(), serialRegions.size());
-
-  std::vector<const std::vector<AcceleratorConfig>*> a =
-      parallel.model.generateAll(parallelRegions);
-  std::vector<const std::vector<AcceleratorConfig>*> b =
-      serial.model.generateAll(serialRegions);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i]->size(), b[i]->size()) << "region " << i;
-    for (size_t j = 0; j < a[i]->size(); ++j) {
-      EXPECT_EQ((*a[i])[j].cycles, (*b[i])[j].cycles);
-      EXPECT_EQ((*a[i])[j].areaUm2, (*b[i])[j].areaUm2);
-      EXPECT_EQ((*a[i])[j].loops.size(), (*b[i])[j].loops.size());
-    }
-  }
-  // So do the design-space totals (selector-facing counters).
-  EXPECT_EQ(parallel.model.estimateCalls(), serial.model.estimateCalls());
-  EXPECT_EQ(parallel.model.candidatesTotal(), serial.model.candidatesTotal());
 }
 
 TEST(SchedCacheComplexityTest, SortedBucketStaysLogarithmic) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -187,11 +188,11 @@ TEST(ThreadPoolTest, SubmitDuringShutdownThrows) {
   std::atomic<bool> taskStarted{false};
   {
     ThreadPool pool(1);
-    pool.submitRaw([&pool, &sawThrow, &taskStarted] {
+    pool.submit([&pool, &sawThrow, &taskStarted] {
       taskStarted.store(true);
       while (!pool.stopping()) std::this_thread::yield();
       try {
-        pool.submitRaw([] {});
+        pool.submit([] {});
       } catch (const std::runtime_error&) {
         sawThrow.store(true);
       }
@@ -228,13 +229,6 @@ TEST(ThreadPoolTest, SharedPoolIsAProcessSingletonThatGrows) {
   EXPECT_EQ(a.submit([] { return 3; }).get(), 3);
 }
 
-TEST(ThreadPoolTest, InPoolTaskReflectsExecutionContext) {
-  EXPECT_FALSE(ThreadPool::inPoolTask());
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.submit([] { return ThreadPool::inPoolTask(); }).get());
-  EXPECT_FALSE(ThreadPool::inPoolTask());
-}
-
 TEST(ThreadPoolTest, ParallelIndexMapSubmitOrderOnlyChangesEnqueue) {
   ThreadPool pool(4);
   std::vector<size_t> reversed(100);
@@ -263,101 +257,23 @@ TEST(ThreadPoolTest, ParallelIndexMapSubmitOrderOnlyChangesEnqueue) {
   }
 }
 
-TEST(TaskGroupTest, WaitHelpsOnSingleWorkerPool) {
-  // The helping-wait contract: a task on a 1-worker pool fans out subtasks
-  // and joins them without deadlock — the waiter itself runs them inline.
+TEST(ThreadPoolTest, OneWorkerRunsTasksInSubmitOrder) {
+  // The FIFO property the driver's LPT order relies on: on one worker,
+  // tasks start exactly in submitOrder, not in index order.
   ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  std::future<void> outer = pool.submit([&pool, &ran] {
-    TaskGroup group(pool);
-    for (int i = 0; i < 16; ++i) {
-      group.run([&ran] { ++ran; });
-    }
-    group.wait();
-  });
-  outer.get();
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(TaskGroupTest, NestedGroupsDoNotDeadlock) {
-  // Two levels of fan-out on a pool smaller than the task tree.
-  ThreadPool pool(2);
-  std::atomic<int> leaves{0};
-  std::future<void> outer = pool.submit([&pool, &leaves] {
-    TaskGroup top(pool);
-    for (int i = 0; i < 4; ++i) {
-      top.run([&pool, &leaves] {
-        TaskGroup inner(pool);
-        for (int j = 0; j < 4; ++j) {
-          inner.run([&leaves] { ++leaves; });
-        }
-        inner.wait();
-      });
-    }
-    top.wait();
-  });
-  outer.get();
-  EXPECT_EQ(leaves.load(), 16);
-}
-
-TEST(TaskGroupTest, RethrowsLowestSubmissionIndexException) {
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  for (int i = 0; i < 12; ++i) {
-    group.run([i] {
-      if (i == 2) throw Error("fail 2");
-      if (i == 9) throw Error("fail 9");
-    });
-  }
-  try {
-    group.wait();
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "fail 2");
-  }
-  // The pool survives; so does the group (wait is repeatable).
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
-}
-
-TEST(TaskGroupTest, StolenSubtaskExceptionIsSafe) {
-  // Subtasks submitted from inside a pool task land on the owner's deque;
-  // with several workers some are stolen. A throwing stolen subtask must
-  // reach wait() as an exception without wedging the group, the thief, or
-  // the pool. Repeat to give the steal path real exercise.
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    std::future<int> outer = pool.submit([&pool, round]() -> int {
-      TaskGroup group(pool);
-      std::atomic<int> ok{0};
-      for (int i = 0; i < 32; ++i) {
-        group.run([i, round, &ok] {
-          if ((i + round) % 7 == 0) throw Error("stolen boom");
-          ++ok;
-        });
-      }
-      try {
-        group.wait();
-        ADD_FAILURE() << "expected Error in round " << round;
-      } catch (const Error&) {
-      }
-      return ok.load();
-    });
-    EXPECT_GE(outer.get(), 0);
-  }
-  EXPECT_EQ(pool.submit([] { return 13; }).get(), 13);
-}
-
-TEST(TaskGroupTest, WaitJoinsLaterRuns) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  group.run([&ran] { ++ran; });
-  group.wait();
-  EXPECT_EQ(ran.load(), 1);
-  group.run([&ran] { ++ran; });
-  group.run([&ran] { ++ran; });
-  group.wait();
-  EXPECT_EQ(ran.load(), 3);
+  const std::vector<size_t> order = {5, 2, 7, 0, 3, 6, 1, 4};
+  std::mutex mutex;
+  std::vector<size_t> ran;
+  std::vector<size_t> results = parallelIndexMap(
+      pool, order.size(),
+      [&](size_t i) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ran.push_back(i);
+        return i;
+      },
+      order);
+  EXPECT_EQ(ran, order);
+  for (size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i);
 }
 
 }  // namespace

@@ -95,6 +95,11 @@ int badBudget(const char* text) {
   return 2;
 }
 
+int unexpectedArgument(const char* text) {
+  std::fprintf(stderr, "error: unexpected argument '%s'\n", text);
+  return 2;
+}
+
 int cmdList() {
   std::printf("%-22s %-14s %s\n", "name", "suite", "note");
   for (const auto& info : workloads::all()) {
@@ -378,7 +383,7 @@ int cmdReport(const std::string& name, double budget) {
 int cmdRun(const std::string& path, double budget) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
     return 1;
   }
   std::ostringstream text;
@@ -392,9 +397,17 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   std::string command = argv[1];
   try {
-    if (command == "list") return cmdList();
+    if (command == "list") {
+      return argc > 2 ? unexpectedArgument(argv[2]) : cmdList();
+    }
     if (command == "evaluate-all") return cmdEvaluateAll(argc, argv);
+    const bool takesBudget = command == "explore" || command == "evaluate" ||
+                             command == "report" || command == "run";
+    if (!takesBudget && command != "ir" && command != "wpst") return usage();
     if (argc < 3) return usage();
+    // <workload> (or <file.cir>), then the optional budget where one applies.
+    const int maxArgs = takesBudget ? 4 : 3;
+    if (argc > maxArgs) return unexpectedArgument(argv[maxArgs]);
     std::string target = argv[2];
     double budget = 0.25;
     if (argc > 3 && !parseBudget(argv[3], &budget)) return badBudget(argv[3]);

@@ -201,8 +201,7 @@ void checkWorkload(const Value& entry, size_t position) {
 
 /// Wall-mode "global" section: out-of-task pool counters and gauges. The
 /// section is optional (absent when tracing was off or the document is
-/// deterministic), but when present its values must be sane, and the pool
-/// counters must satisfy steals <= tasks (a steal executes one task).
+/// deterministic), but when present its values must be sane.
 void checkGlobal(const Value& global) {
   const std::string where = "global";
   if (const Value* counters = global.find("counters")) {
@@ -213,17 +212,6 @@ void checkGlobal(const Value& global) {
         if (!value.isInt() || value.intValue() < 0) {
           fail(where, "counter '" + name + "' is not a non-negative integer");
         }
-      }
-      const Value* tasks = counters->find("pool.tasks");
-      const Value* steals = counters->find("pool.steals");
-      const Value* nested = counters->find("pool.tasks_nested");
-      if (tasks != nullptr && steals != nullptr && tasks->isInt() &&
-          steals->isInt() && steals->intValue() > tasks->intValue()) {
-        fail(where, "pool.steals > pool.tasks");
-      }
-      if (tasks != nullptr && nested != nullptr && tasks->isInt() &&
-          nested->isInt() && nested->intValue() > tasks->intValue()) {
-        fail(where, "pool.tasks_nested > pool.tasks");
       }
     }
   }
