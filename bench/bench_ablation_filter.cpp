@@ -37,7 +37,7 @@ int main() {
           params.clockRatio = fw.options().clockRatio();
           select::CandidateSelector selector(fw.model(), params);
 
-          select::CandidateSelector::Stats stats;
+          select::SelectStats stats;
           auto start = std::chrono::steady_clock::now();
           std::vector<select::Solution> front = selector.select(stats);
           double micros = std::chrono::duration<double, std::micro>(

@@ -1,9 +1,11 @@
 // Selector micro-benchmarks (google-benchmark): the Algorithm 1 DP on the
 // largest workloads in both engines, a twelve-budget best() sweep, plus a
-// synthetic wide-front ⊗ stress case. The Framework is built once per benchmark, so the model's generate
-// cache is warm after the first iteration and the steady state measures the
-// DP itself — the same quantity the select.dp span times now that candidate
-// generation runs in the selector's pre-pass.
+// synthetic wide-front ⊗ stress case. Their Frameworks are built once per
+// benchmark, so the model's generate cache is warm after the first iteration
+// and the steady state measures the DP itself — the same quantity the
+// select.dp span times now that candidate generation runs in the selector's
+// pre-pass. BM_EvaluateBudgetSweep instead times evaluate() over the same
+// sweep on fresh Frameworks, whose selection memos start empty.
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
@@ -30,7 +32,7 @@ void BM_SelectDp(benchmark::State& state, const char* workload,
   Framework fw(workloads::build(workload));
   select::CandidateSelector selector(fw.model(),
                                      paramsFor(fw, 0.65, mode));
-  select::CandidateSelector::Stats stats;
+  select::SelectStats stats;
   for (auto _ : state) {
     std::vector<select::Solution> front = selector.select(stats);
     benchmark::DoNotOptimize(front.size());
@@ -50,7 +52,9 @@ BENCHMARK_CAPTURE(BM_SelectDp, 3mm_reference, "3mm",
 // A design-space explorer's query pattern: warm cjpeg and 3mm Frameworks
 // asked for Cayman's and the QsCores baseline's best() at twelve budgets
 // over [0.02, 1.0]. The small budgets collapse many ⊗ operands to the
-// one-entry {∅} front, the frontier DP's identity fast path.
+// one-entry {∅} front, the frontier DP's identity fast path. The selectors
+// run on the models directly, past the Framework's and the baseline's
+// selection memos, so every budget times the DP.
 void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
   FrameworkOptions options;
   options.selectMode = mode;
@@ -61,12 +65,21 @@ void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
   }
   auto sweep = [&] {
     for (const std::unique_ptr<Framework>& fw : frameworks) {
-      const double ratio = fw->options().clockRatio();
       for (int step = 0; step < 12; ++step) {
         const double budgetRatio = 0.02 + 0.98 * step / 11.0;
-        benchmark::DoNotOptimize(fw->best(budgetRatio).areaUm2);
+        select::SelectStats stats;
         benchmark::DoNotOptimize(
-            fw->qscores().best(fw->budgetUm2(budgetRatio), ratio, mode)
+            select::CandidateSelector(fw->model(),
+                                      paramsFor(*fw, budgetRatio, mode))
+                .best(stats)
+                .areaUm2);
+        select::SelectorParams qscores;
+        qscores.areaBudgetUm2 = fw->budgetUm2(budgetRatio);
+        qscores.clockRatio = fw->options().clockRatio();
+        qscores.mode = mode;
+        benchmark::DoNotOptimize(
+            select::CandidateSelector(fw->qscores().model(), qscores)
+                .best(stats)
                 .areaUm2);
       }
     }
@@ -78,6 +91,34 @@ BENCHMARK_CAPTURE(BM_SelectBudgetSweep, frontier,
                   select::SelectMode::Frontier);
 BENCHMARK_CAPTURE(BM_SelectBudgetSweep, reference,
                   select::SelectMode::Reference);
+
+// The same twelve budgets through evaluate() (selection, merge and both
+// baselines) on cjpeg and 3mm Frameworks built, with warm generate caches,
+// under PauseTiming: every iteration starts with empty selection memos, so
+// it shows what the memo saves within one sweep.
+void BM_EvaluateBudgetSweep(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<std::unique_ptr<Framework>> frameworks;
+    for (const char* workload : {"cjpeg", "3mm"}) {
+      frameworks.push_back(
+          std::make_unique<Framework>(workloads::build(workload)));
+      frameworks.back()->model().warmGenerateCache();
+      frameworks.back()->qscores().model().warmGenerateCache();
+    }
+    state.ResumeTiming();
+    for (const std::unique_ptr<Framework>& fw : frameworks) {
+      for (int step = 0; step < 12; ++step) {
+        const double budgetRatio = 0.02 + 0.98 * step / 11.0;
+        benchmark::DoNotOptimize(fw->evaluate(budgetRatio).caymanSpeedup);
+      }
+    }
+    state.PauseTiming();
+    frameworks.clear();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_EvaluateBudgetSweep);
 
 // Synthetic wide-front stress: two strict Pareto fronts of `width`
 // two-config solutions run through one ⊗ + α-filter step, the inner loop of
@@ -141,14 +182,14 @@ void BM_CombineWideFront_Reference(benchmark::State& state) {
   std::vector<select::Solution> a = syntheticFront(configsA);
   std::vector<select::Solution> b = syntheticFront(configsB);
   double budget = budgetFor(b);
-  uint64_t pairs = 0;
+  select::SelectStats pairs;
   for (auto _ : state) {
     std::vector<select::Solution> merged = select::filterByAlpha(
         select::combine(a, b, budget, kRatio, &pairs), kAlpha);
     benchmark::DoNotOptimize(merged.size());
   }
   state.counters["pairs/iter"] = static_cast<double>(
-      pairs / std::max<uint64_t>(1, state.iterations()));
+      pairs.combinePairs / std::max<uint64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_CombineWideFront_Reference)->Arg(32)->Arg(96);
 
@@ -162,7 +203,7 @@ void BM_CombineWideFront_Frontier(benchmark::State& state) {
   std::vector<select::FrontierEntry> a = syntheticEntries(configsA, baseArena);
   std::vector<select::FrontierEntry> b = syntheticEntries(configsB, baseArena);
   double budget = b.back().areaUm2;  // same cut as the reference benchmark
-  uint64_t pairs = 0;
+  select::SelectStats pairs;
   for (auto _ : state) {
     // Fresh arena per step (copied from the pristine base), as in a DP
     // combine: admitted pairs append nodes, dropped points keep theirs.
@@ -173,7 +214,7 @@ void BM_CombineWideFront_Frontier(benchmark::State& state) {
     benchmark::DoNotOptimize(arena.nodeCount());
   }
   state.counters["pairs/iter"] = static_cast<double>(
-      pairs / std::max<uint64_t>(1, state.iterations()));
+      pairs.combinePairs / std::max<uint64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_CombineWideFront_Frontier)->Arg(32)->Arg(96);
 

@@ -2,6 +2,19 @@
 
 namespace cayman::baselines {
 
+namespace {
+
+select::SelectorParams selectorParams(double areaBudgetUm2, double clockRatio,
+                                      select::SelectMode mode) {
+  select::SelectorParams params;
+  params.areaBudgetUm2 = areaBudgetUm2;
+  params.clockRatio = clockRatio;
+  params.mode = mode;
+  return params;
+}
+
+}  // namespace
+
 hls::InterfaceTiming QsCoresFlow::scanChainTiming() {
   hls::InterfaceTiming timing;
   // Scan-chain data access: words serially shifted through the chain —
@@ -38,24 +51,22 @@ QsCoresFlow::QsCoresFlow(const analysis::WPst& wpst,
 std::vector<select::Solution> QsCoresFlow::paretoFront(
     double areaBudgetUm2, double clockRatio,
     select::SelectMode mode) const {
-  select::SelectorParams params;
-  params.areaBudgetUm2 = areaBudgetUm2;
-  params.clockRatio = clockRatio;
-  params.mode = mode;
-  select::CandidateSelector selector(model_, params);
-  select::CandidateSelector::Stats stats;
+  select::CandidateSelector selector(
+      model_, selectorParams(areaBudgetUm2, clockRatio, mode));
+  select::SelectStats stats;
   return selector.select(stats);
 }
 
 select::Solution QsCoresFlow::best(double areaBudgetUm2, double clockRatio,
                                    select::SelectMode mode) const {
-  select::SelectorParams params;
-  params.areaBudgetUm2 = areaBudgetUm2;
-  params.clockRatio = clockRatio;
-  params.mode = mode;
-  select::CandidateSelector selector(model_, params);
-  select::CandidateSelector::Stats stats;
-  return selector.best(stats);
+  const select::SelectorParams params =
+      selectorParams(areaBudgetUm2, clockRatio, mode);
+  if (auto memoized = memo_.find(params)) return *memoized;
+  select::SelectStats stats;
+  select::Solution winner =
+      select::CandidateSelector(model_, params).best(stats);
+  memo_.offer(params, stats, [&] { return winner; });
+  return winner;
 }
 
 }  // namespace cayman::baselines

@@ -6,6 +6,7 @@
 // exactly the paper's claimed advantages.
 #pragma once
 
+#include "select/selection_memo.h"
 #include "select/selector.h"
 
 namespace cayman::baselines {
@@ -27,8 +28,11 @@ class QsCoresFlow {
       const support::CancelToken* cancel = nullptr);
 
   /// Both are safe to call concurrently: selection state is per-call and
-  /// the restricted model's generate cache is internally synchronized.
-  /// `mode` selects the DP engine (bit-identical results either way).
+  /// the restricted model's generate cache and best()'s selection memo are
+  /// internally synchronized. `mode` selects the DP engine (bit-identical
+  /// results either way). best() keeps the first winner the budget does not
+  /// bind and serves it, without running the DP, at every budget it covers
+  /// under the same clock ratio and engine (select/selection_memo.h).
   std::vector<select::Solution> paretoFront(
       double areaBudgetUm2, double clockRatio = 1.25,
       select::SelectMode mode = select::SelectMode::Frontier) const;
@@ -40,6 +44,7 @@ class QsCoresFlow {
 
  private:
   accel::AcceleratorModel model_;
+  mutable select::SelectionMemo<select::Solution> memo_;
 };
 
 }  // namespace cayman::baselines

@@ -96,13 +96,13 @@ select::SelectorParams Framework::selectorParams(double budgetRatio) const {
 
 std::vector<select::Solution> Framework::explore(double budgetRatio) const {
   select::CandidateSelector selector(*model_, selectorParams(budgetRatio));
-  select::CandidateSelector::Stats stats;
+  select::SelectStats stats;
   return selector.select(stats);
 }
 
 select::Solution Framework::best(double budgetRatio) const {
   select::CandidateSelector selector(*model_, selectorParams(budgetRatio));
-  select::CandidateSelector::Stats stats;
+  select::SelectStats stats;
   return selector.best(stats);
 }
 
@@ -118,10 +118,27 @@ EvaluationReport Framework::evaluate(double budgetRatio) const {
   const std::string& unit = module_->name();
 
   auto start = std::chrono::steady_clock::now();
-  runStage(support::Stage::Select, unit, options_,
-           [&] { report.solution = best(budgetRatio); });
-  runStage(support::Stage::Merge, unit, options_,
-           [&] { report.merging = mergeSolution(report.solution); });
+  // A memo hit skips the DP (with its select.* counters and span) and the
+  // merge; the stage checkpoints still run.
+  const select::SelectorParams params = selectorParams(budgetRatio);
+  std::shared_ptr<const Selected> memoized;
+  select::SelectStats stats;
+  runStage(support::Stage::Select, unit, options_, [&] {
+    memoized = memo_.find(params);
+    if (memoized != nullptr) {
+      report.solution = memoized->solution;
+    } else {
+      report.solution = select::CandidateSelector(*model_, params).best(stats);
+    }
+  });
+  runStage(support::Stage::Merge, unit, options_, [&] {
+    report.merging = memoized != nullptr ? memoized->merging
+                                         : mergeSolution(report.solution);
+  });
+  if (memoized == nullptr) {
+    memo_.offer(params, stats,
+                [&] { return Selected{report.solution, report.merging}; });
+  }
   report.selectionSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

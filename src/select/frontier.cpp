@@ -151,25 +151,28 @@ void filterByAlpha(std::vector<FrontierEntry>& buffer, size_t first,
 
 void combine(std::vector<FrontierEntry>& buffer, size_t a, size_t b,
              double areaBudget, double clockRatio, double alpha,
-             SolutionArena& arena, uint64_t* pairsAdmitted) {
+             SolutionArena& arena, SelectStats* stats) {
   const size_t end = buffer.size();
   assert(isStrictFront(buffer, a, b) && isStrictFront(buffer, b, end) &&
          "combine() requires area-sorted fronts for the early break");
   assert(isAlphaFiltered(buffer, a, b, alpha) &&
          isAlphaFiltered(buffer, b, end, alpha) &&
          "combine() requires alpha-filtered operands");
+  SelectStats unused;
+  SelectStats& s = stats != nullptr ? *stats : unused;
   for (size_t x = a; x < b; ++x) {
     for (size_t y = b; y < end; ++y) {
       // B ascends in area, so every later y is at least as large: the whole
       // remaining row is over budget (floating-point addition is monotone).
-      if (buffer[x].areaUm2 + buffer[y].areaUm2 > areaBudget) break;
+      // The pairs this skips are rejections too, so budgetBound matches the
+      // reference's, and none of them would have raised the admitted max.
+      if (!s.admits(buffer[x].areaUm2 + buffer[y].areaUm2, areaBudget)) break;
       const FrontierEntry merged =
           mergeEntries(buffer[x], buffer[y], clockRatio, arena);
       buffer.push_back(merged);
     }
   }
-  const size_t admitted = buffer.size() - end;
-  if (pairsAdmitted != nullptr) *pairsAdmitted += admitted;
+  s.combinePairs += buffer.size() - end;
   // Identity: when either operand is {∅}, the admitted pairs are a prefix
   // of the other front with every scalar unchanged (x + 0.0 == x), and only
   // the arena nodes are new. That prefix is already a strict front, which
@@ -193,11 +196,11 @@ std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,
                                    const std::vector<FrontierEntry>& b,
                                    double areaBudget, double clockRatio,
                                    SolutionArena& arena,
-                                   uint64_t* pairsAdmitted) {
+                                   SelectStats* stats) {
   std::vector<FrontierEntry> buffer = a;
   buffer.insert(buffer.end(), b.begin(), b.end());
   combine(buffer, 0, a.size(), areaBudget, clockRatio, /*alpha=*/1.0, arena,
-          pairsAdmitted);
+          stats);
   return buffer;
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "select/solution.h"
+#include "select/stats.h"
 
 namespace cayman::select {
 
@@ -118,15 +119,16 @@ void filterByAlpha(std::vector<FrontierEntry>& buffer, size_t first,
 /// from B) with an early budget break-out: B ascends in area, so once
 /// x.area + y.area exceeds the budget no later y fits. That admits exactly
 /// the pairs the reference combine admits, in the same order.
-/// `pairsAdmitted`, when non-null, accumulates the number of merged pairs
-/// created (the select.combine_pairs counter).
+/// `stats`, when non-null, accumulates the merged pairs created
+/// (combinePairs, the select.combine_pairs counter) and what the budget
+/// tests saw (budgetBound, maxAdmittedAreaUm2), as the reference combine's.
 ///
 /// Preconditions (checked in debug builds): A and B are strictly ascending
 /// in area and saved cycles — the pareto() postcondition — and each already
 /// passes filterByAlpha at `alpha` unchanged. Every DP front meets both.
 void combine(std::vector<FrontierEntry>& buffer, size_t a, size_t b,
              double areaBudget, double clockRatio, double alpha,
-             SolutionArena& arena, uint64_t* pairsAdmitted = nullptr);
+             SolutionArena& arena, SelectStats* stats = nullptr);
 
 /// Vector conveniences over the range forms, for tests and benchmarks.
 inline std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries) {
@@ -141,7 +143,7 @@ std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,
                                    const std::vector<FrontierEntry>& b,
                                    double areaBudget, double clockRatio,
                                    SolutionArena& arena,
-                                   uint64_t* pairsAdmitted = nullptr);
+                                   SelectStats* stats = nullptr);
 
 /// Expands one surviving entry into a full Solution: configs from the arena
 /// walk, cost triple from the entry's (bit-identical) accumulated sums.

@@ -74,16 +74,18 @@ std::vector<Solution> filterByAlpha(std::vector<Solution> solutions,
 std::vector<Solution> combine(const std::vector<Solution>& a,
                               const std::vector<Solution>& b,
                               double areaBudget, double clockRatio,
-                              uint64_t* pairsAdmitted) {
+                              SelectStats* stats) {
   std::vector<Solution> merged;
   merged.reserve(std::min(a.size() * b.size(), kCombineReserveCap));
+  SelectStats unused;
+  SelectStats& s = stats != nullptr ? *stats : unused;
   for (const Solution& x : a) {
     for (const Solution& y : b) {
-      if (x.areaUm2 + y.areaUm2 > areaBudget) continue;
+      if (!s.admits(x.areaUm2 + y.areaUm2, areaBudget)) continue;
       merged.push_back(Solution::merge(x, y));
     }
   }
-  if (pairsAdmitted != nullptr) *pairsAdmitted += merged.size();
+  s.combinePairs += merged.size();
   return pareto(std::move(merged), clockRatio);
 }
 

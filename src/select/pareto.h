@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "select/solution.h"
+#include "select/stats.h"
 
 namespace cayman::select {
 
@@ -33,12 +34,13 @@ std::vector<Solution> filterByAlpha(std::vector<Solution> solutions,
                                     double alpha);
 
 /// The ⊗ operation: pairwise unions of solutions from two disjoint subtrees,
-/// Pareto-reduced, and truncated to the area budget. `pairsAdmitted`, when
-/// non-null, accumulates the number of within-budget pairs merged (the
-/// select.combine_pairs counter).
+/// Pareto-reduced, and truncated to the area budget. `stats`, when non-null,
+/// accumulates the within-budget pairs merged (combinePairs, the
+/// select.combine_pairs counter) and every pair's budget test (budgetBound,
+/// maxAdmittedAreaUm2).
 std::vector<Solution> combine(const std::vector<Solution>& a,
                               const std::vector<Solution>& b,
                               double areaBudget, double clockRatio,
-                              uint64_t* pairsAdmitted = nullptr);
+                              SelectStats* stats = nullptr);
 
 }  // namespace cayman::select

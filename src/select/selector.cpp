@@ -34,7 +34,7 @@ struct ScratchRelease {
 
 /// Peak-front bookkeeping, fired after every α-filter in both DP paths (the
 /// same program points, so the stat is mode-independent).
-void notePeak(CandidateSelector::Stats& stats, size_t frontSize) {
+void notePeak(SelectStats& stats, size_t frontSize) {
   if (frontSize > stats.frontPeak) stats.frontPeak = frontSize;
 }
 
@@ -75,7 +75,8 @@ void CandidateSelector::collectCandidates(const Region* region,
 }
 
 std::vector<Solution> CandidateSelector::dpReference(
-    const Region* region, const CandidateLists& lists, Stats& stats) const {
+    const Region* region, const CandidateLists& lists,
+    SelectStats& stats) const {
   ++stats.regionsVisited;
   if (params_.cancel != nullptr) {
     params_.cancel->check(support::Stage::Select, region->label());
@@ -93,7 +94,7 @@ std::vector<Solution> CandidateSelector::dpReference(
     for (const accel::AcceleratorConfig& config :
          candidatesFor(lists, region)) {
       ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
+      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
       ++stats.singleConfigSolutions;
       options.push_back(Solution::fromConfig(config));
     }
@@ -108,7 +109,7 @@ std::vector<Solution> CandidateSelector::dpReference(
     std::vector<Solution> childFront = dpReference(child.get(), lists, stats);
     front = filterByAlpha(
         combine(front, childFront, params_.areaBudgetUm2, params_.clockRatio,
-                &stats.combinePairs),
+                &stats),
         params_.alpha);
     notePeak(stats, front.size());
   }
@@ -118,7 +119,7 @@ std::vector<Solution> CandidateSelector::dpReference(
     for (const accel::AcceleratorConfig& config :
          candidatesFor(lists, region)) {
       ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
+      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
       ++stats.singleConfigSolutions;
       front.push_back(Solution::fromConfig(config));
     }
@@ -130,7 +131,8 @@ std::vector<Solution> CandidateSelector::dpReference(
 }
 
 size_t CandidateSelector::dpFrontier(const Region* region,
-                                     const CandidateLists& lists, Stats& stats,
+                                     const CandidateLists& lists,
+                                     SelectStats& stats,
                                      SolutionArena& arena,
                                      std::vector<FrontierEntry>& buffer) const {
   ++stats.regionsVisited;
@@ -151,7 +153,7 @@ size_t CandidateSelector::dpFrontier(const Region* region,
     for (const accel::AcceleratorConfig& config :
          candidatesFor(lists, region)) {
       ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
+      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
       ++stats.singleConfigSolutions;
       buffer.push_back(entryFromConfig(config, params_.clockRatio, arena));
     }
@@ -164,7 +166,7 @@ size_t CandidateSelector::dpFrontier(const Region* region,
   for (const auto& child : region->children()) {
     size_t childBegin = dpFrontier(child.get(), lists, stats, arena, buffer);
     combine(buffer, begin, childBegin, params_.areaBudgetUm2,
-            params_.clockRatio, params_.alpha, arena, &stats.combinePairs);
+            params_.clockRatio, params_.alpha, arena, &stats);
     notePeak(stats, buffer.size() - begin);
   }
 
@@ -172,7 +174,7 @@ size_t CandidateSelector::dpFrontier(const Region* region,
     for (const accel::AcceleratorConfig& config :
          candidatesFor(lists, region)) {
       ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
+      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
       ++stats.singleConfigSolutions;
       buffer.push_back(entryFromConfig(config, params_.clockRatio, arena));
     }
@@ -183,11 +185,11 @@ size_t CandidateSelector::dpFrontier(const Region* region,
   return begin;
 }
 
-std::vector<Solution> CandidateSelector::select(Stats& stats) const {
+std::vector<Solution> CandidateSelector::select(SelectStats& stats) const {
   return run(stats, /*winnerOnly=*/false);
 }
 
-Solution CandidateSelector::best(Stats& stats) const {
+Solution CandidateSelector::best(SelectStats& stats) const {
   std::vector<Solution> winner = run(stats, /*winnerOnly=*/true);
   return winner.empty() ? Solution{} : std::move(winner.front());
 }
@@ -212,9 +214,9 @@ ptrdiff_t winnerIndex(const Front& front, Saved saved) {
 
 }  // namespace
 
-std::vector<Solution> CandidateSelector::run(Stats& stats,
+std::vector<Solution> CandidateSelector::run(SelectStats& stats,
                                              bool winnerOnly) const {
-  stats = Stats{};
+  stats = SelectStats{};
   // Candidate generation first, outside the span: it is memoized model work
   // shared by every budget sweep and both DP engines, and folding its cold
   // first computation into select.dp made the DP look ~5x more expensive

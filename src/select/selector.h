@@ -49,41 +49,27 @@ class CandidateSelector {
                     SelectorParams params)
       : model_(model), params_(params) {}
 
-  struct Stats {
-    int regionsVisited = 0;
-    int regionsPruned = 0;
-    int configsGenerated = 0;
-    /// ⊗ pairs admitted under the area budget across all combines.
-    uint64_t combinePairs = 0;
-    /// Single-config solutions created (arena leaves in frontier mode).
-    uint64_t singleConfigSolutions = 0;
-    /// Largest post-filter front either DP path carried.
-    size_t frontPeak = 0;
-
-    /// Reconstruction-arena size the run implies: one node per leaf plus
-    /// one per admitted merge. Counted identically in both modes so
-    /// exported metrics stay byte-identical across SelectMode.
-    uint64_t arenaNodes() const { return singleConfigSolutions + combinePairs; }
-  };
+  /// Old name of SelectStats, still used by perfbench/walk.cpp.
+  using Stats = SelectStats;
 
   /// Runs Algorithm 1 and returns F[root]: the Pareto-optimal solution
   /// sequence under the area budget, ascending in area. Stats accumulate
   /// into the caller-owned `stats`, so one selector can run concurrently
   /// from several threads (the model's generate cache is internally
   /// synchronized; the selector itself holds no mutable state).
-  std::vector<Solution> select(Stats& stats) const;
+  std::vector<Solution> select(SelectStats& stats) const;
 
   /// The single best solution under the budget: the first element of
   /// select() with the strictly largest savedCycles above 0, or the empty
   /// solution when nothing saves cycles. Same DP, stats and counters as
   /// select(); the frontier engine materializes only the winner.
-  Solution best(Stats& stats) const;
+  Solution best(SelectStats& stats) const;
 
   /// Convenience wrappers recording into the selector-owned stats block.
   /// Single-threaded use only; `stats()` reads back the last run.
   std::vector<Solution> select() { return select(stats_); }
   Solution best() { return best(stats_); }
-  const Stats& stats() const { return stats_; }
+  const SelectStats& stats() const { return stats_; }
 
   const SelectorParams& params() const { return params_; }
 
@@ -96,7 +82,7 @@ class CandidateSelector {
   /// select() and best(): Algorithm 1 plus the select.* counters. Returns
   /// the whole root front, or with `winnerOnly` just best()'s pick (empty
   /// when nothing saves cycles).
-  std::vector<Solution> run(Stats& stats, bool winnerOnly) const;
+  std::vector<Solution> run(SelectStats& stats, bool winnerOnly) const;
 
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;
@@ -120,19 +106,19 @@ class CandidateSelector {
 
   std::vector<Solution> dpReference(const analysis::Region* region,
                                     const CandidateLists& lists,
-                                    Stats& stats) const;
+                                    SelectStats& stats) const;
   /// The frontier DP over one scratch stack: pushes F[region] onto the top
   /// of `buffer` and returns its begin offset (the front ends at
   /// buffer.size()). Children's fronts are pushed above the parent's and
   /// consumed by combine() in place, so no region allocates.
   size_t dpFrontier(const analysis::Region* region,
-                    const CandidateLists& lists, Stats& stats,
+                    const CandidateLists& lists, SelectStats& stats,
                     SolutionArena& arena,
                     std::vector<FrontierEntry>& buffer) const;
 
   const accel::AcceleratorModel& model_;
   SelectorParams params_;
-  Stats stats_;
+  SelectStats stats_;
 };
 
 }  // namespace cayman::select

@@ -50,8 +50,10 @@ TEST(ParallelOverlapTest, InjectedStallsOverlapAcrossWorkloads) {
   // The stalls overlapped: two cold generations were in flight at once ...
   EXPECT_GE(accel::coldGenerationInflightPeak(), 2);
 
-  // ... and the wall clock proves it. 0.6 leaves 10% of the serial time as
-  // scheduling slack over the perfect-overlap ratio of ~0.5.
+  // ... and the wall clock proves it. Whole workloads are the only tasks,
+  // so the best jobs=2 ratio is atax's stalled time over atax's plus
+  // bicg's: about 0.58, set by the two workloads' region counts. 0.6
+  // leaves about 2% of the serial time as scheduling slack.
   EXPECT_LE(parallelSeconds, 0.6 * serialSeconds)
       << "jobs=2 took " << parallelSeconds << "s vs jobs=1 "
       << serialSeconds << "s";

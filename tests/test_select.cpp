@@ -441,22 +441,22 @@ TEST(FrontierTest, CombineWithEmptyFrontIsIdentity) {
       buffer.insert(buffer.end(), front.begin(), front.end());
       if (!emptyOnLeft) buffer.emplace_back();
       const size_t split = emptyOnLeft ? 1 : front.size();
-      uint64_t pairs = 0;
+      SelectStats pairs;
       combine(buffer, 0, split, 1e9, kRatio, kAlpha, arena, &pairs);
       SCOPED_TRACE(std::string("seed ") + std::to_string(seed) +
                    (emptyOnLeft ? " {∅} ⊗ F" : " F ⊗ {∅}"));
-      EXPECT_EQ(pairs, front.size());
+      EXPECT_EQ(pairs.combinePairs, front.size());
       expectSameEntries(front, buffer, arena);
       // ...which is also what the reference ⊗ + α-filter produce.
       const std::vector<Solution> emptyFront{Solution{}};
-      uint64_t referencePairs = 0;
+      SelectStats referencePairs;
       std::vector<Solution> reference = filterByAlpha(
           emptyOnLeft ? combine(emptyFront, solutionFront, 1e9, kRatio,
                                 &referencePairs)
                       : combine(solutionFront, emptyFront, 1e9, kRatio,
                                 &referencePairs),
           kAlpha);
-      EXPECT_EQ(pairs, referencePairs);
+      EXPECT_EQ(pairs.combinePairs, referencePairs.combinePairs);
       expectSameFront(reference, buffer, arena);
       // Every pair is a new arena node, so no survivor is flagged empty().
       for (const FrontierEntry& entry : buffer) EXPECT_FALSE(entry.empty());
@@ -664,13 +664,13 @@ TEST(SelectorTest, DeepTreeStackGrowthMatchesReference) {
   SelectPipeline p(loopTreeKernel(6), 2e5);
   p.params.pruneHotFraction = 0.0;
   std::vector<Solution> frontier;
-  CandidateSelector::Stats frontierStats;
+  SelectStats frontierStats;
   std::thread([&] {
     frontier = CandidateSelector(p.model, p.params).select(frontierStats);
   }).join();
   SelectorParams reference = p.params;
   reference.mode = SelectMode::Reference;
-  CandidateSelector::Stats referenceStats;
+  SelectStats referenceStats;
   std::vector<Solution> expected =
       CandidateSelector(p.model, reference).select(referenceStats);
 

@@ -25,8 +25,8 @@ void expectBitExact(const Solution& a, const Solution& b,
   }
 }
 
-void expectSameStats(const CandidateSelector::Stats& a,
-                     const CandidateSelector::Stats& b,
+void expectSameStats(const SelectStats& a,
+                     const SelectStats& b,
                      const std::string& context) {
   EXPECT_EQ(a.regionsVisited, b.regionsVisited) << context;
   EXPECT_EQ(a.regionsPruned, b.regionsPruned) << context;
@@ -34,6 +34,8 @@ void expectSameStats(const CandidateSelector::Stats& a,
   EXPECT_EQ(a.combinePairs, b.combinePairs) << context;
   EXPECT_EQ(a.singleConfigSolutions, b.singleConfigSolutions) << context;
   EXPECT_EQ(a.frontPeak, b.frontPeak) << context;
+  EXPECT_EQ(a.budgetBound, b.budgetBound) << context;
+  EXPECT_EQ(a.maxAdmittedAreaUm2, b.maxAdmittedAreaUm2) << context;
 }
 
 // Every workload, several budgets, several alphas: the full Algorithm 1
@@ -53,12 +55,12 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
 
         params.mode = SelectMode::Frontier;
         CandidateSelector frontier(fw.model(), params);
-        CandidateSelector::Stats frontierStats;
+        SelectStats frontierStats;
         std::vector<Solution> frontierFront = frontier.select(frontierStats);
 
         params.mode = SelectMode::Reference;
         CandidateSelector reference(fw.model(), params);
-        CandidateSelector::Stats referenceStats;
+        SelectStats referenceStats;
         std::vector<Solution> referenceFront =
             reference.select(referenceStats);
 
@@ -82,16 +84,20 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
 }
 
 /// Runs select() and best() in both DP engines on `model` and demands the
-/// fronts, the winners and every Stats field agree bit for bit.
+/// fronts, the winners and every Stats field agree bit for bit. A run the
+/// budget does not bind must also equal the run at an unbounded budget, in
+/// winner and largest admitted area: the selection memo serves it there.
+/// Such runs are counted into `rejectionFree`.
 void expectEnginesAgree(const accel::AcceleratorModel& model,
-                        SelectorParams params, const std::string& context) {
+                        SelectorParams params, const std::string& context,
+                        int& rejectionFree) {
   params.mode = SelectMode::Frontier;
   CandidateSelector frontier(model, params);
   params.mode = SelectMode::Reference;
   CandidateSelector reference(model, params);
 
-  CandidateSelector::Stats frontierStats;
-  CandidateSelector::Stats referenceStats;
+  SelectStats frontierStats;
+  SelectStats referenceStats;
   std::vector<Solution> frontierFront = frontier.select(frontierStats);
   std::vector<Solution> referenceFront = reference.select(referenceStats);
   ASSERT_EQ(frontierFront.size(), referenceFront.size()) << context;
@@ -105,6 +111,26 @@ void expectEnginesAgree(const accel::AcceleratorModel& model,
   Solution referenceBest = reference.best(referenceStats);
   expectBitExact(frontierBest, referenceBest, context + " best");
   expectSameStats(frontierStats, referenceStats, context + " best");
+
+  if (frontierStats.budgetBound) return;
+  ++rejectionFree;
+  EXPECT_LE(frontierStats.maxAdmittedAreaUm2, params.areaBudgetUm2) << context;
+  for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
+    SelectorParams unbounded = params;
+    unbounded.areaBudgetUm2 = 1e30;
+    unbounded.mode = mode;
+    SelectStats unboundedStats;
+    Solution unboundedBest =
+        CandidateSelector(model, unbounded).best(unboundedStats);
+    const std::string where = context + " unbounded" +
+                              (mode == SelectMode::Frontier ? " frontier"
+                                                            : " reference");
+    expectBitExact(unboundedBest, frontierBest, where);
+    EXPECT_FALSE(unboundedStats.budgetBound) << where;
+    EXPECT_EQ(unboundedStats.maxAdmittedAreaUm2,
+              frontierStats.maxAdmittedAreaUm2)
+        << where;
+  }
 }
 
 // A design-space explorer's budget grid — twelve points over [0.02, 1.0],
@@ -112,6 +138,8 @@ void expectEnginesAgree(const accel::AcceleratorModel& model,
 // one-entry {∅} front — for the Cayman model and the QsCores baseline's
 // restricted model, which runs the same selector.
 TEST(SelectDifferentialTest, FrontierMatchesReferenceOnBudgetGrid) {
+  int caymanRejectionFree = 0;
+  int qscoresRejectionFree = 0;
   for (const workloads::WorkloadInfo& info : workloads::all()) {
     Framework fw(info.build());
     for (int step = 0; step < 12; ++step) {
@@ -122,10 +150,15 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnBudgetGrid) {
       params.clockRatio = fw.options().clockRatio();
       const std::string context =
           info.name + " budget " + std::to_string(budgetRatio);
-      expectEnginesAgree(fw.model(), params, context + " cayman");
-      expectEnginesAgree(fw.qscores().model(), params, context + " qscores");
+      expectEnginesAgree(fw.model(), params, context + " cayman",
+                         caymanRejectionFree);
+      expectEnginesAgree(fw.qscores().model(), params, context + " qscores",
+                         qscoresRejectionFree);
     }
   }
+  // The grid exercises the unbounded comparison on both models.
+  EXPECT_GT(caymanRejectionFree, 0);
+  EXPECT_GT(qscoresRejectionFree, 0);
 }
 
 /// best()'s contract spelled out over select()'s front: the first element
@@ -160,8 +193,8 @@ TEST(SelectDifferentialTest, BestIsBestOfSelectOnAllWorkloads) {
         params.clockRatio = ratio;
         params.mode = mode;
         CandidateSelector selector(fw.model(), params);
-        CandidateSelector::Stats selectStats;
-        CandidateSelector::Stats bestStats;
+        SelectStats selectStats;
+        SelectStats bestStats;
         Solution expected = bestOfFront(selector.select(selectStats), ratio);
         Solution best = selector.best(bestStats);
         std::string where = context + (mode == SelectMode::Frontier
@@ -191,7 +224,7 @@ TEST(SelectDifferentialTest, BestIsEmptyWhenNothingSavesCycles) {
     params.clockRatio = ratio;
     params.mode = mode;
     CandidateSelector selector(fw.model(), params);
-    CandidateSelector::Stats stats;
+    SelectStats stats;
     std::vector<Solution> front = selector.select(stats);
     ASSERT_FALSE(front.empty());
     for (const Solution& s : front) EXPECT_LE(s.savedCycles(ratio), 0.0);
@@ -269,8 +302,8 @@ TEST(SelectDifferentialTest, RandomizedCombineEquivalence) {
     ASSERT_EQ(b.solutions.size(), b.entries.size());
 
     for (double budget : {150.0, 600.0, 1e9}) {
-      uint64_t solutionPairs = 0;
-      uint64_t entryPairs = 0;
+      SelectStats solutionPairs;
+      SelectStats entryPairs;
       std::vector<Solution> sCombined = combine(
           a.solutions, b.solutions, budget, kRatio, &solutionPairs);
       std::vector<FrontierEntry> eCombined = combine(
@@ -278,8 +311,13 @@ TEST(SelectDifferentialTest, RandomizedCombineEquivalence) {
       std::string context = "seed " + std::to_string(seed) + " budget " +
                             std::to_string(budget);
       // The early budget break-out must admit exactly the pairs the
-      // reference's per-pair filter admits.
-      EXPECT_EQ(solutionPairs, entryPairs) << context;
+      // reference's per-pair filter admits, and see the same rejections.
+      EXPECT_EQ(solutionPairs.combinePairs, entryPairs.combinePairs)
+          << context;
+      EXPECT_EQ(solutionPairs.budgetBound, entryPairs.budgetBound) << context;
+      EXPECT_EQ(solutionPairs.maxAdmittedAreaUm2,
+                entryPairs.maxAdmittedAreaUm2)
+          << context;
       ASSERT_EQ(sCombined.size(), eCombined.size()) << context;
       for (size_t i = 0; i < sCombined.size(); ++i) {
         Solution materialized = materialize(eCombined[i], arena);
