@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
+#include "ir/verifier.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -73,6 +74,29 @@ void BM_WPstConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WPstConstruction);
+
+// The pipeline's static side for the whole suite, as Framework runs it:
+// build each of the 28 workloads, verify it once, and build its wPST with
+// the per-function analyses (CFG, dominators, loops, SCEV, memory
+// dependences) that both accelerator models then share.
+void BM_AnalyzeWorkloads(benchmark::State& state) {
+  std::vector<std::string> names;
+  for (const workloads::WorkloadInfo& info : workloads::all()) {
+    names.push_back(info.name);
+  }
+  uint64_t regions = 0;
+  for (auto _ : state) {
+    for (const std::string& name : names) {
+      std::unique_ptr<ir::Module> module = workloads::build(name);
+      ir::verifyOrThrow(*module);
+      analysis::WPst wpst(*module);
+      regions += wpst.allRegions().size();
+    }
+  }
+  state.counters["regions/s"] = benchmark::Counter(
+      static_cast<double>(regions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AnalyzeWorkloads);
 
 void BM_ScalarEvolutionAndDeps(benchmark::State& state) {
   auto module = workloads::build("3mm");

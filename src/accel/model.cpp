@@ -57,22 +57,12 @@ AcceleratorModel::AcceleratorModel(const analysis::WPst& wpst,
       tech_(tech),
       scheduler_(tech, timing, params.clockNs),
       params_(std::move(params)),
-      generateSlots_(wpst.allRegions().size()) {
-  for (const auto& function : wpst.module().functions()) {
-    analyses_.emplace(function.get(),
-                      std::make_unique<KernelAnalyses>(
-                          *function, wpst.analyses(function.get())));
-  }
-}
-
-const KernelAnalyses& AcceleratorModel::analysesFor(
-    const ir::Function* function) const {
-  return *analyses_.at(function);
-}
+      generateSlots_(wpst.allRegions().size()) {}
 
 double AcceleratorModel::tripCount(const Loop* loop) const {
-  const KernelAnalyses& ka = analysesFor(loop->header()->parent());
-  analysis::TripCount staticTrip = ka.scev.tripCount(loop);
+  const analysis::FunctionAnalyses& fa =
+      analysesFor(loop->header()->parent());
+  analysis::TripCount staticTrip = fa.scev.tripCount(loop);
   if (staticTrip.known) return static_cast<double>(staticTrip.value);
   double profiled = profile_.avgTripCount(loop);
   if (profiled > 0.0) return profiled;
@@ -98,13 +88,13 @@ bool AcceleratorModel::isPipelineable(const Region* loopRegion) const {
 }
 
 bool AcceleratorModel::canUnroll(const Loop* loop,
-                                 const KernelAnalyses& ka) const {
+                                 const analysis::FunctionAnalyses& fa) const {
   // Unrolling is legal for dependence-free loops, and for reductions —
   // scalar accumulators and loop-invariant memory accumulators unroll into
   // per-lane partial sums combined after the loop (HLS tree reduction).
-  for (const analysis::LoopCarriedDep& dep : ka.mem.carriedDeps(loop)) {
+  for (const analysis::LoopCarriedDep& dep : fa.mem.carriedDeps(loop)) {
     if (dep.kind == analysis::LoopCarriedDep::Kind::Scalar) continue;
-    const analysis::MemAccessInfo* info = ka.mem.infoFor(dep.src);
+    const analysis::MemAccessInfo* info = fa.mem.infoFor(dep.src);
     if (info != nullptr && info->addr.valid &&
         info->addr.offset.isStreamIn(loop) &&
         info->addr.offset.coeffForLoop(loop) == 0) {
@@ -119,14 +109,14 @@ bool AcceleratorModel::canUnroll(const Loop* loop,
 /// statically-known address and that every same-array access inside the
 /// loop hits that same address (no aliasing partner to forward through
 /// memory).
-bool AcceleratorModel::isPromotable(const ir::Instruction* access,
-                                    const Loop* loop,
-                                    const KernelAnalyses& ka) const {
-  const analysis::MemAccessInfo* info = ka.mem.infoFor(access);
+bool AcceleratorModel::isPromotable(
+    const ir::Instruction* access, const Loop* loop,
+    const analysis::FunctionAnalyses& fa) const {
+  const analysis::MemAccessInfo* info = fa.mem.infoFor(access);
   if (info == nullptr || !info->addr.valid) return false;
   const analysis::Affine& addr = info->addr.offset;
   if (!addr.isStreamIn(loop) || addr.coeffForLoop(loop) != 0) return false;
-  for (const analysis::MemAccessInfo& other : ka.mem.accesses()) {
+  for (const analysis::MemAccessInfo& other : fa.mem.accesses()) {
     if (other.inst == access) continue;
     if (!loop->contains(other.inst->parent())) continue;
     if (!other.addr.valid) return false;  // may alias anything
@@ -142,7 +132,7 @@ bool AcceleratorModel::isPromotable(const ir::Instruction* access,
 std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
     const Region* region, unsigned unroll, bool optimize) const {
   std::vector<LoopConfig> configs;
-  const KernelAnalyses& ka = analysesFor(region->function());
+  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
   region->walk([&](const Region& r) {
     if (r.kind() != RegionKind::Loop) return;
     LoopConfig lc;
@@ -150,7 +140,7 @@ std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
     if (optimize) {
       bool pipelineable = isPipelineable(&r);
       lc.unroll = (params_.allowUnrolling && pipelineable &&
-                   canUnroll(r.loop(), ka))
+                   canUnroll(r.loop(), fa))
                       ? unroll
                       : 1;
       lc.pipelined = params_.allowPipelining && pipelineable;
@@ -163,20 +153,19 @@ std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
 std::vector<AcceleratorModel::AccessFacts> AcceleratorModel::accessFacts(
     const Region* region) const {
   std::vector<AccessFacts> facts;
-  const KernelAnalyses& ka = analysesFor(region->function());
-  const analysis::FunctionAnalyses& fa = wpst_.analyses(region->function());
+  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
   uint64_t entries = std::max<uint64_t>(1, profile_.entries(region));
   for (const ir::BasicBlock* block : region->blocks()) {
     for (const auto& inst : block->instructions()) {
       if (!inst->isMemoryAccess()) continue;
-      const analysis::MemAccessInfo* info = ka.mem.infoFor(inst.get());
+      const analysis::MemAccessInfo* info = fa.mem.infoFor(inst.get());
       AccessFacts f;
       f.inst = inst.get();
       f.array = info != nullptr && info->addr.valid ? info->addr.base : nullptr;
       f.countPerEntry = static_cast<double>(profile_.blockCount(block)) /
                         static_cast<double>(entries);
       f.loop = fa.loops.loopFor(block);
-      f.footprintElems = ka.mem.footprintElems(inst.get(), region,
+      f.footprintElems = fa.mem.footprintElems(inst.get(), region,
                                                params_.unknownTripFallback);
       facts.push_back(f);
     }
@@ -195,7 +184,7 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
     const Region* region, std::vector<AccessFacts>& facts,
     const std::vector<LoopConfig>& loops) const {
   hls::IfaceAssignment assignment;
-  const KernelAnalyses& ka = analysesFor(region->function());
+  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
 
   auto loopConfig = [&](const Loop* loop) -> const LoopConfig* {
     for (const LoopConfig& lc : loops) {
@@ -215,7 +204,7 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
     // Register promotion inside pipelined loops: a loop-invariant scalar
     // slot is held in a register; the load/store bracket the loop.
     if (pipelined && !f.promotable.has_value()) {
-      f.promotable = isPromotable(f.inst, f.loop, ka);
+      f.promotable = isPromotable(f.inst, f.loop, fa);
     }
     if (pipelined && *f.promotable) {
       iface.promoted = true;
@@ -241,7 +230,7 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
 
     // Decoupled rule: stream accesses inside pipelined loops reach II=1.
     if (params_.allowDecoupled && pipelined) {
-      if (!f.stream.has_value()) f.stream = ka.mem.isStream(f.inst, f.loop);
+      if (!f.stream.has_value()) f.stream = fa.mem.isStream(f.inst, f.loop);
       if (*f.stream) {
         iface.kind = hls::IfaceKind::Decoupled;
         return iface;
@@ -405,7 +394,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateReference(
 double AcceleratorModel::iiTreeTerm(
     const Region* region, const std::vector<LoopConfig>& loops,
     const hls::IfaceAssignment& ifaces) const {
-  const KernelAnalyses& ka = analysesFor(region->function());
+  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
   double total = 0.0;
   region->walk([&](const Region& r) {
     if (r.kind() != RegionKind::Loop) return;
@@ -435,7 +424,7 @@ double AcceleratorModel::iiTreeTerm(
     double iterations = std::ceil(tripCount(r.loop()) /
                                   static_cast<double>(unroll));
     unsigned ii = std::max(
-        scheduler_.recMII(ka.mem.carriedDeps(r.loop()), ifaces),
+        scheduler_.recMII(fa.mem.carriedDeps(r.loop()), ifaces),
         scheduler_.resMII(*body, ifaces, unroll));
     double perEntry = static_cast<double>(hls::Scheduler::pipelinedCycles(
         static_cast<uint64_t>(iterations), 0, ii));
@@ -620,7 +609,7 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
     const Region* region, const AcceleratorConfig& config,
     unsigned unrollContext) const {
   Estimate e;
-  const KernelAnalyses& ka = analysesFor(region->function());
+  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
 
   switch (region->kind()) {
     case RegionKind::Bb: {
@@ -662,7 +651,7 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
             scheduleBlockCached(*body, config.ifaces, width, uncached);
         unsigned depth = sched.latency + 1;  // +1: IV/exit-condition stage
         unsigned ii = std::max(
-            scheduler_.recMII(ka.mem.carriedDeps(loop), config.ifaces),
+            scheduler_.recMII(fa.mem.carriedDeps(loop), config.ifaces),
             scheduler_.resMII(*body, config.ifaces, width));
         double perEntry =
             static_cast<double>(hls::Scheduler::pipelinedCycles(

@@ -70,16 +70,6 @@ struct ModelParams {
   ThreadPool* pool = nullptr;
 };
 
-/// Per-function analysis bundle the model consumes.
-struct KernelAnalyses {
-  KernelAnalyses(const ir::Function& function,
-                 const analysis::FunctionAnalyses& fa)
-      : scev(function, fa), mem(function, fa, scev) {}
-
-  analysis::ScalarEvolution scev;
-  analysis::MemoryAnalysis mem;
-};
-
 class AcceleratorModel {
  public:
   AcceleratorModel(const analysis::WPst& wpst, const sim::ProfileData& profile,
@@ -111,8 +101,12 @@ class AcceleratorModel {
   /// Re-estimates (cycles, area, counters) for a fully-specified config.
   void estimate(AcceleratorConfig& config) const;
 
-  /// Analyses for the function owning `region`.
-  const KernelAnalyses& analysesFor(const ir::Function* function) const;
+  /// The wPST's analyses of `function` (shared with every other model built
+  /// on the same wPST).
+  const analysis::FunctionAnalyses& analysesFor(
+      const ir::Function* function) const {
+    return wpst_.analyses(function);
+  }
 
   /// Effective trip count of a loop (static, else profiled, else fallback).
   double tripCount(const analysis::Loop* loop) const;
@@ -180,9 +174,10 @@ class AcceleratorModel {
   Estimate estimateRegion(const analysis::Region* region,
                           const AcceleratorConfig& config,
                           unsigned unrollContext) const;
-  bool canUnroll(const analysis::Loop* loop, const KernelAnalyses& ka) const;
+  bool canUnroll(const analysis::Loop* loop,
+                 const analysis::FunctionAnalyses& fa) const;
   bool isPromotable(const ir::Instruction* access, const analysis::Loop* loop,
-                    const KernelAnalyses& ka) const;
+                    const analysis::FunctionAnalyses& fa) const;
 
   /// What estimate() charges for a config's interfaces, gathered in one
   /// program-order pass over the region's memory accesses.
@@ -222,7 +217,6 @@ class AcceleratorModel {
   const hls::TechLibrary& tech_;
   hls::Scheduler scheduler_;
   ModelParams params_;
-  std::map<const ir::Function*, std::unique_ptr<KernelAnalyses>> analyses_;
   mutable std::atomic<uint64_t> estimateCalls_{0};
   mutable std::atomic<uint64_t> candidatesTotal_{0};
 

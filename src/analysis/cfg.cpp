@@ -1,24 +1,33 @@
 #include "analysis/cfg.h"
 
-#include <set>
-
 namespace cayman::analysis {
 
-Cfg::Cfg(const ir::Function& function) : function_(function) {
-  // Iterative DFS producing post-order, then reverse it.
-  std::set<const ir::BasicBlock*> visited;
+Cfg::Cfg(const ir::Function& function)
+    : function_(function),
+      preds_(function.numBlocks()),
+      rpoIndex_(function.numBlocks(), -1) {
+  // Iterative DFS producing post-order, then reverse it. rpoIndex_ doubles
+  // as the visited mark (0 = on the stack or finished) until it is filled.
   std::vector<std::pair<const ir::BasicBlock*, size_t>> stack;
   std::vector<const ir::BasicBlock*> postOrder;
+  postOrder.reserve(function.numBlocks());
 
   const ir::BasicBlock* entry = function.entry();
   stack.emplace_back(entry, 0);
-  visited.insert(entry);
+  rpoIndex_[entry->index()] = 0;
   while (!stack.empty()) {
     auto& [block, nextSucc] = stack.back();
-    std::vector<const ir::BasicBlock*> succs = successors(block);
+    const ir::Instruction* term = block->terminator();
+    CAYMAN_ASSERT(term != nullptr, "unterminated block in Cfg");
+    auto succs = term->successors();
     if (nextSucc < succs.size()) {
       const ir::BasicBlock* succ = succs[nextSucc++];
-      if (visited.insert(succ).second) stack.emplace_back(succ, 0);
+      CAYMAN_ASSERT(succ->parent() == &function,
+                    "branch to a block of another function in Cfg");
+      if (rpoIndex_[succ->index()] < 0) {
+        rpoIndex_[succ->index()] = 0;
+        stack.emplace_back(succ, 0);
+      }
     } else {
       postOrder.push_back(block);
       stack.pop_back();
@@ -26,28 +35,16 @@ Cfg::Cfg(const ir::Function& function) : function_(function) {
   }
   rpo_.assign(postOrder.rbegin(), postOrder.rend());
   for (size_t i = 0; i < rpo_.size(); ++i) {
-    rpoIndex_[rpo_[i]] = static_cast<int>(i);
+    rpoIndex_[rpo_[i]->index()] = static_cast<int>(i);
   }
 
   for (const ir::BasicBlock* block : rpo_) {
     const ir::Instruction* term = block->terminator();
-    CAYMAN_ASSERT(term != nullptr, "unterminated block in Cfg");
     if (term->opcode() == ir::Opcode::Ret) exits_.push_back(block);
     for (const ir::BasicBlock* succ : term->successors()) {
-      preds_[succ].push_back(block);
+      preds_[succ->index()].push_back(block);
     }
   }
-}
-
-const std::vector<const ir::BasicBlock*>& Cfg::predecessors(
-    const ir::BasicBlock* block) const {
-  auto it = preds_.find(block);
-  return it == preds_.end() ? empty_ : it->second;
-}
-
-int Cfg::rpoIndex(const ir::BasicBlock* block) const {
-  auto it = rpoIndex_.find(block);
-  return it == rpoIndex_.end() ? -1 : it->second;
 }
 
 }  // namespace cayman::analysis

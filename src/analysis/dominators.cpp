@@ -1,23 +1,23 @@
 #include "analysis/dominators.h"
 
-#include <algorithm>
-#include <functional>
-
 namespace cayman::analysis {
 
 namespace {
 
-/// Generic CHK solver over an abstract graph given by ordered nodes (root
-/// first in "rpo"), and a predecessor functor.
-std::map<const ir::BasicBlock*, const ir::BasicBlock*> solve(
-    const std::vector<const ir::BasicBlock*>& order,
-    const std::function<std::vector<const ir::BasicBlock*>(
-        const ir::BasicBlock*)>& preds) {
-  std::map<const ir::BasicBlock*, int> index;
+/// Cooper–Harvey–Kennedy over dense node ids. `order` lists the nodes
+/// reachable from the root in reverse post-order, root first;
+/// `forEachPred(node, visit)` calls `visit(pred)` for every predecessor
+/// node. Returns each node's immediate dominator (-1 for the root and for
+/// nodes not in `order`).
+template <typename ForEachPred>
+std::vector<int> solve(const std::vector<int>& order, size_t numNodes,
+                       ForEachPred&& forEachPred) {
+  std::vector<int> position(numNodes, -1);
   for (size_t i = 0; i < order.size(); ++i) {
-    index[order[i]] = static_cast<int>(i);
+    position[static_cast<size_t>(order[i])] = static_cast<int>(i);
   }
 
+  // Immediate dominators by position in `order`.
   std::vector<int> idom(order.size(), -1);
   if (!order.empty()) idom[0] = 0;
 
@@ -34,13 +34,12 @@ std::map<const ir::BasicBlock*, const ir::BasicBlock*> solve(
     changed = false;
     for (size_t i = 1; i < order.size(); ++i) {
       int newIdom = -1;
-      for (const ir::BasicBlock* pred : preds(order[i])) {
-        auto it = index.find(pred);
-        if (it == index.end()) continue;  // unreachable predecessor
-        int p = it->second;
-        if (idom[static_cast<size_t>(p)] < 0) continue;
+      forEachPred(order[i], [&](int predNode) {
+        int p = position[static_cast<size_t>(predNode)];
+        if (p < 0) return;  // outside the graph reachable from the root
+        if (idom[static_cast<size_t>(p)] < 0) return;
         newIdom = newIdom < 0 ? p : intersect(newIdom, p);
-      }
+      });
       if (newIdom >= 0 && idom[i] != newIdom) {
         idom[i] = newIdom;
         changed = true;
@@ -48,110 +47,126 @@ std::map<const ir::BasicBlock*, const ir::BasicBlock*> solve(
     }
   }
 
-  std::map<const ir::BasicBlock*, const ir::BasicBlock*> result;
+  std::vector<int> result(numNodes, -1);
   for (size_t i = 1; i < order.size(); ++i) {
-    if (idom[i] >= 0) result[order[i]] = order[static_cast<size_t>(idom[i])];
+    if (idom[i] >= 0) {
+      result[static_cast<size_t>(order[i])] =
+          order[static_cast<size_t>(idom[i])];
+    }
   }
-  if (!order.empty()) result[order[0]] = nullptr;
   return result;
 }
 
 }  // namespace
 
 DominatorTree DominatorTree::dominators(const Cfg& cfg) {
+  std::vector<int> order;
+  order.reserve(cfg.rpo().size());
+  for (const ir::BasicBlock* block : cfg.rpo()) {
+    order.push_back(static_cast<int>(block->index()));
+  }
+  const ir::Function& function = cfg.function();
+  std::vector<int> idomNode =
+      solve(order, cfg.numBlocks(), [&](int node, auto&& visit) {
+        const ir::BasicBlock* block =
+            function.blocks()[static_cast<size_t>(node)].get();
+        for (const ir::BasicBlock* pred : cfg.predecessors(block)) {
+          visit(static_cast<int>(pred->index()));
+        }
+      });
   DominatorTree tree;
-  tree.idom_ = solve(cfg.rpo(), [&cfg](const ir::BasicBlock* b) {
-    return cfg.predecessors(b);
-  });
-  tree.computeIntervals();
+  tree.build(cfg, idomNode, order.empty() ? -1 : order[0]);
   return tree;
 }
 
 DominatorTree DominatorTree::postDominators(const Cfg& cfg) {
-  // Build order: post-order of the forward CFG approximates an RPO of the
-  // reverse CFG. We instead run a reverse DFS from the exits.
-  // Virtual exit handling: treat all Ret blocks as roots.
-  std::vector<const ir::BasicBlock*> order;
-  std::map<const ir::BasicBlock*, bool> visited;
-  // Iterative DFS on reversed edges.
-  std::vector<std::pair<const ir::BasicBlock*, size_t>> stack;
-  for (const ir::BasicBlock* exit : cfg.exitBlocks()) {
-    if (visited[exit]) continue;
-    stack.emplace_back(exit, 0);
-    visited[exit] = true;
-    std::vector<const ir::BasicBlock*> postOrder;
-    while (!stack.empty()) {
-      auto& [block, next] = stack.back();
-      const auto& preds = cfg.predecessors(block);
-      if (next < preds.size()) {
-        const ir::BasicBlock* pred = preds[next++];
-        if (!visited[pred]) {
-          visited[pred] = true;
-          stack.emplace_back(pred, 0);
-        }
-      } else {
-        postOrder.push_back(block);
-        stack.pop_back();
-      }
-    }
-    order.insert(order.end(), postOrder.rbegin(), postOrder.rend());
-  }
+  // Reverse CFG rooted at a virtual exit (node id = block count) whose
+  // reverse-graph successors are the Ret blocks; order = its reverse
+  // post-order.
+  const ir::Function& function = cfg.function();
+  const size_t numBlocks = cfg.numBlocks();
+  const int virtualExit = static_cast<int>(numBlocks);
+  auto block = [&](int node) {
+    return function.blocks()[static_cast<size_t>(node)].get();
+  };
 
-  DominatorTree tree;
-  if (cfg.exitBlocks().size() == 1) {
-    tree.idom_ = solve(order, [&cfg](const ir::BasicBlock* b) {
-      auto succs = b->successors();
-      return std::vector<const ir::BasicBlock*>(succs.begin(), succs.end());
-    });
-  } else {
-    // Multiple exits: prepend a virtual root. We emulate it by solving with
-    // each exit as an initialized root; the CHK loop needs a single root, so
-    // we instead solve on an augmented order where exits' idom stays null.
-    // Simpler and adequate here: solve per the first exit and mark the other
-    // exits as roots too (their ipdom is the virtual exit = nullptr).
-    tree.idom_ = solve(order, [&cfg](const ir::BasicBlock* b) {
-      auto succs = b->successors();
-      return std::vector<const ir::BasicBlock*>(succs.begin(), succs.end());
-    });
-    for (const ir::BasicBlock* exit : cfg.exitBlocks()) {
-      tree.idom_[exit] = nullptr;
+  std::vector<char> visited(numBlocks + 1, 0);
+  std::vector<int> postOrder;
+  postOrder.reserve(numBlocks + 1);
+  std::vector<std::pair<int, size_t>> stack{{virtualExit, 0}};
+  visited[numBlocks] = 1;
+  while (!stack.empty()) {
+    auto& [node, next] = stack.back();
+    const std::vector<const ir::BasicBlock*>& succs =
+        node == virtualExit ? cfg.exitBlocks() : cfg.predecessors(block(node));
+    if (next < succs.size()) {
+      int succ = static_cast<int>(succs[next++]->index());
+      if (visited[static_cast<size_t>(succ)] == 0) {
+        visited[static_cast<size_t>(succ)] = 1;
+        stack.emplace_back(succ, 0);
+      }
+    } else {
+      postOrder.push_back(node);
+      stack.pop_back();
     }
   }
-  tree.computeIntervals();
+  std::vector<int> order(postOrder.rbegin(), postOrder.rend());
+
+  std::vector<int> idomNode =
+      solve(order, numBlocks + 1, [&](int node, auto&& visit) {
+        if (node == virtualExit) return;
+        const ir::Instruction* term = block(node)->terminator();
+        if (term->opcode() == ir::Opcode::Ret) visit(virtualExit);
+        for (const ir::BasicBlock* succ : term->successors()) {
+          visit(static_cast<int>(succ->index()));
+        }
+      });
+  DominatorTree tree;
+  tree.build(cfg, idomNode, virtualExit);
   return tree;
 }
 
-const ir::BasicBlock* DominatorTree::idom(const ir::BasicBlock* block) const {
-  auto it = idom_.find(block);
-  return it == idom_.end() ? nullptr : it->second;
-}
+void DominatorTree::build(const Cfg& cfg, const std::vector<int>& idomNode,
+                          int root) {
+  const size_t numBlocks = cfg.numBlocks();
+  const size_t numNodes = idomNode.size();
+  const auto& blocks = cfg.function().blocks();
 
-void DominatorTree::computeIntervals() {
-  std::map<const ir::BasicBlock*, std::vector<const ir::BasicBlock*>> children;
-  std::vector<const ir::BasicBlock*> roots;
-  for (const auto& [block, parent] : idom_) {
-    if (parent == nullptr) {
-      roots.push_back(block);
-    } else {
-      children[parent].push_back(block);
+  idom_.assign(numBlocks, nullptr);
+  for (size_t node = 0; node < numBlocks; ++node) {
+    int parent = idomNode[node];
+    if (parent >= 0 && static_cast<size_t>(parent) < numBlocks) {
+      idom_[node] = blocks[static_cast<size_t>(parent)].get();
     }
   }
+
+  // Children as first-child / next-sibling lists, then an iterative Euler
+  // tour assigning [in, out] intervals.
+  interval_.assign(numNodes, {-1, -1});
+  if (root < 0) return;
+  std::vector<int> firstChild(numNodes, -1);
+  std::vector<int> nextSibling(numNodes, -1);
+  for (size_t node = numNodes; node-- > 0;) {
+    int parent = idomNode[node];
+    if (parent < 0) continue;
+    nextSibling[node] = firstChild[static_cast<size_t>(parent)];
+    firstChild[static_cast<size_t>(parent)] = static_cast<int>(node);
+  }
   int clock = 0;
-  // Iterative Euler tour assigning [in, out] intervals.
-  for (const ir::BasicBlock* root : roots) {
-    std::vector<std::pair<const ir::BasicBlock*, size_t>> stack{{root, 0}};
-    interval_[root].first = clock++;
-    while (!stack.empty()) {
-      auto& [block, next] = stack.back();
-      auto& kids = children[block];
-      if (next < kids.size()) {
-        const ir::BasicBlock* child = kids[next++];
-        interval_[child].first = clock++;
-        stack.emplace_back(child, 0);
-      } else {
-        interval_[block].second = clock++;
-        stack.pop_back();
-      }
+  // (node, next child to visit)
+  std::vector<std::pair<int, int>> stack{
+      {root, firstChild[static_cast<size_t>(root)]}};
+  interval_[static_cast<size_t>(root)].first = clock++;
+  while (!stack.empty()) {
+    auto& [node, child] = stack.back();
+    if (child >= 0) {
+      int next = child;
+      child = nextSibling[static_cast<size_t>(next)];
+      interval_[static_cast<size_t>(next)].first = clock++;
+      stack.emplace_back(next, firstChild[static_cast<size_t>(next)]);
+    } else {
+      interval_[static_cast<size_t>(node)].second = clock++;
+      stack.pop_back();
     }
   }
 }
@@ -159,11 +174,10 @@ void DominatorTree::computeIntervals() {
 bool DominatorTree::dominates(const ir::BasicBlock* a,
                               const ir::BasicBlock* b) const {
   if (a == b) return true;
-  auto ia = interval_.find(a);
-  auto ib = interval_.find(b);
-  if (ia == interval_.end() || ib == interval_.end()) return false;
-  return ia->second.first <= ib->second.first &&
-         ib->second.second <= ia->second.second;
+  const std::pair<int, int>& ia = interval_[a->index()];
+  const std::pair<int, int>& ib = interval_[b->index()];
+  if (ia.first < 0 || ib.first < 0) return false;
+  return ia.first <= ib.first && ib.second <= ia.second;
 }
 
 }  // namespace cayman::analysis

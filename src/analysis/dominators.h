@@ -2,7 +2,8 @@
 // algorithm over reverse post-order).
 #pragma once
 
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "analysis/cfg.h"
 
@@ -10,17 +11,25 @@ namespace cayman::analysis {
 
 class DominatorTree {
  public:
-  /// Builds the (forward) dominator tree.
+  /// Builds the (forward) dominator tree over the blocks reachable from the
+  /// entry.
   static DominatorTree dominators(const Cfg& cfg);
-  /// Builds the post-dominator tree. Multiple Ret blocks are joined through a
-  /// virtual exit represented by nullptr.
+  /// Builds the post-dominator tree over the reachable blocks that reach a
+  /// Ret. Every Ret block hangs off one virtual exit, so with several exits
+  /// a block post-dominates another only if it lies on all its paths to any
+  /// of them.
   static DominatorTree postDominators(const Cfg& cfg);
 
   /// Immediate (post-)dominator; nullptr for the root (and, in the post-dom
-  /// tree, for blocks whose ipdom is the virtual exit).
-  const ir::BasicBlock* idom(const ir::BasicBlock* block) const;
+  /// tree, for blocks whose ipdom is the virtual exit) and for blocks
+  /// outside the tree.
+  const ir::BasicBlock* idom(const ir::BasicBlock* block) const {
+    return idom_[block->index()];
+  }
 
-  /// Reflexive dominance query.
+  /// Reflexive dominance query. A block outside the tree (unreachable, or
+  /// in the post-dom tree unable to reach an exit) dominates and is
+  /// dominated by itself only.
   bool dominates(const ir::BasicBlock* a, const ir::BasicBlock* b) const;
   bool strictlyDominates(const ir::BasicBlock* a,
                          const ir::BasicBlock* b) const {
@@ -30,11 +39,16 @@ class DominatorTree {
  private:
   DominatorTree() = default;
 
-  std::map<const ir::BasicBlock*, const ir::BasicBlock*> idom_;
-  // Interval labelling for O(1) dominance queries.
-  std::map<const ir::BasicBlock*, std::pair<int, int>> interval_;
+  /// Fills idom_ and interval_ from per-node immediate dominators (node ids
+  /// are block indices, plus the virtual exit when `numNodes` exceeds the
+  /// block count; -1 = none).
+  void build(const Cfg& cfg, const std::vector<int>& idomNode, int root);
 
-  void computeIntervals();
+  /// Immediate dominator per block index.
+  std::vector<const ir::BasicBlock*> idom_;
+  /// Euler-tour interval per node for O(1) dominance queries; first < 0
+  /// for nodes outside the tree.
+  std::vector<std::pair<int, int>> interval_;
 };
 
 }  // namespace cayman::analysis

@@ -11,25 +11,35 @@ bool Loop::contains(const Loop* other) const {
   return false;
 }
 
-LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree) {
+LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree)
+    : innermost_(cfg.numBlocks(), nullptr) {
+  const size_t numBlocks = cfg.numBlocks();
+  const auto& functionBlocks = cfg.function().blocks();
+
   // 1. Find back edges (latch -> header with header dominating latch) and
   //    collect each natural loop's blocks by reverse reachability.
   for (const ir::BasicBlock* block : cfg.rpo()) {
-    for (const ir::BasicBlock* succ : block->successors()) {
+    for (const ir::BasicBlock* succ : block->terminator()->successors()) {
       if (!domTree.dominates(succ, block)) continue;
       // succ is a loop header, block the latch.
       auto loop = std::make_unique<Loop>();
       loop->header_ = succ;
       loop->latch_ = block;
-      loop->blocks_.insert(succ);
+      loop->index_ = static_cast<unsigned>(loops_.size());
+      loop->member_.assign(numBlocks, false);
+      loop->member_[succ->index()] = true;
       std::vector<const ir::BasicBlock*> work{block};
       while (!work.empty()) {
         const ir::BasicBlock* b = work.back();
         work.pop_back();
-        if (!loop->blocks_.insert(b).second) continue;
+        if (loop->member_[b->index()]) continue;
+        loop->member_[b->index()] = true;
         for (const ir::BasicBlock* pred : cfg.predecessors(b)) {
           work.push_back(pred);
         }
+      }
+      for (size_t i = 0; i < numBlocks; ++i) {
+        if (loop->member_[i]) loop->blocks_.push_back(functionBlocks[i].get());
       }
       loops_.push_back(std::move(loop));
     }
@@ -40,7 +50,7 @@ LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree) {
     Loop* best = nullptr;
     for (auto& candidate : loops_) {
       if (candidate.get() == loop.get()) continue;
-      if (candidate->blocks_.count(loop->header_) == 0) continue;
+      if (!candidate->member_[loop->header_->index()]) continue;
       if (candidate->blocks_.size() <= loop->blocks_.size()) continue;
       if (best == nullptr || candidate->blocks_.size() < best->blocks_.size()) {
         best = candidate.get();
@@ -59,32 +69,32 @@ LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree) {
     loop->depth_ = depth;
   }
 
-  // 3. Canonical-form features: preheader, exits, innermost map.
+  // 3. Canonical-form features: preheader, exits, innermost loop per block.
+  std::vector<bool> isExit(numBlocks, false);
   for (auto& loop : loops_) {
     const ir::BasicBlock* preheader = nullptr;
     bool unique = true;
     for (const ir::BasicBlock* pred : cfg.predecessors(loop->header_)) {
-      if (loop->contains(pred)) continue;
+      if (loop->member_[pred->index()]) continue;
       if (preheader != nullptr) unique = false;
       preheader = pred;
     }
     loop->preheader_ = unique ? preheader : nullptr;
 
-    std::set<const ir::BasicBlock*> exits;
     for (const ir::BasicBlock* block : loop->blocks_) {
-      for (const ir::BasicBlock* succ : block->successors()) {
-        if (!loop->contains(succ)) exits.insert(succ);
+      for (const ir::BasicBlock* succ : block->terminator()->successors()) {
+        if (!loop->member_[succ->index()]) isExit[succ->index()] = true;
       }
     }
-    loop->exits_.assign(exits.begin(), exits.end());
-  }
+    for (size_t i = 0; i < numBlocks; ++i) {
+      if (!isExit[i]) continue;
+      loop->exits_.push_back(functionBlocks[i].get());
+      isExit[i] = false;
+    }
 
-  for (auto& loop : loops_) {
     for (const ir::BasicBlock* block : loop->blocks_) {
-      auto [it, inserted] = innermost_.try_emplace(block, loop.get());
-      if (!inserted && loop->depth_ > it->second->depth_) {
-        it->second = loop.get();
-      }
+      const Loop*& slot = innermost_[block->index()];
+      if (slot == nullptr || loop->depth_ > slot->depth_) slot = loop.get();
     }
   }
 
@@ -96,11 +106,6 @@ LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree) {
   for (auto& loop : loops_) {
     std::sort(loop->subLoops_.begin(), loop->subLoops_.end(), byRpo);
   }
-}
-
-const Loop* LoopInfo::loopFor(const ir::BasicBlock* block) const {
-  auto it = innermost_.find(block);
-  return it == innermost_.end() ? nullptr : it->second;
 }
 
 }  // namespace cayman::analysis

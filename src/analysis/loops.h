@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <set>
 
 #include "analysis/dominators.h"
 
@@ -15,14 +14,19 @@ class Loop {
   /// Unique predecessor of the header from outside the loop; nullptr when
   /// the loop is not in canonical form.
   const ir::BasicBlock* preheader() const { return preheader_; }
-  /// Blocks outside the loop reached from inside (canonical loops have one).
+  /// Blocks outside the loop reached from inside (canonical loops have one),
+  /// in block order.
   const std::vector<const ir::BasicBlock*>& exitBlocks() const {
     return exits_;
   }
 
-  const std::set<const ir::BasicBlock*>& blocks() const { return blocks_; }
+  /// Dense id: this loop's position in LoopInfo::loops().
+  unsigned index() const { return index_; }
+
+  /// The loop's blocks in block order.
+  const std::vector<const ir::BasicBlock*>& blocks() const { return blocks_; }
   bool contains(const ir::BasicBlock* block) const {
-    return blocks_.count(block) != 0;
+    return block->parent() == header_->parent() && member_[block->index()];
   }
   bool contains(const Loop* other) const;
 
@@ -42,7 +46,9 @@ class Loop {
   const ir::BasicBlock* latch_ = nullptr;
   const ir::BasicBlock* preheader_ = nullptr;
   std::vector<const ir::BasicBlock*> exits_;
-  std::set<const ir::BasicBlock*> blocks_;
+  std::vector<const ir::BasicBlock*> blocks_;
+  std::vector<bool> member_;  ///< by block index
+  unsigned index_ = 0;
   Loop* parent_ = nullptr;
   std::vector<Loop*> subLoops_;
   unsigned depth_ = 1;
@@ -56,8 +62,11 @@ class LoopInfo {
   const std::vector<std::unique_ptr<Loop>>& loops() const { return loops_; }
   const std::vector<Loop*>& topLevelLoops() const { return topLevel_; }
 
-  /// Innermost loop containing `block`; nullptr when not in a loop.
-  const Loop* loopFor(const ir::BasicBlock* block) const;
+  /// Innermost loop containing `block` (a block of this function); nullptr
+  /// when not in a loop.
+  const Loop* loopFor(const ir::BasicBlock* block) const {
+    return innermost_[block->index()];
+  }
   unsigned loopDepth(const ir::BasicBlock* block) const {
     const Loop* loop = loopFor(block);
     return loop == nullptr ? 0 : loop->depth();
@@ -66,7 +75,7 @@ class LoopInfo {
  private:
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<Loop*> topLevel_;
-  std::map<const ir::BasicBlock*, Loop*> innermost_;
+  std::vector<const Loop*> innermost_;  ///< by block index
 };
 
 }  // namespace cayman::analysis

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "analysis/regions.h"
+
 namespace cayman::analysis {
 
 namespace {
@@ -32,18 +34,21 @@ bool comparableIn(const Affine& a, const Loop* loop) {
 MemoryAnalysis::MemoryAnalysis(const ir::Function& function,
                                const FunctionAnalyses& fa,
                                const ScalarEvolution& scev)
-    : function_(function), fa_(fa), scev_(scev) {
+    : function_(function), loops_(fa.loops), scev_(scev) {
+  blockBegin_.reserve(function.numBlocks() + 1);
   for (const auto& block : function.blocks()) {
+    blockBegin_.push_back(static_cast<uint32_t>(accesses_.size()));
     for (const auto& inst : block->instructions()) {
       if (!inst->isMemoryAccess()) continue;
       MemAccessInfo info;
       info.inst = inst.get();
       info.isStore = inst->opcode() == ir::Opcode::Store;
       info.addr = scev.addressOf(inst.get());
-      accessIndex_[inst.get()] = accesses_.size();
       accesses_.push_back(std::move(info));
     }
   }
+  blockBegin_.push_back(static_cast<uint32_t>(accesses_.size()));
+  deps_.resize(fa.loops.loops().size());
   for (const auto& loop : fa.loops.loops()) {
     analyzeLoop(loop.get());
   }
@@ -51,18 +56,24 @@ MemoryAnalysis::MemoryAnalysis(const ir::Function& function,
 
 const MemAccessInfo* MemoryAnalysis::infoFor(
     const ir::Instruction* inst) const {
-  auto it = accessIndex_.find(inst);
-  return it == accessIndex_.end() ? nullptr : &accesses_[it->second];
+  const ir::BasicBlock* block = inst->parent();
+  if (block == nullptr || block->parent() != &function_) return nullptr;
+  for (uint32_t i = blockBegin_[block->index()];
+       i < blockBegin_[block->index() + 1]; ++i) {
+    if (accesses_[i].inst == inst) return &accesses_[i];
+  }
+  return nullptr;
 }
 
 const std::vector<LoopCarriedDep>& MemoryAnalysis::carriedDeps(
     const Loop* loop) const {
-  auto it = deps_.find(loop);
-  return it == deps_.end() ? noDeps_ : it->second;
+  const auto& loops = loops_.loops();
+  const size_t i = loop->index();
+  return i < loops.size() && loops[i].get() == loop ? deps_[i] : noDeps_;
 }
 
 void MemoryAnalysis::analyzeLoop(const Loop* loop) {
-  std::vector<LoopCarriedDep>& out = deps_[loop];
+  std::vector<LoopCarriedDep>& out = deps_[loop->index()];
 
   // --- Scalar recurrences: non-IV header phis fed from the latch through a
   // def-use cycle (e.g. floating-point accumulation).
@@ -86,15 +97,20 @@ void MemoryAnalysis::analyzeLoop(const Loop* loop) {
   }
 
   // --- Memory recurrences: store vs load/store pairs on the same base.
+  // `inLoop` points into accesses_, so pointer order is program order.
   std::vector<const MemAccessInfo*> inLoop;
-  for (const MemAccessInfo& info : accesses_) {
-    if (loop->contains(info.inst->parent())) inLoop.push_back(&info);
+  for (const ir::BasicBlock* block : loop->blocks()) {
+    for (uint32_t i = blockBegin_[block->index()];
+         i < blockBegin_[block->index() + 1]; ++i) {
+      inLoop.push_back(&accesses_[i]);
+    }
   }
   for (const MemAccessInfo* store : inLoop) {
     if (!store->isStore) continue;
     for (const MemAccessInfo* other : inLoop) {
       if (other == store) continue;
-      if (other->isStore && other->inst < store->inst) continue;  // dedupe
+      // Each store pair once, with the earlier store as the source.
+      if (other->isStore && other < store) continue;
 
       // Distinct statically-known bases can never alias (globals are
       // disjoint arrays in the flat address space).
@@ -226,7 +242,7 @@ std::optional<uint64_t> MemoryAnalysis::footprintElems(
   }
 
   uint64_t footprint = 1;
-  for (const Loop* loop = fa_.loops.loopFor(access->parent()); loop != nullptr;
+  for (const Loop* loop = loops_.loopFor(access->parent()); loop != nullptr;
        loop = loop->parent()) {
     // Only loops nested inside the region multiply the footprint.
     bool loopInRegion =

@@ -8,6 +8,8 @@
 
 namespace cayman::analysis {
 
+class Region;
+
 /// One Load/Store with its resolved address form.
 struct MemAccessInfo {
   const ir::Instruction* inst = nullptr;
@@ -33,9 +35,13 @@ class MemoryAnalysis {
   MemoryAnalysis(const ir::Function& function, const FunctionAnalyses& fa,
                  const ScalarEvolution& scev);
 
+  /// Every Load/Store of the function, in program order (block order, then
+  /// instruction order).
   const std::vector<MemAccessInfo>& accesses() const { return accesses_; }
   const MemAccessInfo* infoFor(const ir::Instruction* inst) const;
 
+  /// Dependences carried by a loop of this function, scalar recurrences
+  /// first, then memory pairs in program order of the store.
   const std::vector<LoopCarriedDep>& carriedDeps(const Loop* loop) const;
   bool hasCarriedDep(const Loop* loop) const {
     return !carriedDeps(loop).empty();
@@ -63,11 +69,12 @@ class MemoryAnalysis {
                                                  const Loop* loop) const;
 
   const ir::Function& function_;
-  const FunctionAnalyses& fa_;
+  const LoopInfo& loops_;
   const ScalarEvolution& scev_;
   std::vector<MemAccessInfo> accesses_;
-  std::map<const ir::Instruction*, size_t> accessIndex_;
-  std::map<const Loop*, std::vector<LoopCarriedDep>> deps_;
+  /// accesses_[blockBegin_[i] .. blockBegin_[i + 1]) are block i's accesses.
+  std::vector<uint32_t> blockBegin_;
+  std::vector<std::vector<LoopCarriedDep>> deps_;  ///< by Loop::index()
   std::vector<LoopCarriedDep> noDeps_;
 };
 

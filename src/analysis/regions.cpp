@@ -1,8 +1,5 @@
 #include "analysis/regions.h"
 
-#include <algorithm>
-#include <set>
-
 namespace cayman::analysis {
 
 namespace {
@@ -17,9 +14,13 @@ bool blockContainsCall(const ir::BasicBlock* block) {
 }  // namespace
 
 WPst::WPst(const ir::Module& module) : module_(module) {
+  functions_.reserve(module.functions().size());
   for (const auto& function : module.functions()) {
-    analyses_.emplace(function.get(),
-                      std::make_unique<FunctionAnalyses>(*function));
+    PerFunction slot;
+    slot.analyses = std::make_unique<FunctionAnalyses>(*function);
+    slot.bbRegions.assign(function->numBlocks(), nullptr);
+    slot.loopRegions.assign(slot.analyses->loops.loops().size(), nullptr);
+    functions_.push_back(std::move(slot));
   }
 
   root_ = std::make_unique<Region>();
@@ -28,12 +29,16 @@ WPst::WPst(const ir::Module& module) : module_(module) {
   root_->label_ = "app:" + module.name();
   byId_.push_back(root_.get());
 
-  for (const auto& function : module.functions()) {
+  for (size_t i = 0; i < functions_.size(); ++i) {
+    const ir::Function& function = *module.functions()[i];
+    PerFunction& slot = functions_[i];
     Region* functionRegion = makeRegion(RegionKind::Function, root_.get());
-    functionRegion->function_ = function.get();
-    functionRegion->label_ = "@" + function->name();
-    functionRegion->anchor_ = function->entry();
-    buildFunction(functionRegion, *function);
+    functionRegion->function_ = &function;
+    functionRegion->label_ = "@" + function.name();
+    functionRegion->anchor_ = function.entry();
+    functionRegion->blocks_ = slot.analyses->cfg.rpo();
+    buildScope(functionRegion, function, slot, slot.analyses->cfg.rpo(),
+               nullptr);
   }
 
   finalize(root_.get());
@@ -50,19 +55,14 @@ Region* WPst::makeRegion(RegionKind kind, Region* parent) {
   return raw;
 }
 
-void WPst::buildFunction(Region* functionRegion,
-                         const ir::Function& function) {
-  const FunctionAnalyses& fa = *analyses_.at(&function);
-  functionRegion->blocks_ = fa.cfg.rpo();
-  buildScope(functionRegion, function, fa.cfg.rpo(), nullptr);
-}
-
 void WPst::buildScope(Region* parent, const ir::Function& function,
+                      PerFunction& slot,
                       const std::vector<const ir::BasicBlock*>& scope,
                       const Loop* context) {
-  const FunctionAnalyses& fa = *analyses_.at(&function);
-  std::set<const ir::BasicBlock*> scopeSet(scope.begin(), scope.end());
-  std::set<const ir::BasicBlock*> assigned;
+  const FunctionAnalyses& fa = *slot.analyses;
+  std::vector<char> inScope(function.numBlocks(), 0);
+  for (const ir::BasicBlock* block : scope) inScope[block->index()] = 1;
+  std::vector<char> assigned(function.numBlocks(), 0);
 
   auto makeBb = [&](const ir::BasicBlock* block, Region* owner) {
     Region* bb = makeRegion(RegionKind::Bb, owner);
@@ -73,12 +73,12 @@ void WPst::buildScope(Region* parent, const ir::Function& function,
     bb->anchor_ = block;
     bb->label_ = "bb @" + function.name() + ":" + block->name();
     bb->containsCall_ = blockContainsCall(block);
-    bbRegions_[block] = bb;
+    slot.bbRegions[block->index()] = bb;
   };
 
   for (const ir::BasicBlock* block : scope) {
-    if (assigned.count(block) != 0) continue;
-    assigned.insert(block);
+    if (assigned[block->index()] != 0) continue;
+    assigned[block->index()] = 1;
 
     // --- Loop region: `block` heads a loop nested directly below `context`.
     const Loop* loop = fa.loops.loopFor(block);
@@ -92,17 +92,17 @@ void WPst::buildScope(Region* parent, const ir::Function& function,
       loopRegion->anchor_ =
           loop->preheader() != nullptr ? loop->preheader() : loop->header();
       loopRegion->label_ = "loop @" + function.name() + ":" + block->name();
-      loopRegions_[loop] = loopRegion;
+      slot.loopRegions[loop->index()] = loopRegion;
 
       std::vector<const ir::BasicBlock*> inner;
       for (const ir::BasicBlock* b : fa.cfg.rpo()) {
         if (loop->contains(b)) {
           inner.push_back(b);
-          assigned.insert(b);
+          assigned[b->index()] = 1;
         }
       }
       loopRegion->blocks_ = inner;
-      buildScope(loopRegion, function, inner, loop);
+      buildScope(loopRegion, function, slot, inner, loop);
       continue;
     }
 
@@ -111,28 +111,30 @@ void WPst::buildScope(Region* parent, const ir::Function& function,
     if (term->opcode() == ir::Opcode::CondBr) {
       const ir::BasicBlock* join = fa.postDom.idom(block);
       auto succs = term->successors();
-      bool succsInScope = scopeSet.count(succs[0]) != 0 &&
-                          scopeSet.count(succs[1]) != 0;
-      if (join != nullptr && succsInScope && scopeSet.count(join) != 0) {
+      bool succsInScope =
+          inScope[succs[0]->index()] != 0 && inScope[succs[1]->index()] != 0;
+      if (join != nullptr && succsInScope && inScope[join->index()] != 0) {
         // Collect blocks strictly between the branch and the join.
-        std::set<const ir::BasicBlock*> body;
+        std::vector<char> inBody(function.numBlocks(), 0);
+        bool bodyEmpty = true;
         std::vector<const ir::BasicBlock*> work{succs[0], succs[1]};
         bool sese = true;
         while (!work.empty() && sese) {
           const ir::BasicBlock* b = work.back();
           work.pop_back();
-          if (b == join || body.count(b) != 0) continue;
-          if (scopeSet.count(b) == 0 || !fa.dom.dominates(block, b) ||
-              assigned.count(b) != 0) {
+          if (b == join || inBody[b->index()] != 0) continue;
+          if (inScope[b->index()] == 0 || !fa.dom.dominates(block, b) ||
+              assigned[b->index()] != 0) {
             sese = false;
             break;
           }
-          body.insert(b);
-          for (const ir::BasicBlock* succ : b->successors()) {
+          inBody[b->index()] = 1;
+          bodyEmpty = false;
+          for (const ir::BasicBlock* succ : b->terminator()->successors()) {
             work.push_back(succ);
           }
         }
-        if (sese && !body.empty()) {
+        if (sese && !bodyEmpty) {
           Region* ifRegion = makeRegion(RegionKind::If, parent);
           ifRegion->function_ = &function;
           ifRegion->block_ = block;
@@ -144,14 +146,14 @@ void WPst::buildScope(Region* parent, const ir::Function& function,
 
           std::vector<const ir::BasicBlock*> inner;
           for (const ir::BasicBlock* b : fa.cfg.rpo()) {
-            if (body.count(b) != 0) {
+            if (inBody[b->index()] != 0) {
               inner.push_back(b);
-              assigned.insert(b);
+              assigned[b->index()] = 1;
             }
           }
           ifRegion->blocks_.insert(ifRegion->blocks_.end(), inner.begin(),
                                    inner.end());
-          buildScope(ifRegion, function, inner, context);
+          buildScope(ifRegion, function, slot, inner, context);
           continue;
         }
       }
@@ -169,18 +171,32 @@ void WPst::finalize(Region* region) {
   }
 }
 
-const Region* WPst::bbRegion(const ir::BasicBlock* block) const {
-  auto it = bbRegions_.find(block);
-  return it == bbRegions_.end() ? nullptr : it->second;
-}
-
-const Region* WPst::loopRegion(const Loop* loop) const {
-  auto it = loopRegions_.find(loop);
-  return it == loopRegions_.end() ? nullptr : it->second;
+const WPst::PerFunction* WPst::find(const ir::Function* function) const {
+  const auto& functions = module_.functions();
+  for (size_t i = 0; i < functions.size(); ++i) {
+    if (functions[i].get() == function) return &functions_[i];
+  }
+  return nullptr;
 }
 
 const FunctionAnalyses& WPst::analyses(const ir::Function* function) const {
-  return *analyses_.at(function);
+  const PerFunction* slot = find(function);
+  CAYMAN_ASSERT(slot != nullptr, "function is not in the wPST's module");
+  return *slot->analyses;
+}
+
+const Region* WPst::bbRegion(const ir::BasicBlock* block) const {
+  const PerFunction* slot = find(block->parent());
+  return slot == nullptr ? nullptr : slot->bbRegions[block->index()];
+}
+
+const Region* WPst::loopRegion(const Loop* loop) const {
+  const PerFunction* slot = find(loop->header()->parent());
+  if (slot == nullptr) return nullptr;
+  const auto& loops = slot->analyses->loops.loops();
+  return loop->index() < loops.size() && loops[loop->index()].get() == loop
+             ? slot->loopRegions[loop->index()]
+             : nullptr;
 }
 
 }  // namespace cayman::analysis

@@ -8,7 +8,7 @@
 
 #include <memory>
 
-#include "analysis/loops.h"
+#include "analysis/memdep.h"
 #include "ir/module.h"
 
 namespace cayman::analysis {
@@ -78,18 +78,28 @@ class Region {
   std::vector<std::unique_ptr<Region>> children_;
 };
 
-/// Per-function CFG analyses bundled for reuse by downstream passes.
+/// Every static analysis of one function, built once by the WPst (the
+/// pipeline's Analyze stage) and read by all downstream passes: the region
+/// builder, both accelerator models, the roofline classifier.
 struct FunctionAnalyses {
   explicit FunctionAnalyses(const ir::Function& function)
       : cfg(function),
         dom(DominatorTree::dominators(cfg)),
         postDom(DominatorTree::postDominators(cfg)),
-        loops(cfg, dom) {}
+        loops(cfg, dom),
+        scev(function, *this),
+        mem(function, *this, scev) {}
+  FunctionAnalyses(const FunctionAnalyses&) = delete;
+  FunctionAnalyses& operator=(const FunctionAnalyses&) = delete;
 
   Cfg cfg;
   DominatorTree dom;
   DominatorTree postDom;
   LoopInfo loops;
+  // Members are built in declaration order, so these two read the CFG
+  // analyses above through the half-built bundle.
+  ScalarEvolution scev;
+  MemoryAnalysis mem;
 };
 
 /// The whole-application program structure tree.
@@ -103,19 +113,32 @@ class WPst {
   /// All regions indexed by Region::id().
   const std::vector<const Region*>& allRegions() const { return byId_; }
   const Region* regionById(int id) const { return byId_.at(id); }
-  /// Innermost region owning `block` (its Bb region).
+  /// Innermost region owning `block` (its Bb region); nullptr for blocks
+  /// outside the tree.
   const Region* bbRegion(const ir::BasicBlock* block) const;
-  /// The Loop region vertex for `loop`.
+  /// The Loop region vertex for `loop`; nullptr when it has none.
   const Region* loopRegion(const Loop* loop) const;
 
+  /// The analyses of one of the module's functions.
   const FunctionAnalyses& analyses(const ir::Function* function) const;
 
  private:
+  /// What the tree keeps per function; the lookups are vectors indexed by
+  /// ir::BasicBlock::index() and Loop::index().
+  struct PerFunction {
+    std::unique_ptr<FunctionAnalyses> analyses;
+    std::vector<const Region*> bbRegions;
+    std::vector<const Region*> loopRegions;
+  };
+  /// The slot of a function of the module (a scan: modules have few);
+  /// nullptr for other functions.
+  const PerFunction* find(const ir::Function* function) const;
+
   Region* makeRegion(RegionKind kind, Region* parent);
-  void buildFunction(Region* functionRegion, const ir::Function& function);
   /// Builds child regions of `parent` for the blocks in `scope`, which all
   /// live at loop-nesting context `context` (nullptr = function top level).
   void buildScope(Region* parent, const ir::Function& function,
+                  PerFunction& slot,
                   const std::vector<const ir::BasicBlock*>& scope,
                   const Loop* context);
   void finalize(Region* region);
@@ -123,9 +146,7 @@ class WPst {
   const ir::Module& module_;
   std::unique_ptr<Region> root_;
   std::vector<const Region*> byId_;
-  std::map<const ir::BasicBlock*, const Region*> bbRegions_;
-  std::map<const Loop*, const Region*> loopRegions_;
-  std::map<const ir::Function*, std::unique_ptr<FunctionAnalyses>> analyses_;
+  std::vector<PerFunction> functions_;  ///< parallel to module().functions()
   int nextId_ = 0;
 };
 

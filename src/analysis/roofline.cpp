@@ -6,17 +6,6 @@
 
 namespace cayman::analysis {
 
-/// Per-function address/dependence analyses the classifier consumes. Built
-/// eagerly (same bundle the accelerator model builds for itself) so
-/// classify() is read-only and lock-cheap.
-struct RooflineAnalysis::FunctionBundle {
-  FunctionBundle(const ir::Function& function, const FunctionAnalyses& fa)
-      : scev(function, fa), mem(function, fa, scev) {}
-
-  ScalarEvolution scev;
-  MemoryAnalysis mem;
-};
-
 const char* bottleneckSpelling(Bottleneck b) {
   switch (b) {
     case Bottleneck::ComputeBound: return "compute-bound";
@@ -34,20 +23,7 @@ RooflineAnalysis::RooflineAnalysis(const WPst& wpst,
     : wpst_(wpst),
       profile_(profile),
       scheduler_(tech, timing, clockNs),
-      unknownTripFallback_(unknownTripFallback) {
-  for (const auto& function : wpst.module().functions()) {
-    bundles_.emplace(function.get(),
-                     std::make_unique<FunctionBundle>(
-                         *function, wpst.analyses(function.get())));
-  }
-}
-
-RooflineAnalysis::~RooflineAnalysis() = default;
-
-const RooflineAnalysis::FunctionBundle& RooflineAnalysis::bundleFor(
-    const ir::Function* function) const {
-  return *bundles_.at(function);
-}
+      unknownTripFallback_(unknownTripFallback) {}
 
 Bottleneck RooflineAnalysis::classifyIntensity(double intensity,
                                                double machineBalance) {
@@ -133,8 +109,8 @@ RegionRoofline RooflineAnalysis::classifyUncached(const Region* region) const {
   region->walk([&](const Region& sub) {
     const ir::BasicBlock* body = pipelineableBody(&sub);
     if (body == nullptr) return;
-    const FunctionBundle& bundle = bundleFor(sub.function());
-    unsigned rec = scheduler_.recMII(bundle.mem.carriedDeps(sub.loop()),
+    const MemoryAnalysis& mem = wpst_.analyses(sub.function()).mem;
+    unsigned rec = scheduler_.recMII(mem.carriedDeps(sub.loop()),
                                      defaultIfaces);
     unsigned res = scheduler_.resMII(*body, defaultIfaces, 1);
     if (rec >= res) r.recurrenceLimited = true;

@@ -76,7 +76,6 @@ class RooflineAnalysis {
   RooflineAnalysis(const WPst& wpst, const sim::ProfileData& profile,
                    const hls::TechLibrary& tech, hls::InterfaceTiming timing,
                    double clockNs, uint64_t unknownTripFallback = 16);
-  ~RooflineAnalysis();
 
   /// Classification for one region (memoized; thread-safe). Candidate
   /// regions only — other kinds return a default-constructed result.
@@ -99,9 +98,6 @@ class RooflineAnalysis {
   static constexpr unsigned kUnboundedUnroll = 1u << 16;
 
  private:
-  struct FunctionBundle;
-
-  const FunctionBundle& bundleFor(const ir::Function* function) const;
   RegionRoofline classifyUncached(const Region* region) const;
   /// Mirrors the accelerator model's pipelineable-shape test: innermost
   /// loop, bb children only, exactly one body block besides header/latch.
@@ -111,8 +107,6 @@ class RooflineAnalysis {
   const sim::ProfileData& profile_;
   hls::Scheduler scheduler_;
   uint64_t unknownTripFallback_;
-
-  std::map<const ir::Function*, std::unique_ptr<FunctionBundle>> bundles_;
 
   mutable std::mutex mutex_;
   /// Memoized results by Region::id(); pointers stay stable (unique_ptr).

@@ -1,5 +1,7 @@
 #include "analysis/scev.h"
 
+#include "analysis/regions.h"
+
 namespace cayman::analysis {
 
 namespace {
@@ -41,9 +43,8 @@ bool Affine::isStreamIn(const Loop* loop) const {
   return true;
 }
 
-ScalarEvolution::ScalarEvolution(const ir::Function& function,
-                                 const FunctionAnalyses& fa)
-    : function_(function), fa_(fa) {
+ScalarEvolution::ScalarEvolution(const ir::Function& /*function*/,
+                                 const FunctionAnalyses& fa) {
   // Recognize canonical IVs: phi(init from preheader, phi+step from latch).
   for (const auto& loop : fa.loops.loops()) {
     const ir::BasicBlock* header = loop->header();
@@ -94,8 +95,9 @@ const InductionVar* ScalarEvolution::inductionVar(
 std::vector<const InductionVar*> ScalarEvolution::inductionVars(
     const Loop* loop) const {
   std::vector<const InductionVar*> result;
-  for (const auto& [phi, iv] : ivs_) {
-    if (iv.loop == loop) result.push_back(&iv);
+  for (const ir::Instruction* phi : loop->header()->phis()) {
+    const InductionVar* iv = inductionVar(phi);
+    if (iv != nullptr && iv->loop == loop) result.push_back(iv);
   }
   return result;
 }

@@ -6,9 +6,11 @@
 #include <map>
 #include <optional>
 
-#include "analysis/regions.h"
+#include "analysis/loops.h"
 
 namespace cayman::analysis {
+
+struct FunctionAnalyses;
 
 /// A canonical induction variable: phi in the loop header updated by a
 /// loop-invariant constant step once per iteration.
@@ -53,7 +55,7 @@ class ScalarEvolution {
 
   /// Induction variable record for a header phi; nullptr if not an IV.
   const InductionVar* inductionVar(const ir::Instruction* phi) const;
-  /// All IVs of a loop (usually one).
+  /// All IVs of a loop (usually one), in header phi order.
   std::vector<const InductionVar*> inductionVars(const Loop* loop) const;
 
   /// Static trip count from the header comparison (init/step/bound constant).
@@ -68,8 +70,6 @@ class ScalarEvolution {
  private:
   Affine analyzeImpl(const ir::Value* value, int depth) const;
 
-  const ir::Function& function_;
-  const FunctionAnalyses& fa_;
   std::map<const ir::Instruction*, InductionVar> ivs_;
 };
 

@@ -13,13 +13,13 @@ class Function;
 
 class BasicBlock {
  public:
-  BasicBlock(Function* parent, std::string name)
-      : parent_(parent), name_(std::move(name)) {}
-
   BasicBlock(const BasicBlock&) = delete;
   BasicBlock& operator=(const BasicBlock&) = delete;
 
   Function* parent() const { return parent_; }
+  /// Dense position in the parent's block list (0 = entry), fixed at
+  /// creation. The CFG analyses key their per-block tables by it.
+  unsigned index() const { return index_; }
   const std::string& name() const { return name_; }
   void setName(std::string name) { name_ = std::move(name); }
 
@@ -51,7 +51,13 @@ class BasicBlock {
   std::vector<Instruction*> body() const;
 
  private:
+  friend class Function;  // Function::addBlock is the only way to make one
+
+  BasicBlock(Function* parent, unsigned index, std::string name)
+      : parent_(parent), index_(index), name_(std::move(name)) {}
+
   Function* parent_;
+  unsigned index_;
   std::string name_;
   std::vector<std::unique_ptr<Instruction>> instructions_;
 };

@@ -15,7 +15,8 @@ Function::Function(Module* parent, std::string name, const Type* returnType,
 }
 
 BasicBlock* Function::addBlock(std::string name) {
-  blocks_.push_back(std::make_unique<BasicBlock>(this, std::move(name)));
+  blocks_.push_back(std::unique_ptr<BasicBlock>(new BasicBlock(
+      this, static_cast<unsigned>(blocks_.size()), std::move(name))));
   return blocks_.back().get();
 }
 

@@ -1,7 +1,6 @@
 #include "ir/verifier.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "support/status.h"
@@ -41,11 +40,9 @@ class Verifier {
       return;
     }
 
-    std::set<const BasicBlock*> blocks;
-    for (const auto& block : f.blocks()) blocks.insert(block.get());
-
-    // Predecessor map for phi validation.
-    std::map<const BasicBlock*, std::set<const BasicBlock*>> preds;
+    // Predecessors per block index, sorted and de-duplicated, for phi
+    // validation.
+    std::vector<std::vector<const BasicBlock*>> preds(f.numBlocks());
     for (const auto& block : f.blocks()) {
       const Instruction* term = block->terminator();
       if (term == nullptr) {
@@ -53,26 +50,33 @@ class Verifier {
         continue;
       }
       for (const BasicBlock* succ : term->successors()) {
-        if (blocks.count(succ) == 0) {
+        if (succ == nullptr || succ->parent() != &f) {
           error(f, "block " + block->name() +
                        " branches to a block outside the function");
         } else {
-          preds[succ].insert(block.get());
+          preds[succ->index()].push_back(block.get());
         }
       }
     }
+    for (std::vector<const BasicBlock*>& list : preds) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
 
-    if (!preds[f.entry()].empty()) {
+    if (!preds[f.entry()->index()].empty()) {
       error(f, "entry block has predecessors");
     }
 
-    std::set<const Value*> defined;
-    for (const auto& arg : f.arguments()) defined.insert(arg.get());
-    for (const auto& block : f.blocks()) {
-      for (const auto& inst : block->instructions()) {
-        defined.insert(inst.get());
+    // A value is defined in `f` when it is one of f's arguments or an
+    // instruction placed in one of f's blocks.
+    auto definedHere = [&f](const Value* value) {
+      if (const auto* inst = dynCast<Instruction>(value)) {
+        return inst->parent() != nullptr && inst->parent()->parent() == &f;
       }
-    }
+      const auto* arg = dynCast<Argument>(value);
+      return arg == nullptr || (arg->index() < f.numArguments() &&
+                                f.argument(arg->index()) == arg);
+    };
 
     for (const auto& block : f.blocks()) {
       bool seenNonPhi = false;
@@ -87,16 +91,13 @@ class Verifier {
           if (seenNonPhi) {
             error(f, "phi after non-phi in " + block->name());
           }
-          checkPhi(f, *block, inst, preds[block.get()]);
+          checkPhi(f, *block, inst, preds[block->index()]);
         } else {
           seenNonPhi = true;
         }
 
         for (const Value* operand : inst.operands()) {
-          const bool isInstOrArg =
-              operand->valueKind() == ValueKind::Instruction ||
-              operand->valueKind() == ValueKind::Argument;
-          if (isInstOrArg && defined.count(operand) == 0) {
+          if (!definedHere(operand)) {
             error(f, "instruction in " + block->name() +
                          " uses a value from another function");
           }
@@ -271,13 +272,18 @@ class Verifier {
     }
   }
 
+  /// `preds` is sorted and free of duplicates.
   void checkPhi(const Function& f, const BasicBlock& block,
                 const Instruction& phi,
-                const std::set<const BasicBlock*>& preds) {
-    std::set<const BasicBlock*> incoming(phi.incomingBlocks().begin(),
-                                         phi.incomingBlocks().end());
-    if (incoming.size() != phi.incomingBlocks().size()) {
+                const std::vector<const BasicBlock*>& preds) {
+    std::vector<const BasicBlock*> incoming(phi.incomingBlocks().begin(),
+                                            phi.incomingBlocks().end());
+    std::sort(incoming.begin(), incoming.end());
+    if (std::adjacent_find(incoming.begin(), incoming.end()) !=
+        incoming.end()) {
       error(f, "phi in " + block.name() + " lists a block twice");
+      incoming.erase(std::unique(incoming.begin(), incoming.end()),
+                     incoming.end());
     }
     if (incoming != preds) {
       error(f, "phi in " + block.name() +

@@ -70,7 +70,7 @@ void TraceRecorder::clear() {
   orphanLabels_ = 0;
 }
 
-void TraceRecorder::countGlobal(const std::string& name, uint64_t delta) {
+void TraceRecorder::countGlobal(std::string_view name, uint64_t delta) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [existing, value] : globalCounters_) {
     if (existing == name) {
@@ -81,7 +81,7 @@ void TraceRecorder::countGlobal(const std::string& name, uint64_t delta) {
   globalCounters_.emplace_back(name, delta);
 }
 
-void TraceRecorder::setGauge(const std::string& name, int64_t value) {
+void TraceRecorder::setGauge(std::string_view name, int64_t value) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [existing, slot] : gauges_) {
     if (existing == name) {
@@ -92,7 +92,7 @@ void TraceRecorder::setGauge(const std::string& name, int64_t value) {
   gauges_.emplace_back(name, value);
 }
 
-void TraceRecorder::setGaugeMax(const std::string& name, int64_t value) {
+void TraceRecorder::setGaugeMax(std::string_view name, int64_t value) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [existing, slot] : gauges_) {
     if (existing == name) {
@@ -168,8 +168,10 @@ void setThreadLabel(std::string label) { t_orphan.label = std::move(label); }
 
 struct TaskScope::State {
   TaskRecord record;
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> stages;
+  // Transparent comparators: probes look names up as string_view and only
+  // a first occurrence allocates the key.
+  std::map<std::string, uint64_t, std::less<>> counters;
+  std::map<std::string, double, std::less<>> stages;
 };
 
 namespace {
@@ -217,11 +219,11 @@ std::vector<Event>& eventSink() {
 
 }  // namespace
 
-Span::Span(std::string name, std::string category) {
+Span::Span(std::string_view name, std::string_view category) {
   if (!on()) return;
   active_ = true;
-  name_ = std::move(name);
-  category_ = std::move(category);
+  name_ = name;
+  category_ = category;
   eventSink().push_back(Event{Event::Phase::Begin, name_, category_, nowNs()});
 }
 
@@ -230,31 +232,43 @@ Span::~Span() {
   eventSink().push_back(Event{Event::Phase::End, name_, category_, nowNs()});
 }
 
-void count(const std::string& name, uint64_t delta) {
+namespace {
+
+/// `map[key] += delta` without building a std::string for an existing key.
+template <typename Map, typename T>
+void addTo(Map& map, std::string_view key, T delta) {
+  auto it = map.find(key);
+  if (it == map.end()) it = map.emplace(std::string(key), T{}).first;
+  it->second += delta;
+}
+
+}  // namespace
+
+void count(std::string_view name, uint64_t delta) {
   if (!on()) return;
   if (t_current != nullptr) {
-    t_current->counters[name] += delta;
+    addTo(t_current->counters, name, delta);
   } else {
     TraceRecorder::global().countGlobal(name, delta);
   }
 }
 
-void countGlobal(const std::string& name, uint64_t delta) {
+void countGlobal(std::string_view name, uint64_t delta) {
   if (!on()) return;
   TraceRecorder::global().countGlobal(name, delta);
 }
 
-void addStageSeconds(const std::string& stage, double seconds) {
+void addStageSeconds(std::string_view stage, double seconds) {
   if (!on()) return;
-  if (t_current != nullptr) t_current->stages[stage] += seconds;
+  if (t_current != nullptr) addTo(t_current->stages, stage, seconds);
 }
 
-void gauge(const std::string& name, int64_t value) {
+void gauge(std::string_view name, int64_t value) {
   if (!on()) return;
   TraceRecorder::global().setGauge(name, value);
 }
 
-void gaugeMax(const std::string& name, int64_t value) {
+void gaugeMax(std::string_view name, int64_t value) {
   if (!on()) return;
   TraceRecorder::global().setGaugeMax(name, value);
 }

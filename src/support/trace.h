@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/json.h"
@@ -86,13 +87,13 @@ class TraceRecorder {
 
   /// Global (out-of-task) counters: schedule-independent totals like
   /// pool.tasks. Thread-safe.
-  void countGlobal(const std::string& name, uint64_t delta);
+  void countGlobal(std::string_view name, uint64_t delta);
   /// Global gauges: last-written values (e.g. pool.workers). Thread-safe.
-  void setGauge(const std::string& name, int64_t value);
+  void setGauge(std::string_view name, int64_t value);
   /// Raises gauge `name` to at least `value` — a monotonic high-water mark
   /// (e.g. model.cold_inflight_peak), safe against racing late writers that
   /// would regress a last-write gauge. Thread-safe.
-  void setGaugeMax(const std::string& name, int64_t value);
+  void setGaugeMax(std::string_view name, int64_t value);
 
   /// Takes every published task record, sorted by (index, unit); the
   /// recorder keeps running. Orphan buffers of live threads stay attached.
@@ -136,11 +137,12 @@ class TaskScope {
 };
 
 /// RAII span. Constructing records a Begin event, destroying the matching
-/// End. No-op when tracing is off or (for task-attributed data) outside any
-/// scope — outside a scope it records into the thread's orphan buffer.
+/// End. No-op when tracing is off (the names are not even copied) or (for
+/// task-attributed data) outside any scope — outside a scope it records into
+/// the thread's orphan buffer.
 class Span {
  public:
-  explicit Span(std::string name, std::string category = "stage");
+  explicit Span(std::string_view name, std::string_view category = "stage");
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -151,23 +153,26 @@ class Span {
   std::string category_;
 };
 
+// The probes below take names as string_view so a disabled probe costs the
+// `on()` check alone: no std::string is built for a literal name.
+
 /// Adds `delta` to counter `name`: task-local inside a TaskScope (fully
 /// deterministic), else global.
-void count(const std::string& name, uint64_t delta);
+void count(std::string_view name, uint64_t delta);
 
 /// Adds `delta` directly to the global counter map, bypassing any TaskScope.
 /// For schedule-dependent pool internals (pool.tasks) that must never enter
 /// a deterministic task record.
-void countGlobal(const std::string& name, uint64_t delta);
+void countGlobal(std::string_view name, uint64_t delta);
 
 /// Accumulates pipeline-stage wall seconds into the current TaskScope.
-void addStageSeconds(const std::string& stage, double seconds);
+void addStageSeconds(std::string_view stage, double seconds);
 
 /// Sets a global gauge (no-op when tracing is off).
-void gauge(const std::string& name, int64_t value);
+void gauge(std::string_view name, int64_t value);
 
 /// Raises a global gauge to at least `value` (no-op when tracing is off).
-void gaugeMax(const std::string& name, int64_t value);
+void gaugeMax(std::string_view name, int64_t value);
 
 /// Names this thread's orphan record (e.g. "pool-worker-3") instead of the
 /// default publish-order "thread-<n>" label. Wall-mode traces only.

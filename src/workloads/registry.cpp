@@ -3,7 +3,6 @@
 #include <string_view>
 #include <utility>
 
-#include "ir/verifier.h"
 #include "support/error.h"
 
 namespace cayman::workloads {
@@ -74,9 +73,7 @@ std::unique_ptr<ir::Module> build(std::string_view name) {
   if (info == nullptr) {
     throw Error("unknown workload: " + std::string(name));
   }
-  std::unique_ptr<ir::Module> module = info->build();
-  ir::verifyOrThrow(*module);
-  return module;
+  return info->build();
 }
 
 }  // namespace cayman::workloads

@@ -36,7 +36,8 @@ const std::vector<WorkloadInfo>& all();
 /// Lookup by name; nullptr when unknown.
 const WorkloadInfo* byName(std::string_view name);
 
-/// Builds (and verifies) a workload module by name; throws on unknown names.
+/// Builds a workload module by name; throws on unknown names. The module is
+/// not verified here: Framework's Verify stage checks every module it gets.
 std::unique_ptr<ir::Module> build(std::string_view name);
 
 // Suite builders (one translation unit each).

@@ -106,7 +106,8 @@ TEST(ModelTest, InvariantAccessGetsPromoted) {
   const analysis::Region* inner = loopRegionByHeader(p.wpst, "j.header");
   std::vector<AcceleratorConfig> configs = p.model.generate(inner);
   const AcceleratorConfig& fastest = configs.back();
-  const KernelAnalyses& ka = p.model.analysesFor(inner->function());
+  const analysis::FunctionAnalyses& ka =
+      p.model.analysesFor(inner->function());
   int promoted = 0;
   for (const auto& [inst, iface] : fastest.ifaces) {
     if (!iface.promoted) continue;
@@ -139,7 +140,8 @@ TEST(ModelTest, BetaRuleSelectsScratchpad) {
   const analysis::Region* outer = loopRegionByHeader(p.wpst, "rep.header");
   ASSERT_NE(outer, nullptr);
   std::vector<AcceleratorConfig> configs = p.model.generate(outer);
-  const KernelAnalyses& ka = p.model.analysesFor(outer->function());
+  const analysis::FunctionAnalyses& ka =
+      p.model.analysesFor(outer->function());
   bool xScratch = false;
   for (const auto& [inst, iface] : configs.back().ifaces) {
     analysis::AddressInfo addr = ka.scev.addressOf(inst);

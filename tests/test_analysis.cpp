@@ -5,6 +5,7 @@
 #include "analysis/memdep.h"
 #include "analysis/regions.h"
 #include "analysis/scev.h"
+#include "ir/builder.h"
 #include "ir/verifier.h"
 #include "workloads/kernel_builder.h"
 
@@ -80,6 +81,54 @@ std::unique_ptr<ir::Module> buildBranchy() {
 // CFG and dominators
 // --------------------------------------------------------------------------
 
+/// for (i = 0; i < 32; ++i) { a[i] = 1; if (i == 7) return; a[i + 1] = 2; }
+/// built by hand: the loop has two exits, created in the opposite order to
+/// the one the loop reaches them in, and the store in the later block is
+/// built first, so creation order disagrees with program order both ways.
+struct TwoExitLoop {
+  std::unique_ptr<ir::Module> module;
+  const ir::BasicBlock* earlyExit = nullptr;  ///< left from `first`
+  const ir::BasicBlock* exit = nullptr;       ///< left from the header
+  const ir::Instruction* firstStore = nullptr;   ///< a[i] = 1
+  const ir::Instruction* secondStore = nullptr;  ///< a[i + 1] = 2
+};
+
+TwoExitLoop buildTwoExitLoop() {
+  TwoExitLoop t;
+  t.module = std::make_unique<ir::Module>("two-exit");
+  auto* a = t.module->addGlobal("a", ir::Type::i64(), 64);
+  ir::Function* f = t.module->addFunction("main", ir::Type::voidTy(), {});
+  ir::BasicBlock* entry = f->addBlock("entry");
+  ir::BasicBlock* header = f->addBlock("header");
+  ir::BasicBlock* first = f->addBlock("first");
+  ir::BasicBlock* second = f->addBlock("second");
+  ir::BasicBlock* earlyExit = f->addBlock("early.exit");
+  ir::BasicBlock* exit = f->addBlock("exit");
+  ir::IRBuilder ir(t.module.get());
+  ir.setInsertPoint(entry);
+  ir.br(header);
+  ir.setInsertPoint(header);
+  ir::Instruction* i = ir.phi(ir::Type::i64(), "i");
+  i->addIncoming(ir.i64(0), entry);
+  ir.condBr(ir.icmp(ir::CmpPred::LT, i, ir.i64(32)), first, exit);
+  ir.setInsertPoint(second);
+  ir::Value* next = ir.add(i, ir.i64(1), "i.next");
+  t.secondStore = ir.store(ir.i64(2), ir.gep(a, next, ir::Type::i64()));
+  ir.br(header);
+  i->addIncoming(next, second);
+  ir.setInsertPoint(first);
+  t.firstStore = ir.store(ir.i64(1), ir.gep(a, i, ir::Type::i64()));
+  ir.condBr(ir.icmp(ir::CmpPred::EQ, i, ir.i64(7)), earlyExit, second);
+  ir.setInsertPoint(earlyExit);
+  ir.ret();
+  ir.setInsertPoint(exit);
+  ir.ret();
+  ir::verifyOrThrow(*t.module);
+  t.earlyExit = earlyExit;
+  t.exit = exit;
+  return t;
+}
+
 TEST(CfgTest, RpoStartsAtEntryAndCoversAllBlocks) {
   auto module = buildLinear();
   const ir::Function* f = module->entryFunction();
@@ -145,6 +194,17 @@ TEST(LoopTest, SingleLoopCanonicalForm) {
   EXPECT_EQ(loop->exitBlocks()[0], f->blockByName("i.exit"));
   EXPECT_EQ(loop->depth(), 1u);
   EXPECT_TRUE(loop->isInnermost());
+}
+
+TEST(LoopTest, ExitBlocksComeInBlockOrder) {
+  TwoExitLoop t = buildTwoExitLoop();
+  FunctionAnalyses fa(*t.module->entryFunction());
+  ASSERT_EQ(fa.loops.loops().size(), 1u);
+  const Loop* loop = fa.loops.loops()[0].get();
+  // The header's exit is reached first, but early.exit was created first.
+  EXPECT_EQ(loop->exitBlocks(),
+            (std::vector<const ir::BasicBlock*>{t.earlyExit, t.exit}));
+  EXPECT_EQ(fa.cfg.exitBlocks().size(), 2u);
 }
 
 TEST(LoopTest, NestingDepths) {
@@ -400,6 +460,21 @@ TEST(MemDepTest, ShiftedStoreCreatesDistanceDep) {
   const auto& deps = mem.carriedDeps(loop);
   ASSERT_EQ(deps.size(), 1u);
   EXPECT_EQ(deps[0].kind, LoopCarriedDep::Kind::Memory);
+  EXPECT_EQ(deps[0].distance, 1u);
+}
+
+TEST(MemDepTest, StorePairSourceIsTheEarlierStoreInProgramOrder) {
+  // a[i] = 1 and a[i + 1] = 2 collide one iteration apart. The pair is
+  // reported once, from the store that comes first in program order, not
+  // from whichever store object sits at the lower heap address.
+  TwoExitLoop t = buildTwoExitLoop();
+  FunctionAnalyses fa(*t.module->entryFunction());
+  const Loop* loop = fa.loops.topLevelLoops()[0];
+  const auto& deps = fa.mem.carriedDeps(loop);
+  ASSERT_EQ(deps.size(), 1u);
+  EXPECT_EQ(deps[0].kind, LoopCarriedDep::Kind::Memory);
+  EXPECT_EQ(deps[0].src, t.firstStore);
+  EXPECT_EQ(deps[0].dst, t.secondStore);
   EXPECT_EQ(deps[0].distance, 1u);
 }
 

@@ -28,6 +28,21 @@ TEST(FrameworkTest, EndToEndOnLinearKernel) {
   EXPECT_GT(fw.speedupOf(best), 1.0);
 }
 
+TEST(FrameworkTest, BothModelsShareOneAnalysisPerFunction) {
+  // The Cayman model and the QsCores model read the wPST's analyses; neither
+  // builds its own SCEV or memory analysis.
+  for (const char* name : {"atax", "cjpeg", "fft"}) {
+    Framework fw(workloads::build(name));
+    for (const auto& function : fw.module().functions()) {
+      const analysis::FunctionAnalyses& shared =
+          fw.wpst().analyses(function.get());
+      EXPECT_EQ(&fw.model().analysesFor(function.get()), &shared) << name;
+      EXPECT_EQ(&fw.qscores().model().analysesFor(function.get()), &shared)
+          << name;
+    }
+  }
+}
+
 TEST(FrameworkTest, ExploreFrontiersGrowWithBudget) {
   Framework fw(workloads::build("atax"));
   select::Solution small = fw.best(0.10);

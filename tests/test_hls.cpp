@@ -3,7 +3,7 @@
 // the paper's Fig. 4 demonstrates.
 #include <gtest/gtest.h>
 
-#include "analysis/memdep.h"
+#include "analysis/regions.h"
 #include "hls/scheduler.h"
 #include "test_kernels.h"
 

@@ -2,7 +2,7 @@
 // subs, scales, shifts, extensions, and deep GEP chains.
 #include <gtest/gtest.h>
 
-#include "analysis/scev.h"
+#include "analysis/regions.h"
 #include "ir/verifier.h"
 #include "workloads/kernel_builder.h"
 

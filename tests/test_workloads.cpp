@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/regions.h"
+#include "ir/verifier.h"
 #include "sim/interpreter.h"
 #include "workloads/workloads.h"
 
@@ -38,6 +39,8 @@ class WorkloadTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(WorkloadTest, BuildsAndVerifies) {
   std::unique_ptr<ir::Module> module = build(GetParam());
   ASSERT_NE(module, nullptr);
+  // build() does not verify (Framework's Verify stage does), so check here.
+  EXPECT_TRUE(ir::verifyModule(*module).empty());
   EXPECT_EQ(module->name(), GetParam());
   EXPECT_GE(module->functions().size(), 1u);
   EXPECT_GE(module->globals().size(), 1u);

@@ -20,6 +20,7 @@
 #include "cayman/metrics.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "ir/verifier.h"
 #include "support/envhooks.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
@@ -111,6 +112,7 @@ int cmdList() {
 
 int cmdIr(const std::string& name) {
   std::unique_ptr<ir::Module> module = workloads::build(name);
+  ir::verifyOrThrow(*module);
   std::fputs(ir::printModule(*module).c_str(), stdout);
   return 0;
 }
