@@ -1,8 +1,8 @@
 // Merge micro-benchmarks (google-benchmark): the full merge phase on real
-// workloads in both matching engines, the matching step alone on
-// pre-extracted units (warm — no selection or extraction in the timed loop),
-// and a synthetic many-accelerator stress case where the O(U^2)-per-round
-// reference rescan separates from the edge-heap engine.
+// workloads, the matching step alone on pre-extracted units (warm — no
+// selection or extraction in the timed loop), and a synthetic
+// many-accelerator stress case with long merge chains. The workload rows keep
+// their `_graph` suffix so they stay comparable with the recorded history.
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
@@ -14,11 +14,10 @@ using namespace cayman;
 
 // Cold: the full merge phase (unit extraction + matching + group
 // accounting), as the pipeline runs it per (workload, budget).
-void BM_MergeRun(benchmark::State& state, const char* workload,
-                 merge::MergeMode mode) {
+void BM_MergeRun(benchmark::State& state, const char* workload) {
   Framework fw(workloads::build(workload));
   select::Solution best = fw.best(0.65);
-  merge::AcceleratorMerger merger(fw.tech(), mode);
+  merge::AcceleratorMerger merger(fw.tech());
   merge::MergeResult result;
   for (auto _ : state) {
     result = merger.run(best);
@@ -28,19 +27,13 @@ void BM_MergeRun(benchmark::State& state, const char* workload,
   state.counters["steps"] = static_cast<double>(result.mergeSteps);
   state.counters["scored"] = static_cast<double>(result.pairsScored);
 }
-BENCHMARK_CAPTURE(BM_MergeRun, cjpeg_graph, "cjpeg",
-                  merge::MergeMode::Graph);
-BENCHMARK_CAPTURE(BM_MergeRun, cjpeg_reference, "cjpeg",
-                  merge::MergeMode::Reference);
-BENCHMARK_CAPTURE(BM_MergeRun, 3mm_graph, "3mm", merge::MergeMode::Graph);
-BENCHMARK_CAPTURE(BM_MergeRun, 3mm_reference, "3mm",
-                  merge::MergeMode::Reference);
+BENCHMARK_CAPTURE(BM_MergeRun, cjpeg_graph, "cjpeg");
+BENCHMARK_CAPTURE(BM_MergeRun, 3mm_graph, "3mm");
 
 // Warm: matching only, on units extracted once outside the loop. Each
-// iteration copies the pristine units (engines mutate them in place); the
+// iteration copies the pristine units (matching mutates them in place); the
 // copy is cheap next to the scoring work being measured.
-void BM_MergeMatch(benchmark::State& state, const char* workload,
-                   merge::MergeMode mode) {
+void BM_MergeMatch(benchmark::State& state, const char* workload) {
   Framework fw(workloads::build(workload));
   select::Solution best = fw.best(0.65);
   std::vector<merge::Unit> pristine = merge::extractUnits(best);
@@ -49,28 +42,20 @@ void BM_MergeMatch(benchmark::State& state, const char* workload,
     std::vector<merge::Unit> units = pristine;
     merge::UnionFind groups(best.accelerators.size());
     stats = {};
-    double saving =
-        mode == merge::MergeMode::Graph
-            ? merge::matchUnitsGraph(units, fw.tech(), groups, stats)
-            : merge::matchUnitsReference(units, fw.tech(), groups, stats);
+    double saving = merge::matchUnitsGraph(units, fw.tech(), groups, stats);
     benchmark::DoNotOptimize(saving);
   }
   state.counters["units"] = static_cast<double>(pristine.size());
   state.counters["steps"] = static_cast<double>(stats.steps);
   state.counters["scored"] = static_cast<double>(stats.pairsScored);
 }
-BENCHMARK_CAPTURE(BM_MergeMatch, cjpeg_graph, "cjpeg",
-                  merge::MergeMode::Graph);
-BENCHMARK_CAPTURE(BM_MergeMatch, cjpeg_reference, "cjpeg",
-                  merge::MergeMode::Reference);
-BENCHMARK_CAPTURE(BM_MergeMatch, 3mm_graph, "3mm", merge::MergeMode::Graph);
-BENCHMARK_CAPTURE(BM_MergeMatch, 3mm_reference, "3mm",
-                  merge::MergeMode::Reference);
+BENCHMARK_CAPTURE(BM_MergeMatch, cjpeg_graph, "cjpeg");
+BENCHMARK_CAPTURE(BM_MergeMatch, 3mm_graph, "3mm");
 
 // Synthetic many-accelerator stress: `accels` accelerators with 1-3 units
-// each and overlapping seeded op mixes, so long merge chains form. This is
-// the population-scale regime the tentpole targets; the reference engine is
-// quadratic per merge step here.
+// each and overlapping seeded op mixes, so long merge chains form: the
+// population-scale regime, where a full rescan per merge step would be
+// quadratic.
 std::vector<merge::Unit> syntheticUnits(size_t accels) {
   uint64_t lcg = 99991;
   auto next = [&lcg]() {
@@ -92,7 +77,7 @@ std::vector<merge::Unit> syntheticUnits(size_t accels) {
   return units;
 }
 
-void BM_MergeSyntheticMatch(benchmark::State& state, merge::MergeMode mode) {
+void BM_MergeSyntheticMatch(benchmark::State& state) {
   size_t accels = static_cast<size_t>(state.range(0));
   hls::TechLibrary tech = hls::TechLibrary::nangate45();
   std::vector<merge::Unit> pristine = syntheticUnits(accels);
@@ -101,24 +86,14 @@ void BM_MergeSyntheticMatch(benchmark::State& state, merge::MergeMode mode) {
     std::vector<merge::Unit> units = pristine;
     merge::UnionFind groups(accels);
     stats = {};
-    double saving =
-        mode == merge::MergeMode::Graph
-            ? merge::matchUnitsGraph(units, tech, groups, stats)
-            : merge::matchUnitsReference(units, tech, groups, stats);
+    double saving = merge::matchUnitsGraph(units, tech, groups, stats);
     benchmark::DoNotOptimize(saving);
   }
   state.counters["units"] = static_cast<double>(pristine.size());
   state.counters["steps"] = static_cast<double>(stats.steps);
   state.counters["scored"] = static_cast<double>(stats.pairsScored);
 }
-BENCHMARK_CAPTURE(BM_MergeSyntheticMatch, graph, merge::MergeMode::Graph)
-    ->Arg(24)
-    ->Arg(96)
-    ->Arg(384);
-BENCHMARK_CAPTURE(BM_MergeSyntheticMatch, reference,
-                  merge::MergeMode::Reference)
-    ->Arg(24)
-    ->Arg(96);
+BENCHMARK(BM_MergeSyntheticMatch)->Arg(24)->Arg(96)->Arg(384);
 
 }  // namespace
 

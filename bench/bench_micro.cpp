@@ -31,23 +31,6 @@ void BM_InterpreterRun(benchmark::State& state, const char* workload) {
 BENCHMARK_CAPTURE(BM_InterpreterRun, atax, "atax");
 BENCHMARK_CAPTURE(BM_InterpreterRun, cjpeg, "cjpeg");
 
-// Tree-walking reference engine, kept for before/after comparison and as the
-// golden-equivalence oracle.
-void BM_InterpreterRunReference(benchmark::State& state) {
-  auto module = workloads::build("atax");
-  sim::Interpreter interp(*module, sim::CpuCostModel::cva6(),
-                          sim::Interpreter::ExecMode::Reference);
-  uint64_t instructions = 0;
-  for (auto _ : state) {
-    sim::Interpreter::Result result = interp.run();
-    instructions += result.instructions;
-    benchmark::DoNotOptimize(result.totalCycles);
-  }
-  state.counters["insts/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_InterpreterRunReference);
-
 // One-time decode cost (amortized over every subsequent run): lowers all
 // functions of the workload to micro-op streams from scratch each iteration.
 void BM_InterpreterDecode(benchmark::State& state) {

@@ -1,10 +1,11 @@
 // Accelerator-model micro-benchmarks (google-benchmark): candidate
-// generation on the largest workloads in both design-space engines, cold
-// (fresh model, eager warmGenerateCache over every candidate region) and
-// warm (memoized generate() reads), plus a synthetic deep-loop-nest stress
-// kernel whose every level is a candidate region. The per-iteration counters
-// report each cold sweep's estimate()/scheduleBlock() totals (DESIGN.md §12
-// has the sweep-wide counter table).
+// generation on the largest workloads, cold (fresh model, eager
+// warmGenerateCache over every candidate region) and warm (memoized
+// generate() reads), plus a synthetic deep-loop-nest stress kernel whose
+// every level is a candidate region. The per-iteration counters report each
+// cold sweep's estimate()/scheduleBlock() totals (DESIGN.md §12 has the
+// sweep-wide counter table). The cjpeg/3mm rows keep their `_guided` suffix
+// so they stay comparable with the recorded history.
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
@@ -16,19 +17,12 @@ namespace {
 
 using namespace cayman;
 
-FrameworkOptions optionsFor(accel::GenerateMode mode) {
-  FrameworkOptions options;
-  options.generateMode = mode;
-  return options;
-}
-
 // Cold generation: a fresh model per iteration (the Framework's profile and
 // analyses are reused; the model rebuilds its own caches), then an eager
 // sweep over every candidate region. This is the dominant model cost of one
 // evaluate-all row.
-void BM_GenerateCold(benchmark::State& state, const char* workload,
-                     accel::GenerateMode mode) {
-  Framework fw(workloads::build(workload), optionsFor(mode));
+void BM_GenerateCold(benchmark::State& state, const char* workload) {
+  Framework fw(workloads::build(workload));
   accel::ModelParams params = fw.model().params();
   uint64_t estimates = 0;
   uint64_t schedules = 0;
@@ -43,20 +37,13 @@ void BM_GenerateCold(benchmark::State& state, const char* workload,
   state.counters["estimates"] = static_cast<double>(estimates);
   state.counters["schedules"] = static_cast<double>(schedules);
 }
-BENCHMARK_CAPTURE(BM_GenerateCold, cjpeg_guided, "cjpeg",
-                  accel::GenerateMode::Guided);
-BENCHMARK_CAPTURE(BM_GenerateCold, cjpeg_reference, "cjpeg",
-                  accel::GenerateMode::Reference);
-BENCHMARK_CAPTURE(BM_GenerateCold, 3mm_guided, "3mm",
-                  accel::GenerateMode::Guided);
-BENCHMARK_CAPTURE(BM_GenerateCold, 3mm_reference, "3mm",
-                  accel::GenerateMode::Reference);
+BENCHMARK_CAPTURE(BM_GenerateCold, cjpeg_guided, "cjpeg");
+BENCHMARK_CAPTURE(BM_GenerateCold, 3mm_guided, "3mm");
 
 // Warm generation: every call is a memoized cache read; this is what the
 // selector's pre-pass sees on repeated budget sweeps over one Framework.
-void BM_GenerateWarm(benchmark::State& state, const char* workload,
-                     accel::GenerateMode mode) {
-  Framework fw(workloads::build(workload), optionsFor(mode));
+void BM_GenerateWarm(benchmark::State& state, const char* workload) {
+  Framework fw(workloads::build(workload));
   fw.model().warmGenerateCache();
   for (auto _ : state) {
     size_t configs = 0;
@@ -66,10 +53,7 @@ void BM_GenerateWarm(benchmark::State& state, const char* workload,
     benchmark::DoNotOptimize(configs);
   }
 }
-BENCHMARK_CAPTURE(BM_GenerateWarm, cjpeg_guided, "cjpeg",
-                  accel::GenerateMode::Guided);
-BENCHMARK_CAPTURE(BM_GenerateWarm, cjpeg_reference, "cjpeg",
-                  accel::GenerateMode::Reference);
+BENCHMARK_CAPTURE(BM_GenerateWarm, cjpeg_guided, "cjpeg");
 
 // Synthetic deep-nest stress: depth-4 loop nest over f64 arrays with an
 // unrollable, pipelineable innermost body. Every nest level is its own
@@ -100,8 +84,8 @@ std::unique_ptr<ir::Module> deepNestKernel(int64_t n) {
   return module;
 }
 
-void BM_GenerateDeepNest(benchmark::State& state, accel::GenerateMode mode) {
-  Framework fw(deepNestKernel(6), optionsFor(mode));
+void BM_GenerateDeepNest(benchmark::State& state) {
+  Framework fw(deepNestKernel(6));
   accel::ModelParams params = fw.model().params();
   uint64_t estimates = 0;
   uint64_t schedules = 0;
@@ -116,9 +100,7 @@ void BM_GenerateDeepNest(benchmark::State& state, accel::GenerateMode mode) {
   state.counters["estimates"] = static_cast<double>(estimates);
   state.counters["schedules"] = static_cast<double>(schedules);
 }
-BENCHMARK_CAPTURE(BM_GenerateDeepNest, guided, accel::GenerateMode::Guided);
-BENCHMARK_CAPTURE(BM_GenerateDeepNest, reference,
-                  accel::GenerateMode::Reference);
+BENCHMARK(BM_GenerateDeepNest);
 
 }  // namespace
 

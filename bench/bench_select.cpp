@@ -1,5 +1,5 @@
 // Selector micro-benchmarks (google-benchmark): the Algorithm 1 DP on the
-// largest workloads in both engines, a twelve-budget best() sweep, plus a
+// largest workloads, a twelve-budget best() sweep, plus a
 // synthetic wide-front ⊗ stress case. Their Frameworks are built once per
 // benchmark, so the model's generate cache is warm after the first iteration
 // and the steady state measures the DP itself — the same quantity the
@@ -15,23 +15,21 @@ namespace {
 
 using namespace cayman;
 
-select::SelectorParams paramsFor(const Framework& fw, double budgetRatio,
-                                 select::SelectMode mode) {
+select::SelectorParams paramsFor(const Framework& fw, double budgetRatio) {
   select::SelectorParams params;
   params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
   params.alpha = fw.options().alpha;
   params.pruneHotFraction = fw.options().pruneHotFraction;
   params.clockRatio = fw.options().clockRatio();
-  params.mode = mode;
   return params;
 }
 
 // Full Algorithm 1 run (pre-pass + DP + materialization) on one workload.
-void BM_SelectDp(benchmark::State& state, const char* workload,
-                 select::SelectMode mode) {
+// Row names keep their `_frontier` suffix so they stay comparable with the
+// recorded history.
+void BM_SelectDp(benchmark::State& state, const char* workload) {
   Framework fw(workloads::build(workload));
-  select::CandidateSelector selector(fw.model(),
-                                     paramsFor(fw, 0.65, mode));
+  select::CandidateSelector selector(fw.model(), paramsFor(fw, 0.65));
   select::SelectStats stats;
   for (auto _ : state) {
     std::vector<select::Solution> front = selector.select(stats);
@@ -40,14 +38,8 @@ void BM_SelectDp(benchmark::State& state, const char* workload,
   state.counters["front"] = static_cast<double>(stats.frontPeak);
   state.counters["pairs"] = static_cast<double>(stats.combinePairs);
 }
-BENCHMARK_CAPTURE(BM_SelectDp, cjpeg_frontier, "cjpeg",
-                  select::SelectMode::Frontier);
-BENCHMARK_CAPTURE(BM_SelectDp, cjpeg_reference, "cjpeg",
-                  select::SelectMode::Reference);
-BENCHMARK_CAPTURE(BM_SelectDp, 3mm_frontier, "3mm",
-                  select::SelectMode::Frontier);
-BENCHMARK_CAPTURE(BM_SelectDp, 3mm_reference, "3mm",
-                  select::SelectMode::Reference);
+BENCHMARK_CAPTURE(BM_SelectDp, cjpeg_frontier, "cjpeg");
+BENCHMARK_CAPTURE(BM_SelectDp, 3mm_frontier, "3mm");
 
 // A design-space explorer's query pattern: warm cjpeg and 3mm Frameworks
 // asked for Cayman's and the QsCores baseline's best() at twelve budgets
@@ -55,13 +47,11 @@ BENCHMARK_CAPTURE(BM_SelectDp, 3mm_reference, "3mm",
 // one-entry {∅} front, the frontier DP's identity fast path. The selectors
 // run on the models directly, past the Framework's and the baseline's
 // selection memos, so every budget times the DP.
-void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
-  FrameworkOptions options;
-  options.selectMode = mode;
+void BM_SelectBudgetSweep(benchmark::State& state) {
   std::vector<std::unique_ptr<Framework>> frameworks;
   for (const char* workload : {"cjpeg", "3mm"}) {
     frameworks.push_back(
-        std::make_unique<Framework>(workloads::build(workload), options));
+        std::make_unique<Framework>(workloads::build(workload)));
   }
   auto sweep = [&] {
     for (const std::unique_ptr<Framework>& fw : frameworks) {
@@ -69,14 +59,12 @@ void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
         const double budgetRatio = 0.02 + 0.98 * step / 11.0;
         select::SelectStats stats;
         benchmark::DoNotOptimize(
-            select::CandidateSelector(fw->model(),
-                                      paramsFor(*fw, budgetRatio, mode))
+            select::CandidateSelector(fw->model(), paramsFor(*fw, budgetRatio))
                 .best(stats)
                 .areaUm2);
         select::SelectorParams qscores;
         qscores.areaBudgetUm2 = fw->budgetUm2(budgetRatio);
         qscores.clockRatio = fw->options().clockRatio();
-        qscores.mode = mode;
         benchmark::DoNotOptimize(
             select::CandidateSelector(fw->qscores().model(), qscores)
                 .best(stats)
@@ -87,10 +75,7 @@ void BM_SelectBudgetSweep(benchmark::State& state, select::SelectMode mode) {
   sweep();  // warms both models' generate caches
   for (auto _ : state) sweep();
 }
-BENCHMARK_CAPTURE(BM_SelectBudgetSweep, frontier,
-                  select::SelectMode::Frontier);
-BENCHMARK_CAPTURE(BM_SelectBudgetSweep, reference,
-                  select::SelectMode::Reference);
+BENCHMARK(BM_SelectBudgetSweep);
 
 // The same twelve budgets through evaluate() (selection, merge and both
 // baselines) on cjpeg and 3mm Frameworks built, with warm generate caches,
@@ -122,8 +107,9 @@ BENCHMARK(BM_EvaluateBudgetSweep);
 
 // Synthetic wide-front stress: two strict Pareto fronts of `width`
 // two-config solutions run through one ⊗ + α-filter step, the inner loop of
-// the DP. The budget admits roughly half of the width² pairs, so the
-// frontier path's early budget break-out is exercised, not bypassed.
+// the DP. The budget, the widest single pair's area, admits roughly half of
+// the width² pairs, so the early budget break-out is exercised, not
+// bypassed.
 constexpr double kRatio = 1.25;
 constexpr double kAlpha = 1.12;
 
@@ -141,18 +127,6 @@ std::vector<accel::AcceleratorConfig> syntheticConfigs(size_t width,
   return configs;
 }
 
-std::vector<select::Solution> syntheticFront(
-    const std::vector<accel::AcceleratorConfig>& configs) {
-  std::vector<select::Solution> front;
-  front.reserve(configs.size() / 2);
-  for (size_t i = 0; i + 1 < configs.size(); i += 2) {
-    front.push_back(
-        select::Solution::merge(select::Solution::fromConfig(configs[i]),
-                                select::Solution::fromConfig(configs[i + 1])));
-  }
-  return front;
-}
-
 std::vector<select::FrontierEntry> syntheticEntries(
     const std::vector<accel::AcceleratorConfig>& configs,
     select::SolutionArena& arena) {
@@ -167,32 +141,6 @@ std::vector<select::FrontierEntry> syntheticEntries(
   return front;
 }
 
-double budgetFor(const std::vector<select::Solution>& front) {
-  // The widest single pair's area: admits the lower-area part of the cross
-  // product and rejects the rest via the break / per-pair filter.
-  return front.back().areaUm2;
-}
-
-void BM_CombineWideFront_Reference(benchmark::State& state) {
-  size_t width = static_cast<size_t>(state.range(0));
-  std::vector<accel::AcceleratorConfig> configsA =
-      syntheticConfigs(width, 37.0);
-  std::vector<accel::AcceleratorConfig> configsB =
-      syntheticConfigs(width, 53.0);
-  std::vector<select::Solution> a = syntheticFront(configsA);
-  std::vector<select::Solution> b = syntheticFront(configsB);
-  double budget = budgetFor(b);
-  select::SelectStats pairs;
-  for (auto _ : state) {
-    std::vector<select::Solution> merged = select::filterByAlpha(
-        select::combine(a, b, budget, kRatio, &pairs), kAlpha);
-    benchmark::DoNotOptimize(merged.size());
-  }
-  state.counters["pairs/iter"] = static_cast<double>(
-      pairs.combinePairs / std::max<uint64_t>(1, state.iterations()));
-}
-BENCHMARK(BM_CombineWideFront_Reference)->Arg(32)->Arg(96);
-
 void BM_CombineWideFront_Frontier(benchmark::State& state) {
   size_t width = static_cast<size_t>(state.range(0));
   std::vector<accel::AcceleratorConfig> configsA =
@@ -202,7 +150,7 @@ void BM_CombineWideFront_Frontier(benchmark::State& state) {
   select::SolutionArena baseArena;
   std::vector<select::FrontierEntry> a = syntheticEntries(configsA, baseArena);
   std::vector<select::FrontierEntry> b = syntheticEntries(configsB, baseArena);
-  double budget = b.back().areaUm2;  // same cut as the reference benchmark
+  double budget = b.back().areaUm2;
   select::SelectStats pairs;
   for (auto _ : state) {
     // Fresh arena per step (copied from the pristine base), as in a DP

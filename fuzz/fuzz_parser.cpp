@@ -6,8 +6,9 @@
 //   3. print -> reparse -> verify -> print: the textual format must round-trip
 //      to a fixpoint for any module that survived 1+2,
 //   4. differential interpretation: the decoded engine and the reference
-//      tree-walker run the module under a tiny instruction limit and must
-//      either both throw or produce bit-identical results.
+//      tree-walker (the test-only oracle in tests/oracles/) run the module
+//      under a tiny instruction limit and must either both throw or produce
+//      bit-identical results.
 //
 // Build shapes:
 //   - fuzz_parser        libFuzzer driver (Clang only, -fsanitize=fuzzer).
@@ -22,6 +23,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "oracles/interpreter.h"
 #include "sim/interpreter.h"
 #include "support/status.h"
 
@@ -61,10 +63,12 @@ struct RunOutcome {
   uint64_t returnFBits = 0;
 };
 
-RunOutcome interpret(const ir::Module& module, sim::Interpreter::ExecMode mode) {
+/// Runs the module on one engine: sim::Interpreter or the reference oracle.
+template <typename Engine>
+RunOutcome interpret(const ir::Module& module) {
   RunOutcome out;
   try {
-    sim::Interpreter interpreter(module, sim::CpuCostModel::cva6(), mode);
+    Engine interpreter(module);
     interpreter.setInstructionLimit(kFuzzInstructionLimit);
     sim::Interpreter::Result result = interpreter.run();
     out.instructions = result.instructions;
@@ -107,9 +111,8 @@ void runOne(const uint8_t* data, size_t size) {
 
   // Differential interpretation, decoded vs. reference oracle.
   if (module->entryFunction() == nullptr) return;
-  RunOutcome decoded = interpret(*module, sim::Interpreter::ExecMode::Decoded);
-  RunOutcome reference =
-      interpret(*module, sim::Interpreter::ExecMode::Reference);
+  RunOutcome decoded = interpret<sim::Interpreter>(*module);
+  RunOutcome reference = interpret<oracles::ReferenceInterpreter>(*module);
   require(decoded.threw == reference.threw,
           "decoded and reference engines disagree on rejection");
   if (decoded.threw) return;

@@ -72,6 +72,7 @@ double AcceleratorModel::tripCount(const Loop* loop) const {
 bool AcceleratorModel::isPipelineable(const Region* loopRegion) const {
   if (loopRegion->kind() != RegionKind::Loop) return false;
   if (!loopRegion->loop()->isInnermost()) return false;
+  if (loopRegion->loop()->latch() == nullptr) return false;  // several latches
   // Canonical shape: exactly bb children (header, single body, latch) —
   // no nested ctrl-flow, which would need predication we do not model.
   unsigned bodyBlocks = 0;
@@ -315,9 +316,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
   // Regions that never executed cannot gain anything.
   if (profile_.cycles(region) <= 0.0) return result;
 
-  result = params_.generateMode == GenerateMode::Reference
-               ? generateReference(region)
-               : generateGuided(region);
+  result = generateGuided(region);
 
   // Drop dominated duplicates (same cycles and area).
   std::sort(result.begin(), result.end(),
@@ -333,62 +332,33 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
     }
     unique.push_back(std::move(config));
   }
-  // Guided mode also drops strictly dominated points (the guardrail walk
-  // estimates one worsening step per region to observe the cutoff; that
-  // point is dominated by an already-kept cheaper config and the selector
-  // could never pick it). Reference keeps them: its list is the enumeration
-  // oracle, and the differential tests pin guided fronts against it.
-  if (params_.generateMode == GenerateMode::Guided) {
-    std::vector<AcceleratorConfig> front;
-    for (size_t i = 0; i < unique.size(); ++i) {
-      bool dominated = false;
-      for (size_t j = 0; j < unique.size() && !dominated; ++j) {
-        dominated = j != i && unique[j].areaUm2 <= unique[i].areaUm2 &&
-                    unique[j].cycles < unique[i].cycles;
-      }
-      if (!dominated) front.push_back(std::move(unique[i]));
+  // Also drop strictly dominated points (the guarded walk estimates one
+  // worsening step per region to observe the cutoff; that point is
+  // dominated by an already-kept cheaper config and the selector could
+  // never pick it).
+  std::vector<AcceleratorConfig> front;
+  for (size_t i = 0; i < unique.size(); ++i) {
+    bool dominated = false;
+    for (size_t j = 0; j < unique.size() && !dominated; ++j) {
+      dominated = j != i && unique[j].areaUm2 <= unique[i].areaUm2 &&
+                  unique[j].cycles < unique[i].cycles;
     }
-    unique = std::move(front);
+    if (!dominated) front.push_back(std::move(unique[i]));
   }
-  candidatesTotal_.fetch_add(unique.size(), std::memory_order_relaxed);
-  support::trace::count("model.candidates_total", unique.size());
-  return unique;
+  candidatesTotal_.fetch_add(front.size(), std::memory_order_relaxed);
+  support::trace::count("model.candidates_total", front.size());
+  return front;
 }
 
-std::vector<AcceleratorConfig> AcceleratorModel::generateReference(
-    const Region* region) const {
-  std::vector<AcceleratorConfig> result;
+AcceleratorConfig AcceleratorModel::ladderConfig(const Region* region,
+                                                 unsigned unroll,
+                                                 bool optimize) const {
   std::vector<AccessFacts> facts = accessFacts(region);
-  auto makeConfig = [&](unsigned unroll, bool optimize) {
-    if (params_.cancel != nullptr) {
-      params_.cancel->check(support::Stage::Select, region->label());
-    }
-    AcceleratorConfig config;
-    config.region = region;
-    config.loops = makeLoopConfigs(region, unroll, optimize);
-    config.ifaces = assignInterfaces(region, facts, config.loops);
-    estimate(config);
-    return config;
-  };
-
-  // Cheapest point: fully sequential, interface heuristic still applies the
-  // beta rule but nothing is pipelined (so no decoupled interfaces).
-  result.push_back(makeConfig(1, /*optimize=*/false));
-
-  bool hasLoops = false;
-  region->walk([&](const Region& r) {
-    hasLoops |= r.kind() == RegionKind::Loop;
-  });
-  if (hasLoops && (params_.allowPipelining || params_.allowUnrolling)) {
-    if (params_.allowUnrolling) {
-      for (unsigned unroll : params_.unrollFactors) {
-        result.push_back(makeConfig(unroll, /*optimize=*/true));
-      }
-    } else {
-      result.push_back(makeConfig(1, /*optimize=*/true));
-    }
-  }
-  return result;
+  AcceleratorConfig config;
+  config.region = region;
+  config.loops = makeLoopConfigs(region, unroll, optimize);
+  config.ifaces = assignInterfaces(region, facts, config.loops);
+  return config;
 }
 
 double AcceleratorModel::iiTreeTerm(
@@ -438,11 +408,28 @@ double AcceleratorModel::iiTreeTerm(
 
 std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     const Region* region) const {
+  bool hasLoops = false;
+  region->walk([&](const Region& r) {
+    hasLoops |= r.kind() == RegionKind::Loop;
+  });
+
   // Unrolling without pipelining reshapes sequential-loop costs in ways the
-  // II term below does not model; that ablation keeps the exhaustive
-  // enumerator (the stock pipeline never uses it — QsCores disables both).
+  // II term below does not model; that ablation estimates every ladder
+  // point (the stock pipeline never uses it — QsCores disables both).
   if (params_.allowUnrolling && !params_.allowPipelining) {
-    return generateReference(region);
+    std::vector<AcceleratorConfig> result;
+    auto add = [&](unsigned unroll, bool optimize) {
+      if (params_.cancel != nullptr) {
+        params_.cancel->check(support::Stage::Select, region->label());
+      }
+      result.push_back(ladderConfig(region, unroll, optimize));
+      estimate(result.back());
+    };
+    add(1, /*optimize=*/false);
+    if (hasLoops) {
+      for (unsigned unroll : params_.unrollFactors) add(unroll, true);
+    }
+    return result;
   }
 
   auto makeConfig = [&](std::vector<LoopConfig> loops,
@@ -460,18 +447,13 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
 
   std::vector<AcceleratorConfig> result;
   std::vector<AccessFacts> facts = accessFacts(region);
-  // Cheapest point: fully sequential (same as the reference enumerator).
+  // Cheapest point: fully sequential.
   {
     std::vector<LoopConfig> loops = makeLoopConfigs(region, 1, false);
     hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
     result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
   }
   const std::vector<LoopConfig>& baselineLoops = result.front().loops;
-
-  bool hasLoops = false;
-  region->walk([&](const Region& r) {
-    hasLoops |= r.kind() == RegionKind::Loop;
-  });
   if (!hasLoops || !(params_.allowPipelining || params_.allowUnrolling)) {
     return result;
   }
@@ -556,11 +538,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
 
 const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
     const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
-    unsigned unroll, hls::BlockSchedule& uncached) const {
-  if (params_.generateMode == GenerateMode::Reference) {
-    uncached = scheduler_.scheduleBlock(block, ifaces, unroll);
-    return uncached;
-  }
+    unsigned unroll) const {
   // The scheduler reads the assignment only through per-instruction
   // ifaceFor() lookups, so the AccessIface of each memory access (in program
   // order, defaulted like the scheduler defaults unmapped accesses) is a
@@ -617,9 +595,8 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
       double execs = std::ceil(
           static_cast<double>(profile_.blockCount(block)) /
           static_cast<double>(unrollContext));
-      hls::BlockSchedule uncached;
       const hls::BlockSchedule& sched =
-          scheduleBlockCached(*block, config.ifaces, unrollContext, uncached);
+          scheduleBlockCached(*block, config.ifaces, unrollContext);
       e.cycles = execs * static_cast<double>(sched.latency);
       e.area = sched.opAreaUm2 + sched.regAreaUm2 +
                tech_.fsmAreaPerState * sched.latency;
@@ -646,9 +623,8 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
         }
         CAYMAN_ASSERT(body != nullptr, "pipelined loop without body block");
         unsigned width = unroll * unrollContext;
-        hls::BlockSchedule uncached;
         const hls::BlockSchedule& sched =
-            scheduleBlockCached(*body, config.ifaces, width, uncached);
+            scheduleBlockCached(*body, config.ifaces, width);
         unsigned depth = sched.latency + 1;  // +1: IV/exit-condition stage
         unsigned ii = std::max(
             scheduler_.recMII(fa.mem.carriedDeps(loop), config.ifaces),

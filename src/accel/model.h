@@ -24,18 +24,15 @@ class ThreadPool;
 
 namespace cayman::accel {
 
-/// How generate() explores the per-region design space.
-///
-///   Reference — exhaustive enumeration: one config per unroll-ladder point
-///     (the quality oracle; PR 5's SelectMode::Reference pattern).
-///   Guided — roofline-directed: structurally identical ladder points are
-///     deduped before estimation, memory-bound regions clamp the ladder at
-///     the computed bandwidth-saturating factor, and compute-bound regions
-///     stop walking once a step scores worse. Must reproduce Reference's
-///     per-region Pareto fronts exactly (enforced by differential tests).
+/// The model's one design-space engine: generate() is roofline-guided —
+/// structurally identical ladder points are deduped before estimation,
+/// memory-bound regions clamp the ladder at the computed
+/// bandwidth-saturating factor, and compute-bound regions stop walking once
+/// a step scores worse. Nothing branches on this type; it exists only
+/// because the benchmark harness (perfbench/) still assigns
+/// ModelParams::generateMode and passes a mode to QsCoresFlow.
 enum class GenerateMode {
   Guided,
-  Reference,
 };
 
 struct ModelParams {
@@ -57,7 +54,7 @@ struct ModelParams {
   bool allowUnrolling = true;
   /// Substituted trip count when neither SCEV nor the profile knows one.
   uint64_t unknownTripFallback = 16;
-  /// Design-space exploration strategy for generate().
+  /// Unused (see GenerateMode).
   GenerateMode generateMode = GenerateMode::Guided;
   /// Cooperative cancellation: polled between candidate estimations so a
   /// pathological region cannot overshoot a per-workload deadline. Not owned.
@@ -101,6 +98,15 @@ class AcceleratorModel {
   /// Re-estimates (cycles, area, counters) for a fully-specified config.
   void estimate(AcceleratorConfig& config) const;
 
+  /// One point of the region's unroll ladder, not yet estimated: the region,
+  /// its loop configs (with `optimize`, every pipelineable loop pipelined
+  /// and, when unrolling is allowed and legal, unrolled by `unroll`;
+  /// without, all sequential) and the interfaces assigned for them.
+  /// generate() picks its candidates among these points; the exhaustive
+  /// enumeration oracle in tests/ enumerates them all.
+  AcceleratorConfig ladderConfig(const analysis::Region* region,
+                                 unsigned unroll, bool optimize) const;
+
   /// The wPST's analyses of `function` (shared with every other model built
   /// on the same wPST).
   const analysis::FunctionAnalyses& analysesFor(
@@ -115,12 +121,12 @@ class AcceleratorModel {
   /// innermost, straight-line single body block.
   bool isPipelineable(const analysis::Region* loopRegion) const;
 
-  /// Roofline/bottleneck analysis backing GenerateMode::Guided (lazily
+  /// Roofline/bottleneck analysis backing generate()'s ladder walk (lazily
   /// built on first use; memoized per region).
   const analysis::RooflineAnalysis& roofline() const;
 
-  /// Number of estimate() invocations on this model (both modes count at
-  /// the same point: every scored candidate costs exactly one call).
+  /// Number of estimate() invocations on this model: one per candidate
+  /// generate() scores, plus any direct estimate() calls.
   uint64_t estimateCalls() const {
     return estimateCalls_.load(std::memory_order_relaxed);
   }
@@ -129,10 +135,11 @@ class AcceleratorModel {
   uint64_t candidatesTotal() const {
     return candidatesTotal_.load(std::memory_order_relaxed);
   }
-  /// scheduleBlock() invocations made on this model's scheduler.
+  /// scheduleBlock() invocations made on this model's scheduler: one per
+  /// schedule-cache miss (see scheduleBlockCached).
   uint64_t scheduleBlockCalls() const { return scheduler_.blockCalls(); }
 
-  /// Signature comparisons performed by the guided schedule cache's ordered
+  /// Signature comparisons performed by the schedule cache's ordered
   /// lookups. Regression measure for the cache's container: the old
   /// linear-scan buckets cost O(entries) comparisons per lookup, the sorted
   /// map costs O(log entries) — tests pin the gap.
@@ -150,27 +157,23 @@ class AcceleratorModel {
 
   std::vector<AcceleratorConfig> generateUncached(
       const analysis::Region* region) const;
-  std::vector<AcceleratorConfig> generateReference(
-      const analysis::Region* region) const;
   std::vector<AcceleratorConfig> generateGuided(
       const analysis::Region* region) const;
   /// The unroll-sensitive part of a config's estimated cycles: for every
   /// pipelined loop in `region`, entries * ((iterations-1)*II +
   /// reduction-tree cycles), computed from the scheduler's MII bounds
-  /// exactly as estimateRegion() would. Used by the guided engine to admit
+  /// exactly as estimateRegion() would. Used by generateGuided to admit
   /// ladder points without estimating them.
   double iiTreeTerm(const analysis::Region* region,
                     const std::vector<LoopConfig>& loops,
                     const hls::IfaceAssignment& ifaces) const;
-  /// scheduleBlock with guided-mode memoization: identical
+  /// scheduleBlock with memoization: identical
   /// (block, interface-restriction, width) requests are scheduled once, and
   /// the returned reference points into the cache (valid for the model's
-  /// lifetime). Reference mode calls the scheduler directly so its call
-  /// counts reflect the full enumeration; its result lands in the caller's
-  /// `uncached` and the reference points there.
+  /// lifetime).
   const hls::BlockSchedule& scheduleBlockCached(
       const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
-      unsigned unroll, hls::BlockSchedule& uncached) const;
+      unsigned unroll) const;
   Estimate estimateRegion(const analysis::Region* region,
                           const AcceleratorConfig& config,
                           unsigned unrollContext) const;
@@ -220,12 +223,12 @@ class AcceleratorModel {
   mutable std::atomic<uint64_t> estimateCalls_{0};
   mutable std::atomic<uint64_t> candidatesTotal_{0};
 
-  /// Lazily-built roofline analysis (guided mode only). Guarded by
-  /// rooflineMutex_ for concurrent generate() callers.
+  /// Lazily-built roofline analysis. Guarded by rooflineMutex_ for
+  /// concurrent generate() callers.
   mutable std::mutex rooflineMutex_;
   mutable std::unique_ptr<analysis::RooflineAnalysis> roofline_;
 
-  // --- Guided-mode schedule memoization ------------------------------------
+  // --- Schedule memoization ------------------------------------------------
   //
   // Each (block, width) bucket is a sorted map keyed by the interface
   // signature (AccessIface per memory access in program order) — O(log n)

@@ -17,18 +17,27 @@ LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree)
   const auto& functionBlocks = cfg.function().blocks();
 
   // 1. Find back edges (latch -> header with header dominating latch) and
-  //    collect each natural loop's blocks by reverse reachability.
+  //    collect each header's loop body by reverse reachability from all of
+  //    its latches. Loops are numbered by their first back edge.
+  std::vector<Loop*> loopOfHeader(numBlocks, nullptr);
+  std::vector<const ir::BasicBlock*> work;
   for (const ir::BasicBlock* block : cfg.rpo()) {
     for (const ir::BasicBlock* succ : block->terminator()->successors()) {
       if (!domTree.dominates(succ, block)) continue;
-      // succ is a loop header, block the latch.
-      auto loop = std::make_unique<Loop>();
-      loop->header_ = succ;
-      loop->latch_ = block;
-      loop->index_ = static_cast<unsigned>(loops_.size());
-      loop->member_.assign(numBlocks, false);
-      loop->member_[succ->index()] = true;
-      std::vector<const ir::BasicBlock*> work{block};
+      // succ is a loop header, block a latch.
+      Loop*& loop = loopOfHeader[succ->index()];
+      if (loop == nullptr) {
+        loops_.push_back(std::make_unique<Loop>());
+        loop = loops_.back().get();
+        loop->header_ = succ;
+        loop->index_ = static_cast<unsigned>(loops_.size() - 1);
+        loop->member_.assign(numBlocks, false);
+        loop->member_[succ->index()] = true;
+      }
+      // A block branching to the header twice is one latch.
+      if (!loop->latches_.empty() && loop->latches_.back() == block) continue;
+      loop->latches_.push_back(block);
+      work.push_back(block);
       while (!work.empty()) {
         const ir::BasicBlock* b = work.back();
         work.pop_back();
@@ -38,10 +47,11 @@ LoopInfo::LoopInfo(const Cfg& cfg, const DominatorTree& domTree)
           work.push_back(pred);
         }
       }
-      for (size_t i = 0; i < numBlocks; ++i) {
-        if (loop->member_[i]) loop->blocks_.push_back(functionBlocks[i].get());
-      }
-      loops_.push_back(std::move(loop));
+    }
+  }
+  for (auto& loop : loops_) {
+    for (size_t i = 0; i < numBlocks; ++i) {
+      if (loop->member_[i]) loop->blocks_.push_back(functionBlocks[i].get());
     }
   }
 

@@ -1,4 +1,6 @@
-// Natural loop detection and the loop nesting forest.
+// Natural loop detection and the loop nesting forest. As in LLVM, a loop is
+// identified by its header: every back edge into one header contributes its
+// natural-loop body to that header's single Loop.
 #pragma once
 
 #include <memory>
@@ -10,7 +12,16 @@ namespace cayman::analysis {
 class Loop {
  public:
   const ir::BasicBlock* header() const { return header_; }
-  const ir::BasicBlock* latch() const { return latch_; }
+  /// The single block with a back edge to the header; nullptr when the loop
+  /// has several. Callers that need one latch treat such a loop as
+  /// non-canonical (no static trip count, no pipelining).
+  const ir::BasicBlock* latch() const {
+    return latches_.size() == 1 ? latches_.front() : nullptr;
+  }
+  /// Every block with a back edge to the header, in reverse post-order.
+  const std::vector<const ir::BasicBlock*>& latches() const {
+    return latches_;
+  }
   /// Unique predecessor of the header from outside the loop; nullptr when
   /// the loop is not in canonical form.
   const ir::BasicBlock* preheader() const { return preheader_; }
@@ -43,7 +54,7 @@ class Loop {
   friend class LoopInfo;
 
   const ir::BasicBlock* header_ = nullptr;
-  const ir::BasicBlock* latch_ = nullptr;
+  std::vector<const ir::BasicBlock*> latches_;
   const ir::BasicBlock* preheader_ = nullptr;
   std::vector<const ir::BasicBlock*> exits_;
   std::vector<const ir::BasicBlock*> blocks_;

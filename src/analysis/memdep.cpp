@@ -1,7 +1,7 @@
 #include "analysis/memdep.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 
 #include "analysis/regions.h"
 
@@ -52,6 +52,10 @@ MemoryAnalysis::MemoryAnalysis(const ir::Function& function,
   for (const auto& loop : fa.loops.loops()) {
     analyzeLoop(loop.get());
   }
+  // Only the loop analysis above searches def-use paths.
+  byAddress_ = {};
+  visitedIn_ = {};
+  queue_ = {};
 }
 
 const MemAccessInfo* MemoryAnalysis::infoFor(
@@ -189,28 +193,48 @@ void MemoryAnalysis::analyzeLoop(const Loop* loop) {
 
 std::vector<const ir::Instruction*> MemoryAnalysis::defUsePath(
     const ir::Instruction* from, const ir::Instruction* to,
-    const Loop* loop) const {
+    const Loop* loop) {
+  if (byAddress_.empty()) {
+    for (const auto& block : function_.blocks()) {
+      for (const auto& inst : block->instructions()) {
+        byAddress_.push_back(inst.get());
+      }
+    }
+    std::sort(byAddress_.begin(), byAddress_.end(),
+              std::less<const ir::Instruction*>{});
+    visitedIn_.assign(byAddress_.size(), 0);
+  }
+  ++search_;
+  // Marks `inst` reached; false when this search already had it.
+  auto reach = [&](const ir::Instruction* inst) {
+    auto it = std::lower_bound(byAddress_.begin(), byAddress_.end(), inst,
+                               std::less<const ir::Instruction*>{});
+    uint32_t& mark = visitedIn_[static_cast<size_t>(it - byAddress_.begin())];
+    if (mark == search_) return false;
+    mark = search_;
+    return true;
+  };
+
   // BFS backwards through operands of `from` until `to` is reached.
-  std::map<const ir::Instruction*, const ir::Instruction*> cameFrom;
-  std::deque<const ir::Instruction*> queue{from};
-  cameFrom[from] = nullptr;
-  while (!queue.empty()) {
-    const ir::Instruction* current = queue.front();
-    queue.pop_front();
+  constexpr uint32_t kRoot = ~uint32_t{0};
+  queue_.clear();
+  reach(from);
+  queue_.push_back({from, kRoot});
+  for (uint32_t head = 0; head < queue_.size(); ++head) {
+    const ir::Instruction* current = queue_[head].inst;
     if (current == to) {
       std::vector<const ir::Instruction*> path;
-      for (const ir::Instruction* i = current; i != nullptr;
-           i = cameFrom[i]) {
-        path.push_back(i);
+      for (uint32_t i = head; i != kRoot; i = queue_[i].from) {
+        path.push_back(queue_[i].inst);
       }
       return path;
     }
     for (const ir::Value* operand : current->operands()) {
       const auto* inst = ir::dynCast<ir::Instruction>(operand);
-      if (inst == nullptr || cameFrom.count(inst) != 0) continue;
+      if (inst == nullptr) continue;
       if (loop != nullptr && !loop->contains(inst->parent())) continue;
-      cameFrom[inst] = current;
-      queue.push_back(inst);
+      if (!reach(inst)) continue;
+      queue_.push_back({inst, head});
     }
   }
   return {};

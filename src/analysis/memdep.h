@@ -66,7 +66,7 @@ class MemoryAnalysis {
   /// empty when `src` does not feed `dst`.
   std::vector<const ir::Instruction*> defUsePath(const ir::Instruction* from,
                                                  const ir::Instruction* to,
-                                                 const Loop* loop) const;
+                                                 const Loop* loop);
 
   const ir::Function& function_;
   const LoopInfo& loops_;
@@ -76,6 +76,20 @@ class MemoryAnalysis {
   std::vector<uint32_t> blockBegin_;
   std::vector<std::vector<LoopCarriedDep>> deps_;  ///< by Loop::index()
   std::vector<LoopCarriedDep> noDeps_;
+
+  // defUsePath's search state, reused across the constructor's calls and
+  // released when it returns. The function's instructions sorted by address
+  // give each a dense id (built on the first search); visitedIn_[id] holds
+  // the number of the last search that reached it. The BFS queue doubles as
+  // the came-from tree.
+  struct Reached {
+    const ir::Instruction* inst;
+    uint32_t from;  ///< queue index of the discovering entry
+  };
+  std::vector<const ir::Instruction*> byAddress_;
+  std::vector<uint32_t> visitedIn_;
+  uint32_t search_ = 0;
+  std::vector<Reached> queue_;
 };
 
 }  // namespace cayman::analysis

@@ -47,6 +47,7 @@ const ir::BasicBlock* RooflineAnalysis::pipelineableBody(
     const Region* loopRegion) const {
   if (loopRegion->kind() != RegionKind::Loop) return nullptr;
   if (!loopRegion->loop()->isInnermost()) return nullptr;
+  if (loopRegion->loop()->latch() == nullptr) return nullptr;
   const ir::BasicBlock* body = nullptr;
   unsigned bodyBlocks = 0;
   for (const auto& child : loopRegion->children()) {

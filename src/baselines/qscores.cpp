@@ -4,12 +4,11 @@ namespace cayman::baselines {
 
 namespace {
 
-select::SelectorParams selectorParams(double areaBudgetUm2, double clockRatio,
-                                      select::SelectMode mode) {
+select::SelectorParams selectorParams(double areaBudgetUm2,
+                                      double clockRatio) {
   select::SelectorParams params;
   params.areaBudgetUm2 = areaBudgetUm2;
   params.clockRatio = clockRatio;
-  params.mode = mode;
   return params;
 }
 
@@ -29,38 +28,35 @@ hls::InterfaceTiming QsCoresFlow::scanChainTiming() {
 }
 
 accel::ModelParams QsCoresFlow::restrictedParams(
-    accel::GenerateMode mode, const support::CancelToken* cancel) {
+    const support::CancelToken* cancel) {
   accel::ModelParams params;
   params.allowDecoupled = false;
   params.allowScratchpad = false;
   params.allowPipelining = false;
   params.allowUnrolling = false;
-  params.generateMode = mode;
   params.cancel = cancel;
   return params;
 }
 
 QsCoresFlow::QsCoresFlow(const analysis::WPst& wpst,
                          const sim::ProfileData& profile,
-                         const hls::TechLibrary& tech,
-                         accel::GenerateMode mode,
+                         const hls::TechLibrary& tech, accel::GenerateMode,
                          const support::CancelToken* cancel)
     : model_(wpst, profile, tech, scanChainTiming(),
-             restrictedParams(mode, cancel)) {}
+             restrictedParams(cancel)) {}
 
 std::vector<select::Solution> QsCoresFlow::paretoFront(
-    double areaBudgetUm2, double clockRatio,
-    select::SelectMode mode) const {
-  select::CandidateSelector selector(
-      model_, selectorParams(areaBudgetUm2, clockRatio, mode));
+    double areaBudgetUm2, double clockRatio) const {
+  select::CandidateSelector selector(model_,
+                                     selectorParams(areaBudgetUm2, clockRatio));
   select::SelectStats stats;
   return selector.select(stats);
 }
 
 select::Solution QsCoresFlow::best(double areaBudgetUm2, double clockRatio,
-                                   select::SelectMode mode) const {
+                                   select::SelectMode) const {
   const select::SelectorParams params =
-      selectorParams(areaBudgetUm2, clockRatio, mode);
+      selectorParams(areaBudgetUm2, clockRatio);
   if (auto memoized = memo_.find(params)) return *memoized;
   select::SelectStats stats;
   select::Solution winner =

@@ -13,9 +13,11 @@ namespace cayman::baselines {
 
 class QsCoresFlow {
  public:
+  /// The GenerateMode argument is unused; the benchmark harness still
+  /// passes one (see accel::GenerateMode).
   QsCoresFlow(const analysis::WPst& wpst, const sim::ProfileData& profile,
               const hls::TechLibrary& tech,
-              accel::GenerateMode mode = accel::GenerateMode::Guided,
+              accel::GenerateMode = accel::GenerateMode::Guided,
               const support::CancelToken* cancel = nullptr);
 
   /// Scan-chain access timing: high latency, one word at a time, the chain
@@ -24,21 +26,19 @@ class QsCoresFlow {
 
   /// Model restrictions: sequential control only, coupled-style access only.
   static accel::ModelParams restrictedParams(
-      accel::GenerateMode mode = accel::GenerateMode::Guided,
       const support::CancelToken* cancel = nullptr);
 
   /// Both are safe to call concurrently: selection state is per-call and
   /// the restricted model's generate cache and best()'s selection memo are
-  /// internally synchronized. `mode` selects the DP engine (bit-identical
-  /// results either way). best() keeps the first winner the budget does not
-  /// bind and serves it, without running the DP, at every budget it covers
-  /// under the same clock ratio and engine (select/selection_memo.h).
-  std::vector<select::Solution> paretoFront(
-      double areaBudgetUm2, double clockRatio = 1.25,
-      select::SelectMode mode = select::SelectMode::Frontier) const;
+  /// internally synchronized. best() keeps the first winner the budget does
+  /// not bind and serves it, without running the DP, at every budget it
+  /// covers under the same clock ratio (select/selection_memo.h). Its
+  /// SelectMode argument is unused; the benchmark harness still passes one.
+  std::vector<select::Solution> paretoFront(double areaBudgetUm2,
+                                            double clockRatio = 1.25) const;
   select::Solution best(
       double areaBudgetUm2, double clockRatio = 1.25,
-      select::SelectMode mode = select::SelectMode::Frontier) const;
+      select::SelectMode = select::SelectMode::Frontier) const;
 
   const accel::AcceleratorModel& model() const { return model_; }
 

@@ -69,7 +69,6 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
     params.beta = options_.beta;
     params.allowDecoupled = !options_.coupledOnly;
     params.allowScratchpad = !options_.coupledOnly;
-    params.generateMode = options_.generateMode;
     params.cancel = options_.cancel;
     params.injectGenerateStallUs = options_.injectGenerateStallUs;
     model_ = std::make_unique<accel::AcceleratorModel>(
@@ -79,7 +78,8 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
         *wpst_, *profile_, tech_, interpreter_->costModel(),
         options_.cpuClockNs);
     qscores_ = std::make_unique<baselines::QsCoresFlow>(
-        *wpst_, *profile_, tech_, options_.generateMode, options_.cancel);
+        *wpst_, *profile_, tech_, accel::GenerateMode::Guided,
+        options_.cancel);
   });
 }
 
@@ -89,7 +89,6 @@ select::SelectorParams Framework::selectorParams(double budgetRatio) const {
   params.alpha = options_.alpha;
   params.pruneHotFraction = options_.pruneHotFraction;
   params.clockRatio = options_.clockRatio();
-  params.mode = options_.selectMode;
   params.cancel = options_.cancel;
   return params;
 }
@@ -108,8 +107,7 @@ select::Solution Framework::best(double budgetRatio) const {
 
 merge::MergeResult Framework::mergeSolution(
     const select::Solution& solution) const {
-  merge::AcceleratorMerger merger(tech_, options_.mergeMode);
-  return merger.run(solution);
+  return merge::AcceleratorMerger(tech_).run(solution);
 }
 
 EvaluationReport Framework::evaluate(double budgetRatio) const {

@@ -214,43 +214,4 @@ double matchUnitsGraph(std::vector<Unit>& units, const hls::TechLibrary& tech,
   return total;
 }
 
-double matchUnitsReference(std::vector<Unit>& units,
-                           const hls::TechLibrary& tech, UnionFind& groups,
-                           MatchStats& stats) {
-  double total = 0.0;
-  while (true) {
-    double bestSaving = 0.0;
-    size_t bestI = 0, bestJ = 0;
-    for (size_t i = 0; i < units.size(); ++i) {
-      if (!units[i].alive) continue;
-      for (size_t j = i + 1; j < units.size(); ++j) {
-        if (!units[j].alive) continue;
-        // Merging shares datapaths across accelerator *groups* (paper
-        // §III-E): once A merged into B, surviving units of A and B are one
-        // reconfigurable datapath already, and pairing them would book
-        // intra-group sharing as fresh cross-kernel saving (the seed
-        // compared raw accelerator indices and did exactly that).
-        if (groups.find(units[i].acceleratorIndex) ==
-            groups.find(units[j].acceleratorIndex)) {
-          continue;
-        }
-        ++stats.pairsScored;
-        double saving = unitPairSaving(tech, units[i], units[j]);
-        if (saving > bestSaving) {
-          bestSaving = saving;
-          bestI = i;
-          bestJ = j;
-        }
-      }
-    }
-    if (bestSaving <= 0.0) break;
-    absorbUnit(units[bestI], units[bestJ]);
-    groups.unite(units[bestJ].acceleratorIndex,
-                 units[bestI].acceleratorIndex);
-    total += bestSaving;
-    ++stats.steps;
-  }
-  return total;
-}
-
 }  // namespace cayman::merge

@@ -4,16 +4,13 @@
 // and merging is greedy maximum-weight matching over union-find *groups* —
 // clustering rounds that contract the best positive edge until none remains.
 //
-// Two engines share this unit model (merger.h dispatches on MergeMode):
-//   - matchUnitsGraph: a lazy-deletion max-heap over scored edges. Only the
-//     edges incident to a surviving merged unit are rescored; everything
-//     else keeps its exact cached weight. O(U^2) initial scoring plus
-//     O(U log U) per merge step instead of O(U^2) per step.
-//   - matchUnitsReference: the seed-era greedy (bug-fixed), rescoring every
-//     cross-group pair each round. Retained as the differential oracle, the
-//     same role SelectMode::Reference plays for the selector DP.
-// Both contract edges in the identical order (saving desc, then lowest unit
-// index pair), so their MergeResults are value-identical by construction.
+// matchUnitsGraph contracts the graph with a lazy-deletion max-heap over
+// scored edges. Only the edges incident to a surviving merged unit are
+// rescored; everything else keeps its exact cached weight: O(U^2) initial
+// scoring plus O(U log U) per merge step. Edges contract in the order
+// (saving desc, then lowest unit index pair), the order the seed-era greedy
+// rescan picks them in; that greedy lives on as a test-only oracle
+// (tests/oracles/merge.h) pinned value-identical to this engine.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +89,9 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-/// Per-engine matching statistics. `pairsScored` measures engine *work*
-/// (pairSaving evaluations actually performed) and is mode-DEPENDENT — it
-/// feeds benches only, never trace counters, which must stay byte-identical
-/// across merge modes.
+/// Matching statistics. `pairsScored` measures engine *work* (pairSaving
+/// evaluations actually performed); it feeds benches only, never trace
+/// counters.
 struct MatchStats {
   int steps = 0;
   uint64_t pairsScored = 0;
@@ -106,11 +102,5 @@ struct MatchStats {
 /// total net area saving.
 double matchUnitsGraph(std::vector<Unit>& units, const hls::TechLibrary& tech,
                        UnionFind& groups, MatchStats& stats);
-
-/// The bug-fixed seed-era greedy: full cross-group rescoring rounds picking
-/// the single best positive pair. Value-identical to matchUnitsGraph.
-double matchUnitsReference(std::vector<Unit>& units,
-                           const hls::TechLibrary& tech, UnionFind& groups,
-                           MatchStats& stats);
 
 }  // namespace cayman::merge

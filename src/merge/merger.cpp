@@ -29,9 +29,6 @@ MergeResult AcceleratorMerger::run(const select::Solution& solution) const {
   result.unitsExtracted = units.size();
   support::trace::count("merge.units", units.size());
 
-  // The initial compatibility scan considers every cross-accelerator unit
-  // pair in both engines; counting it here (instead of inside an engine)
-  // keeps the exported metrics byte-identical across MergeMode and --jobs.
   for (size_t i = 0; i < units.size(); ++i) {
     for (size_t j = i + 1; j < units.size(); ++j) {
       if (units[i].acceleratorIndex != units[j].acceleratorIndex) {
@@ -43,10 +40,7 @@ MergeResult AcceleratorMerger::run(const select::Solution& solution) const {
 
   UnionFind groups(solution.accelerators.size());
   MatchStats stats;
-  double totalSaving =
-      mode_ == MergeMode::Graph
-          ? matchUnitsGraph(units, tech_, groups, stats)
-          : matchUnitsReference(units, tech_, groups, stats);
+  double totalSaving = matchUnitsGraph(units, tech_, groups, stats);
   result.mergeSteps = stats.steps;
   result.pairsScored = stats.pairsScored;
   support::trace::count("merge.steps",

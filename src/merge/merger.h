@@ -8,18 +8,11 @@
 
 namespace cayman::merge {
 
-/// Which matching engine contracts the compatibility graph. Both produce
-/// value-identical MergeResults (a property the differential tests pin over
-/// all 28 workloads); Graph is strictly faster.
+/// The merger's one matching engine, matchUnitsGraph (merge/graph.h);
+/// nothing branches on this type. It exists only because the benchmark
+/// harness (perfbench/) still passes a mode to AcceleratorMerger.
 enum class MergeMode {
-  /// Lazy-deletion edge-heap matching over union-find groups (default):
-  /// every cross-accelerator pair is scored once, merges rescore only the
-  /// surviving unit's edges. See merge/graph.h.
   Graph,
-  /// The bug-fixed seed-era greedy, rescoring every cross-group pair per
-  /// round. Kept in-tree as the differential oracle (the same role
-  /// SelectMode::Reference plays for the selector DP).
-  Reference,
 };
 
 /// Outcome of merging one solution's accelerators.
@@ -36,12 +29,13 @@ struct MergeResult {
   /// Datapath units extracted (0 when the solution has < 2 accelerators —
   /// merging is strictly cross-accelerator, so nothing is even extracted).
   size_t unitsExtracted = 0;
-  /// Cross-accelerator unit pairs in the initial compatibility scan.
-  /// Mode-independent by construction (and the `merge.pairs_evaluated`
-  /// trace counter, so exported metrics agree across MergeMode).
+  /// Cross-accelerator unit pairs in the initial compatibility scan: every
+  /// pair of units owned by different accelerators (the
+  /// `merge.pairs_evaluated` trace counter).
   uint64_t pairsEvaluated = 0;
-  /// pairSaving evaluations the engine actually performed. Mode-DEPENDENT
-  /// work measure for benches; deliberately never exported as a counter.
+  /// pairSaving evaluations the edge-heap matching performed: the initial
+  /// scan plus the rescoring after each merge. A work measure for benches,
+  /// not exported as a trace counter.
   uint64_t pairsScored = 0;
 
   double savingPercent() const {
@@ -52,9 +46,10 @@ struct MergeResult {
 
 class AcceleratorMerger {
  public:
+  /// The MergeMode argument is unused (see MergeMode).
   explicit AcceleratorMerger(const hls::TechLibrary& tech,
-                             MergeMode mode = MergeMode::Graph)
-      : tech_(tech), mode_(mode) {}
+                             MergeMode = MergeMode::Graph)
+      : tech_(tech) {}
 
   /// Contracts the compatibility graph: repeatedly merge the cross-group
   /// unit pair with the maximum positive net saving until none remains.
@@ -69,11 +64,8 @@ class AcceleratorMerger {
   /// merge::unitPairSaving.
   double pairSaving(const OpCounts& a, const OpCounts& b) const;
 
-  MergeMode mode() const { return mode_; }
-
  private:
   const hls::TechLibrary& tech_;
-  MergeMode mode_;
 };
 
 }  // namespace cayman::merge

@@ -1,6 +1,6 @@
 // Frontier-compressed DP representation: the fast path of Algorithm 1.
 //
-// The reference DP carries full Solution objects through every ⊗ combine:
+// A Solution-vector DP carries full Solution objects through every ⊗ combine:
 // each admitted pair deep-copies two AcceleratorConfig vectors (each config
 // itself owning a LoopConfig vector and an interface map) only for pareto()
 // to throw most of the merged results away, so allocation churn dominates
@@ -19,11 +19,12 @@
 // live front as a stack, and pareto / α-filter / ⊗ rewrite the top of it in
 // place (see "Flat fronts" below), so a DP run allocates nothing per region.
 //
-// Bit-exactness contract with SelectMode::Reference: every scalar is
-// accumulated through the same additions in the same order as
-// Solution::merge, and savedCycles is always recomputed from the summed
-// cycle counts (never summed incrementally), so fronts, filters and final
-// solutions are bit-identical to the reference DP.
+// Bit-exactness contract with the Solution-vector reference DP (the test
+// oracle in tests/oracles/select.h): every scalar is accumulated through the
+// same additions in the same order as Solution::merge, and savedCycles is
+// always recomputed from the summed cycle counts (never summed
+// incrementally), so fronts, filters and final solutions are bit-identical
+// to the reference DP.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@ namespace cayman::select {
 
 /// Holds one `Value` derived from a rejection-free run and the bound M it
 /// is valid above. The setup key is SelectorParams without the budget (the
-/// α, pruning threshold, clock ratio and DP engine); a lookup under another
+/// α, pruning threshold and clock ratio); a lookup under another
 /// setup misses. Thread-safe: the value is set once under the mutex and
 /// then only read, through a shared pointer that stays valid after the
 /// lock is released.
@@ -58,7 +58,7 @@ class SelectionMemo {
  private:
   static bool sameSetup(const SelectorParams& a, const SelectorParams& b) {
     return a.alpha == b.alpha && a.pruneHotFraction == b.pruneHotFraction &&
-           a.clockRatio == b.clockRatio && a.mode == b.mode;
+           a.clockRatio == b.clockRatio;
   }
 
   mutable std::mutex mutex_;

@@ -32,8 +32,7 @@ struct ScratchRelease {
   ~ScratchRelease() { scratch.buffer.clear(); scratch.arena.clear(); }
 };
 
-/// Peak-front bookkeeping, fired after every α-filter in both DP paths (the
-/// same program points, so the stat is mode-independent).
+/// Peak-front bookkeeping, fired after every α-filter.
 void notePeak(SelectStats& stats, size_t frontSize) {
   if (frontSize > stats.frontPeak) stats.frontPeak = frontSize;
 }
@@ -72,62 +71,6 @@ void CandidateSelector::collectCandidates(const Region* region,
     collectCandidates(child.get(), lists);
   }
   if (region->isCtrlFlow()) lists[id] = &model_.generate(region);
-}
-
-std::vector<Solution> CandidateSelector::dpReference(
-    const Region* region, const CandidateLists& lists,
-    SelectStats& stats) const {
-  ++stats.regionsVisited;
-  if (params_.cancel != nullptr) {
-    params_.cancel->check(support::Stage::Select, region->label());
-  }
-
-  if (prunes(region)) {
-    ++stats.regionsPruned;
-    return {Solution{}};
-  }
-
-  std::vector<Solution> front{Solution{}};
-
-  if (region->kind() == RegionKind::Bb) {
-    std::vector<Solution> options{Solution{}};
-    for (const accel::AcceleratorConfig& config :
-         candidatesFor(lists, region)) {
-      ++stats.configsGenerated;
-      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
-      ++stats.singleConfigSolutions;
-      options.push_back(Solution::fromConfig(config));
-    }
-    front = filterByAlpha(pareto(std::move(options), params_.clockRatio),
-                          params_.alpha);
-    notePeak(stats, front.size());
-    return front;
-  }
-
-  // Combine children subtrees (⊗ over siblings).
-  for (const auto& child : region->children()) {
-    std::vector<Solution> childFront = dpReference(child.get(), lists, stats);
-    front = filterByAlpha(
-        combine(front, childFront, params_.areaBudgetUm2, params_.clockRatio,
-                &stats),
-        params_.alpha);
-    notePeak(stats, front.size());
-  }
-
-  // ctrl-flow regions may alternatively be selected whole.
-  if (region->isCtrlFlow()) {
-    for (const accel::AcceleratorConfig& config :
-         candidatesFor(lists, region)) {
-      ++stats.configsGenerated;
-      if (!stats.admits(config.areaUm2, params_.areaBudgetUm2)) continue;
-      ++stats.singleConfigSolutions;
-      front.push_back(Solution::fromConfig(config));
-    }
-    front = filterByAlpha(pareto(std::move(front), params_.clockRatio),
-                          params_.alpha);
-    notePeak(stats, front.size());
-  }
-  return front;
 }
 
 size_t CandidateSelector::dpFrontier(const Region* region,
@@ -194,31 +137,11 @@ Solution CandidateSelector::best(SelectStats& stats) const {
   return winner.empty() ? Solution{} : std::move(winner.front());
 }
 
-namespace {
-
-/// best()'s pick from a root front: the first strict maximum of
-/// Solution::savedCycles above 0, or -1 when nothing saves cycles.
-template <typename Front, typename Saved>
-ptrdiff_t winnerIndex(const Front& front, Saved saved) {
-  ptrdiff_t winner = -1;
-  double bestSaved = 0.0;
-  for (size_t i = 0; i < front.size(); ++i) {
-    double s = saved(front[i]);
-    if (s > bestSaved) {
-      bestSaved = s;
-      winner = static_cast<ptrdiff_t>(i);
-    }
-  }
-  return winner;
-}
-
-}  // namespace
-
 std::vector<Solution> CandidateSelector::run(SelectStats& stats,
                                              bool winnerOnly) const {
   stats = SelectStats{};
   // Candidate generation first, outside the span: it is memoized model work
-  // shared by every budget sweep and both DP engines, and folding its cold
+  // shared by every budget sweep, and folding its cold
   // first computation into select.dp made the DP look ~5x more expensive
   // than it is. No new span is opened for it, so the deterministic trace
   // event stream is unchanged.
@@ -227,39 +150,35 @@ std::vector<Solution> CandidateSelector::run(SelectStats& stats,
   support::trace::Span span("select.dp", "select");
   const double ratio = params_.clockRatio;
   std::vector<Solution> front;
-  if (params_.mode == SelectMode::Reference) {
-    front = dpReference(model_.wpst().root(), lists, stats);
-    if (winnerOnly) {
-      ptrdiff_t winner = winnerIndex(
-          front, [&](const Solution& s) { return s.savedCycles(ratio); });
-      std::vector<Solution> picked;
-      if (winner >= 0) picked.push_back(std::move(front[winner]));
-      front = std::move(picked);
-    }
-  } else {
-    Scratch& scratch = threadScratch();
-    std::vector<FrontierEntry>& buffer = scratch.buffer;
-    SolutionArena& arena = scratch.arena;
-    assert(buffer.empty() && "selector runs never nest on one thread");
-    ScratchRelease release{scratch};
-    // The stack starts empty, so the root front is all of it.
-    dpFrontier(model_.wpst().root(), lists, stats, arena, buffer);
-    std::span<const FrontierEntry> entries(buffer);
-    assert(arena.nodeCount() == stats.arenaNodes() &&
-           "arena grew out of step with the leaf/pair counters");
-    if (winnerOnly) {
-      // Pick on the cost triple (the same expression Solution::savedCycles
-      // evaluates on the materialized sums), then materialize only the
-      // winner instead of copying every config of the front.
-      ptrdiff_t winner = winnerIndex(entries, [&](const FrontierEntry& e) {
-        return e.cpuCycles - e.accelCycles * ratio;
-      });
-      if (winner >= 0) front.push_back(materialize(entries[winner], arena));
-    } else {
-      front.reserve(entries.size());
-      for (const FrontierEntry& entry : entries) {
-        front.push_back(materialize(entry, arena));
+  Scratch& scratch = threadScratch();
+  std::vector<FrontierEntry>& buffer = scratch.buffer;
+  SolutionArena& arena = scratch.arena;
+  assert(buffer.empty() && "selector runs never nest on one thread");
+  ScratchRelease release{scratch};
+  // The stack starts empty, so the root front is all of it.
+  dpFrontier(model_.wpst().root(), lists, stats, arena, buffer);
+  std::span<const FrontierEntry> entries(buffer);
+  assert(arena.nodeCount() == stats.arenaNodes() &&
+         "arena grew out of step with the leaf/pair counters");
+  if (winnerOnly) {
+    // Pick the first strict maximum of saved cycles above 0 on the cost
+    // triple (the same expression Solution::savedCycles evaluates on the
+    // materialized sums), then materialize only the winner instead of
+    // copying every config of the front.
+    ptrdiff_t winner = -1;
+    double bestSaved = 0.0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      double saved = entries[i].cpuCycles - entries[i].accelCycles * ratio;
+      if (saved > bestSaved) {
+        bestSaved = saved;
+        winner = static_cast<ptrdiff_t>(i);
       }
+    }
+    if (winner >= 0) front.push_back(materialize(entries[winner], arena));
+  } else {
+    front.reserve(entries.size());
+    for (const FrontierEntry& entry : entries) {
+      front.push_back(materialize(entry, arena));
     }
   }
   if (support::trace::on()) {

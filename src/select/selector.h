@@ -5,23 +5,16 @@
 
 #include "accel/model.h"
 #include "select/frontier.h"
-#include "select/pareto.h"
 #include "support/cancellation.h"
 
 namespace cayman::select {
 
-/// Which DP engine runs Algorithm 1. Both produce bit-identical fronts (a
-/// property the differential tests pin over all 28 workloads); Frontier is
-/// strictly faster.
+/// The selector's one DP engine. Algorithm 1 always runs the
+/// frontier-compressed DP (select/frontier.h); nothing branches on this
+/// type. It exists only because the benchmark harness (perfbench/) still
+/// assigns SelectorParams::mode and passes a mode to QsCoresFlow::best().
 enum class SelectMode {
-  /// Frontier-compressed DP (default): scalar cost records with O(1)
-  /// merges, arena-backed reconstruction, sorted-front combine with early
-  /// budget break-out, all fronts on one per-thread scratch stack. See
-  /// select/frontier.h.
   Frontier,
-  /// The original Solution-copying DP, kept in-tree as the differential
-  /// oracle (the same role ExecMode::Reference plays for the interpreter).
-  Reference,
 };
 
 struct SelectorParams {
@@ -35,7 +28,7 @@ struct SelectorParams {
   /// cycle units). 1.25 = 500 MHz accelerators beside a 625 MHz CVA6 on the
   /// same 45nm node.
   double clockRatio = 1.25;
-  /// DP engine; Reference exists for differential testing and debugging.
+  /// Unused (see SelectMode).
   SelectMode mode = SelectMode::Frontier;
   /// Optional cooperative cancellation: the DP polls this once per region
   /// visit and aborts with support::CancelledError when expired. Must
@@ -104,9 +97,6 @@ class CandidateSelector {
   static const std::vector<accel::AcceleratorConfig>& candidatesFor(
       const CandidateLists& lists, const analysis::Region* region);
 
-  std::vector<Solution> dpReference(const analysis::Region* region,
-                                    const CandidateLists& lists,
-                                    SelectStats& stats) const;
   /// The frontier DP over one scratch stack: pushes F[region] onto the top
   /// of `buffer` and returns its begin offset (the front ends at
   /// buffer.size()). Children's fronts are pushed above the parent's and

@@ -1,5 +1,5 @@
-// Work and budget bookkeeping of one Algorithm 1 run, shared by both DP
-// engines and the ⊗ primitives they call.
+// Work and budget bookkeeping of one Algorithm 1 run, shared by the DP and
+// the ⊗ primitives it calls.
 #pragma once
 
 #include <cstddef>
@@ -13,22 +13,22 @@ struct SelectStats {
   int configsGenerated = 0;
   /// ⊗ pairs admitted under the area budget across all combines.
   uint64_t combinePairs = 0;
-  /// Single-config solutions created (arena leaves in frontier mode).
+  /// Single-config solutions created (arena leaves).
   uint64_t singleConfigSolutions = 0;
-  /// Largest post-filter front either DP path carried.
+  /// Largest post-filter front the DP carried.
   size_t frontPeak = 0;
   /// True when the area budget rejected at least one config or ⊗ pair. A
   /// run that rejected nothing returns the same result at every budget
   /// >= maxAdmittedAreaUm2 (see select/selection_memo.h).
   bool budgetBound = false;
   /// Largest area of any config or ⊗ pair the budget admitted (0 when it
-  /// admitted none). Taken over admitted, not tested, areas: the reference
-  /// ⊗ tests every pair, the frontier ⊗ stops a row at its first rejection.
+  /// admitted none). Taken over admitted, not tested, areas: the frontier ⊗
+  /// stops a row at its first rejection, so the pairs it tests depend on
+  /// the front order, while the admitted set does not.
   double maxAdmittedAreaUm2 = 0.0;
 
   /// Reconstruction-arena size the run implies: one node per leaf plus
-  /// one per admitted merge. Counted identically in both modes so
-  /// exported metrics stay byte-identical across SelectMode.
+  /// one per admitted merge (the select.arena_nodes counter).
   uint64_t arenaNodes() const { return singleConfigSolutions + combinePairs; }
 
   /// The DP's one budget test, `areaUm2 > budget` rejects, recorded into

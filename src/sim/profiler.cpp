@@ -45,7 +45,11 @@ double ProfileData::cycles(const analysis::Region* region) const {
 }
 
 double ProfileData::avgTripCount(const analysis::Loop* loop) const {
-  uint64_t iterations = blockCount(loop->latch());
+  // Back-edge traversals: every latch's count.
+  uint64_t iterations = 0;
+  for (const ir::BasicBlock* latch : loop->latches()) {
+    iterations += blockCount(latch);
+  }
   uint64_t entries = loop->preheader() != nullptr
                          ? blockCount(loop->preheader())
                          : 1;

@@ -32,7 +32,8 @@ class ProfileData {
     return totalCycles_ <= 0 ? 0.0 : cycles(region) / totalCycles_;
   }
 
-  /// Average iterations per entry, from profile (latch count / entries).
+  /// Average iterations per entry, from profile (summed latch counts /
+  /// entries).
   double avgTripCount(const analysis::Loop* loop) const;
 
  private:

@@ -3,7 +3,11 @@
 // performance/area estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "accel/model.h"
+#include "ir/parser.h"
 #include "test_kernels.h"
 
 namespace cayman::accel {
@@ -212,6 +216,84 @@ TEST(ModelTest, EstimateIsDeterministic) {
   for (size_t i = 0; i < once.size(); ++i) {
     EXPECT_DOUBLE_EQ(once[i].cycles, twice[i].cycles);
     EXPECT_DOUBLE_EQ(once[i].areaUm2, twice[i].areaUm2);
+  }
+}
+
+// h -> b -> {l1, l2} -> h: two back edges into one header. Like LLVM, the
+// loop analysis builds one loop holding both bodies, with no single latch;
+// everything that needs one latch treats it as non-canonical.
+constexpr const char* kMultiLatch = R"(module "multilatch" {
+global @out : i64[1]
+
+func @main() -> i64 {
+entry:
+  br h
+h:
+  %i = phi i64 [ 0, entry ], [ %i.a, l1 ], [ %i.b, l2 ]
+  %s = phi i64 [ 0, entry ], [ %s.a, l1 ], [ %s.b, l2 ]
+  %c = icmp lt i64 %i, 100
+  condbr %c, b, exit
+b:
+  %bit = and i64 %i, 1
+  %odd = icmp eq i64 %bit, 1
+  condbr %odd, l1, l2
+l1:
+  %i.a = add i64 %i, 1
+  %s.a = add i64 %s, %i
+  br h
+l2:
+  %i.b = add i64 %i, 3
+  %s.b = add i64 %s, 2
+  br h
+exit:
+  %p = gep @out, 0, elem 8
+  store i64 %s, %p
+  ret i64 %s
+}
+}
+)";
+
+TEST(ModelTest, MultiLatchLoopIsOneNonCanonicalLoop) {
+  Pipeline p(ir::parseModule(kMultiLatch));
+  const ir::Function& f = *p.module->entryFunction();
+  const analysis::FunctionAnalyses& fa = p.model.analysesFor(&f);
+  ASSERT_EQ(fa.loops.loops().size(), 1u);
+  const analysis::Loop& loop = *fa.loops.loops().front();
+  EXPECT_EQ(loop.header(), f.blockByName("h"));
+  EXPECT_EQ(loop.latch(), nullptr);
+  std::vector<std::string> latches;
+  for (const ir::BasicBlock* latch : loop.latches()) {
+    latches.push_back(latch->name());
+  }
+  std::sort(latches.begin(), latches.end());
+  EXPECT_EQ(latches, (std::vector<std::string>{"l1", "l2"}));
+
+  // One loop region holding h b l1 l2.
+  const analysis::Region* region = loopRegionByHeader(p.wpst, "h");
+  ASSERT_NE(region, nullptr);
+  EXPECT_EQ(region->loop(), &loop);
+  std::vector<std::string> blocks;
+  for (const ir::BasicBlock* block : region->blocks()) {
+    blocks.push_back(block->name());
+  }
+  std::sort(blocks.begin(), blocks.end());
+  EXPECT_EQ(blocks, (std::vector<std::string>{"b", "h", "l1", "l2"}));
+  int loopRegions = 0;
+  p.wpst.root()->walk([&](const analysis::Region& r) {
+    loopRegions += r.kind() == analysis::RegionKind::Loop;
+  });
+  EXPECT_EQ(loopRegions, 1);
+
+  // No canonical IV, so no static trip count, and no scalar recurrence
+  // through a latch; the profile counts both back edges (25 + 25).
+  EXPECT_FALSE(fa.scev.tripCount(&loop).known);
+  for (const analysis::LoopCarriedDep& dep : fa.mem.carriedDeps(&loop)) {
+    EXPECT_NE(dep.kind, analysis::LoopCarriedDep::Kind::Scalar);
+  }
+  EXPECT_DOUBLE_EQ(p.profile.avgTripCount(&loop), 50.0);
+  EXPECT_FALSE(p.model.isPipelineable(region));
+  for (const AcceleratorConfig& config : p.model.generate(region)) {
+    EXPECT_EQ(config.numPipelinedRegions, 0u);
   }
 }
 

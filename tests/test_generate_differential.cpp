@@ -1,130 +1,123 @@
-// Differential tests pinning GenerateMode::Guided to the
-// GenerateMode::Reference enumeration oracle: bit-exact selected fronts over
-// all 28 registered workloads across budgets, a pruning-ratio guardrail on
-// the model's estimate()/scheduleBlock() counters, and a seeded randomized
-// test that the guided guardrail never keeps a config the reference
-// enumerator scores strictly better at equal-or-smaller area. Guided is only
+// Differential tests pinning the model's roofline-guided generate() to the
+// exhaustive enumeration oracle (tests/oracles/generate.h): bit-exact
+// selected fronts over all 28 registered workloads across budgets, on the
+// Cayman model and on the QsCores baseline's restricted model, a
+// pruning-ratio guardrail on the estimate()/scheduleBlock() counts, and a
+// seeded randomized test that the guided walk never keeps a config the
+// enumeration scores strictly better at equal-or-smaller area. Guided is only
 // allowed to be cheaper — never different where it counts.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdio>
 #include <string>
-#include <tuple>
 
 #include "cayman/framework.h"
+#include "oracles/generate.h"
+#include "oracles/select.h"
 #include "test_kernels.h"
 #include "workloads/workloads.h"
 
 namespace cayman {
 namespace {
 
-// Value-level config equality. The guided and reference pipelines are built
-// from two separate module instances (GenerateMode is a model parameter), so
-// AcceleratorConfig::operator== — which compares region/loop/instruction
-// *pointers* — can never hold across them; this compares the same decision
-// by name and value instead.
-void expectConfigEqual(const accel::AcceleratorConfig& a,
-                       const accel::AcceleratorConfig& b,
-                       const std::string& context) {
-  ASSERT_NE(a.region, nullptr) << context;
-  ASSERT_NE(b.region, nullptr) << context;
-  EXPECT_EQ(a.region->label(), b.region->label()) << context;
-  ASSERT_EQ(a.loops.size(), b.loops.size()) << context;
-  for (size_t i = 0; i < a.loops.size(); ++i) {
-    EXPECT_EQ(a.loops[i].loop->header()->name(),
-              b.loops[i].loop->header()->name())
-        << context << " loop " << i;
-    EXPECT_EQ(a.loops[i].unroll, b.loops[i].unroll) << context << " loop " << i;
-    EXPECT_EQ(a.loops[i].pipelined, b.loops[i].pipelined)
-        << context << " loop " << i;
-  }
-  // Interface assignments keyed by instruction pointer: compare the sorted
-  // multiset of per-access interface values.
-  auto summarize = [](const hls::IfaceAssignment& ifaces) {
-    std::vector<std::tuple<std::string, int, unsigned, uint64_t, bool>> out;
-    for (const auto& [inst, iface] : ifaces) {
-      out.emplace_back(iface.array != nullptr ? iface.array->name() : "",
-                       static_cast<int>(iface.kind), iface.partitions,
-                       iface.footprintBytes, iface.promoted);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(summarize(a.ifaces), summarize(b.ifaces)) << context;
-  EXPECT_EQ(a.cycles, b.cycles) << context;
-  EXPECT_EQ(a.cpuCycles, b.cpuCycles) << context;
-  EXPECT_EQ(a.areaUm2, b.areaUm2) << context;
-  EXPECT_EQ(a.numSeqBlocks, b.numSeqBlocks) << context;
-  EXPECT_EQ(a.numPipelinedRegions, b.numPipelinedRegions) << context;
-  EXPECT_EQ(a.numCoupled, b.numCoupled) << context;
-  EXPECT_EQ(a.numDecoupled, b.numDecoupled) << context;
-  EXPECT_EQ(a.numScratchpad, b.numScratchpad) << context;
+/// The oracle's selected front: the reference DP over the enumeration's
+/// candidate lists. The reference DP reproduces the frontier DP bit for bit
+/// on equal lists (test_select_differential), so any difference against
+/// the production front is the generator's.
+std::vector<select::Solution> referenceFront(
+    const accel::AcceleratorModel& model, const select::SelectorParams& params,
+    oracles::ReferenceGenerator& generator) {
+  oracles::ReferenceSelector selector(
+      model, params,
+      [&generator](const analysis::Region* region)
+          -> const std::vector<accel::AcceleratorConfig>& {
+        return generator.generate(region);
+      });
+  select::SelectStats stats;
+  return selector.select(stats);
 }
 
-void expectBitExact(const select::Solution& a, const select::Solution& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.areaUm2, b.areaUm2) << context;
-  EXPECT_EQ(a.accelCycles, b.accelCycles) << context;
-  EXPECT_EQ(a.cpuCycles, b.cpuCycles) << context;
-  ASSERT_EQ(a.accelerators.size(), b.accelerators.size()) << context;
-  for (size_t k = 0; k < a.accelerators.size(); ++k) {
-    expectConfigEqual(a.accelerators[k], b.accelerators[k],
-                      context + " accelerator " + std::to_string(k));
+void expectSameFront(const std::vector<select::Solution>& guided,
+                     const std::vector<select::Solution>& reference,
+                     const std::string& context) {
+  ASSERT_EQ(guided.size(), reference.size()) << context;
+  for (size_t i = 0; i < guided.size(); ++i) {
+    const std::string where = context + " index " + std::to_string(i);
+    EXPECT_EQ(guided[i].areaUm2, reference[i].areaUm2) << where;
+    EXPECT_EQ(guided[i].accelCycles, reference[i].accelCycles) << where;
+    EXPECT_EQ(guided[i].cpuCycles, reference[i].cpuCycles) << where;
+    EXPECT_TRUE(guided[i].accelerators == reference[i].accelerators) << where;
   }
 }
 
-// Every workload, both engines, several budgets: the selected fronts must
-// agree bit for bit while guided spends measurably fewer model calls. The
-// aggregate counter guardrail matches the CI metrics-artifact bound.
+// Every workload, both models, several budgets: the selected fronts must
+// agree bit for bit while guided generation spends measurably fewer model
+// calls than the enumeration.
 TEST(GenerateDifferentialTest, GuidedReproducesReferenceFrontsOnAllWorkloads) {
   uint64_t guidedWork = 0;
   uint64_t referenceWork = 0;
   uint64_t guidedSched = 0;
   uint64_t referenceSched = 0;
   for (const workloads::WorkloadInfo& info : workloads::all()) {
-    FrameworkOptions referenceOptions;
-    referenceOptions.generateMode = accel::GenerateMode::Reference;
-    Framework reference(info.build(), referenceOptions);
-    Framework guided(info.build());  // Guided is the default
+    Framework fw(info.build());
+    oracles::ReferenceGenerator cayman(fw.model());
+    oracles::ReferenceGenerator qscores(fw.qscores().model());
+    const double ratio = fw.options().clockRatio();
 
     for (double budgetRatio : {0.05, 0.25, 0.65}) {
-      std::string context = info.name + " budget " +
-                            std::to_string(budgetRatio);
-      std::vector<select::Solution> referenceFront =
-          reference.explore(budgetRatio);
-      std::vector<select::Solution> guidedFront = guided.explore(budgetRatio);
-      ASSERT_EQ(guidedFront.size(), referenceFront.size()) << context;
-      for (size_t i = 0; i < guidedFront.size(); ++i) {
-        expectBitExact(guidedFront[i], referenceFront[i],
-                       context + " index " + std::to_string(i));
-      }
+      const std::string context =
+          info.name + " budget " + std::to_string(budgetRatio);
+      select::SelectorParams params;
+      params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
+      params.alpha = fw.options().alpha;
+      params.pruneHotFraction = fw.options().pruneHotFraction;
+      params.clockRatio = ratio;
+      expectSameFront(fw.explore(budgetRatio),
+                      referenceFront(fw.model(), params, cayman),
+                      context + " cayman");
+
+      select::SelectorParams qsParams;
+      qsParams.areaBudgetUm2 = params.areaBudgetUm2;
+      qsParams.clockRatio = ratio;
+      expectSameFront(
+          fw.qscores().paretoFront(qsParams.areaBudgetUm2, ratio),
+          referenceFront(fw.qscores().model(), qsParams, qscores),
+          context + " qscores");
     }
 
-    guidedWork += guided.model().estimateCalls() +
-                  guided.model().scheduleBlockCalls();
-    referenceWork += reference.model().estimateCalls() +
-                     reference.model().scheduleBlockCalls();
-    guidedSched += guided.model().scheduleBlockCalls();
-    referenceSched += reference.model().scheduleBlockCalls();
+    guidedWork +=
+        fw.model().estimateCalls() + fw.model().scheduleBlockCalls();
+    referenceWork += cayman.estimateCalls() + cayman.scheduleBlockCalls();
+    guidedSched += fw.model().scheduleBlockCalls();
+    referenceSched += cayman.scheduleBlockCalls();
   }
 
-  // Pruning guardrail over the whole sweep. estimate() has a structural
-  // floor — every per-region Pareto member (baselines included) is scored
-  // exactly once in both modes — so the enforced bounds sit on the combined
-  // call count and on the scheduler specifically, where the guided cache
-  // collapses repeated (block, width, interface-signature) requests. See
-  // DESIGN.md §12 for the measured ratios these thresholds guard.
+  // Pruning guardrail over the Cayman model's sweep. estimate() has a
+  // structural floor — every per-region Pareto member (baselines included)
+  // is scored exactly once by both — so the enforced bounds sit on the
+  // combined call count and on the scheduler specifically, where the guided
+  // schedule cache collapses repeated (block, width, interface-signature)
+  // requests. See DESIGN.md §12 for the measured ratios these thresholds
+  // guard.
   EXPECT_GT(referenceWork, 0u);
   EXPECT_LE(guidedWork * 100, referenceWork * 50)
       << "guided " << guidedWork << " vs reference " << referenceWork;
   EXPECT_LE(guidedSched * 100, referenceSched * 35)
       << "guided " << guidedSched << " vs reference " << referenceSched;
+  std::printf("pruning: combined %llu / %llu = %.3f, scheduler %llu / %llu "
+              "= %.3f\n",
+              static_cast<unsigned long long>(guidedWork),
+              static_cast<unsigned long long>(referenceWork),
+              static_cast<double>(guidedWork) / referenceWork,
+              static_cast<unsigned long long>(guidedSched),
+              static_cast<unsigned long long>(referenceSched),
+              static_cast<double>(guidedSched) / referenceSched);
 }
 
 // ---------------------------------------------------------------------------
 // Seeded randomized guardrail property: across random kernels and model
-// parameter draws, guided generate() never keeps a config the reference
-// enumeration scores strictly better at equal-or-smaller area — i.e. the
+// parameter draws, guided generate() never keeps a config the enumeration
+// oracle scores strictly better at equal-or-smaller area — i.e. the
 // admission filter and branch-and-bound walk only ever discard dominated
 // points, and the kept list is Pareto-complete w.r.t. the full enumeration.
 // ---------------------------------------------------------------------------
@@ -157,8 +150,7 @@ struct Pipeline {
   accel::AcceleratorModel model;
 };
 
-/// Deterministic kernel recipe: drawn once per trial, buildable repeatedly
-/// so the guided and reference pipelines see structurally identical modules.
+/// Deterministic kernel recipe, drawn once per trial.
 struct KernelRecipe {
   unsigned kind = 0;
   int64_t n = 0;
@@ -192,21 +184,15 @@ TEST(GenerateDifferentialTest, GuidedNeverKeepsStrictlyDominatedConfigs) {
     params.unknownTripFallback = rng.next() % 32 + 2;
     KernelRecipe recipe = KernelRecipe::draw(rng);
 
-    accel::ModelParams referenceParams = params;
-    referenceParams.generateMode = accel::GenerateMode::Reference;
-    params.generateMode = accel::GenerateMode::Guided;
-    Pipeline guided(recipe.build(), params);
-    Pipeline reference(recipe.build(), referenceParams);
+    Pipeline p(recipe.build(), params);
+    oracles::ReferenceGenerator reference(p.model);
 
-    ASSERT_EQ(guided.wpst.allRegions().size(),
-              reference.wpst.allRegions().size());
-    for (size_t i = 0; i < guided.wpst.allRegions().size(); ++i) {
-      const analysis::Region* gr = guided.wpst.allRegions()[i];
-      const analysis::Region* rr = reference.wpst.allRegions()[i];
+    for (size_t i = 0; i < p.wpst.allRegions().size(); ++i) {
+      const analysis::Region* region = p.wpst.allRegions()[i];
       const std::vector<accel::AcceleratorConfig>& gc =
-          guided.model.generate(gr);
+          p.model.generate(region);
       const std::vector<accel::AcceleratorConfig>& rc =
-          reference.model.generate(rr);
+          reference.generate(region);
       std::string context = "trial " + std::to_string(trial) + " region " +
                             std::to_string(i);
       // Guided only ever produces a subset of the enumeration's scores, so
@@ -234,6 +220,37 @@ TEST(GenerateDifferentialTest, GuidedNeverKeepsStrictlyDominatedConfigs) {
       }
     }
   }
+}
+
+// The ablation that unrolls without pipelining skips the roofline walk and
+// estimates every ladder point, so generate() keeps exactly the
+// enumeration's configs that no other config strictly dominates.
+TEST(GenerateDifferentialTest, UnrollingWithoutPipeliningKeepsTheLadder) {
+  accel::ModelParams params;
+  params.allowPipelining = false;
+  using Build = std::unique_ptr<ir::Module> (*)();
+  size_t ladders = 0;  // regions with more than one distinct config
+  for (Build build : {Build{[] { return testing::linearKernel(); }},
+                      Build{[] { return testing::dotRowsKernel(8, 12); }},
+                      Build{[] { return testing::chainKernel(); }}}) {
+    Pipeline p(build(), params);
+    oracles::ReferenceGenerator reference(p.model);
+    for (const analysis::Region* region : p.wpst.allRegions()) {
+      const std::vector<accel::AcceleratorConfig>& all =
+          reference.generate(region);
+      std::vector<accel::AcceleratorConfig> kept;
+      for (const accel::AcceleratorConfig& c : all) {
+        bool dominated = false;
+        for (const accel::AcceleratorConfig& d : all) {
+          dominated |= d.areaUm2 <= c.areaUm2 && d.cycles < c.cycles;
+        }
+        if (!dominated) kept.push_back(c);
+      }
+      EXPECT_TRUE(p.model.generate(region) == kept) << region->label();
+      ladders += all.size() > 1;
+    }
+  }
+  EXPECT_GT(ladders, 0u);
 }
 
 // ---------------------------------------------------------------------------

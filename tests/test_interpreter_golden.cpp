@@ -1,6 +1,6 @@
 // Golden-equivalence suite: the pre-decoded register-machine interpreter
 // must produce bit-identical profiling results to the tree-walking reference
-// engine on every registered workload — same total cycles (exact double
+// oracle (tests/oracles/interpreter.h) on every registered workload — same total cycles (exact double
 // equality, since block costs are accumulated in the same order), same
 // dynamic instruction count, same per-block execution counts, and the same
 // return value.
@@ -9,6 +9,7 @@
 #include <bit>
 #include <cctype>
 
+#include "oracles/interpreter.h"
 #include "sim/interpreter.h"
 #include "workloads/workloads.h"
 
@@ -22,10 +23,8 @@ TEST_P(GoldenEquivalenceTest, DecodedMatchesReference) {
   const workloads::WorkloadInfo& info = GetParam();
   std::unique_ptr<ir::Module> module = workloads::build(info.name);
 
-  Interpreter reference(*module, CpuCostModel::cva6(),
-                        Interpreter::ExecMode::Reference);
-  Interpreter decoded(*module, CpuCostModel::cva6(),
-                      Interpreter::ExecMode::Decoded);
+  oracles::ReferenceInterpreter reference(*module);
+  Interpreter decoded(*module);
   Interpreter::Result ref = reference.run();
   Interpreter::Result dec = decoded.run();
 

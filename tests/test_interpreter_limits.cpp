@@ -1,9 +1,14 @@
-// Runaway-guard tests: both execution engines must trip the instruction
-// limit on divergent programs with a catchable Error, stay usable for the
-// next run (memory is reset per run), and honor cooperative cancellation.
+// Runaway-guard tests: the interpreter and its reference oracle must both
+// trip the instruction limit on divergent programs with a catchable Error,
+// stay usable for the next run (memory is reset per run), and honor
+// cooperative cancellation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "ir/parser.h"
+#include "oracles/interpreter.h"
 #include "sim/interpreter.h"
 #include "support/cancellation.h"
 
@@ -31,12 +36,22 @@ exit:
 }
 )";
 
-class InstructionLimitTest
-    : public ::testing::TestWithParam<Interpreter::ExecMode> {};
+template <typename Engine>
+class InstructionLimitTest : public ::testing::Test {};
 
-TEST_P(InstructionLimitTest, DivergentRunTripsLimitWithCatchableError) {
+using Engines = ::testing::Types<Interpreter, oracles::ReferenceInterpreter>;
+
+struct EngineNames {
+  template <typename Engine>
+  static std::string GetName(int) {
+    return std::is_same_v<Engine, Interpreter> ? "Decoded" : "Reference";
+  }
+};
+TYPED_TEST_SUITE(InstructionLimitTest, Engines, EngineNames);
+
+TYPED_TEST(InstructionLimitTest, DivergentRunTripsLimitWithCatchableError) {
   std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
-  Interpreter interpreter(*module, CpuCostModel::cva6(), GetParam());
+  TypeParam interpreter(*module);
   interpreter.setInstructionLimit(1000);
   try {
     interpreter.run();
@@ -47,23 +62,23 @@ TEST_P(InstructionLimitTest, DivergentRunTripsLimitWithCatchableError) {
   }
 }
 
-TEST_P(InstructionLimitTest, InterpreterIsReusableAfterTrippingTheLimit) {
+TYPED_TEST(InstructionLimitTest, InterpreterIsReusableAfterTrippingTheLimit) {
   std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
-  Interpreter interpreter(*module, CpuCostModel::cva6(), GetParam());
+  TypeParam interpreter(*module);
   interpreter.setInstructionLimit(1000);
   EXPECT_THROW(interpreter.run(), Error);
 
   // Raise the limit: the same interpreter (and its SimMemory, reset at run
   // start) must now complete and produce the correct result.
   interpreter.setInstructionLimit(100'000'000);
-  Interpreter::Result result = interpreter.run();
+  auto result = interpreter.run();
   ASSERT_TRUE(result.returnValue.has_value());
   EXPECT_EQ(result.returnValue->i, 1000000);
 }
 
-TEST_P(InstructionLimitTest, CancelTokenAbortsTheRun) {
+TYPED_TEST(InstructionLimitTest, CancelTokenAbortsTheRun) {
   std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
-  Interpreter interpreter(*module, CpuCostModel::cva6(), GetParam());
+  TypeParam interpreter(*module);
   support::CancelToken token;
   token.cancel();  // pre-cancelled: the rate-limited poll must still fire
   interpreter.setCancelToken(&token);
@@ -71,32 +86,22 @@ TEST_P(InstructionLimitTest, CancelTokenAbortsTheRun) {
 
   // Detaching the token restores normal execution.
   interpreter.setCancelToken(nullptr);
-  Interpreter::Result result = interpreter.run();
+  auto result = interpreter.run();
   ASSERT_TRUE(result.returnValue.has_value());
   EXPECT_EQ(result.returnValue->i, 1000000);
 }
 
-TEST_P(InstructionLimitTest, LimitBoundaryIsExactAcrossEngines) {
+TYPED_TEST(InstructionLimitTest, LimitBoundaryIsExactAcrossEngines) {
   std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
   // Find the instruction count of a full run, then confirm a limit exactly
   // at that count passes while one below fails — for both engines the same.
-  Interpreter interpreter(*module, CpuCostModel::cva6(), GetParam());
+  TypeParam interpreter(*module);
   uint64_t total = interpreter.run().instructions;
   interpreter.setInstructionLimit(total);
   EXPECT_NO_THROW(interpreter.run());
   interpreter.setInstructionLimit(total - 1);
   EXPECT_THROW(interpreter.run(), Error);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, InstructionLimitTest,
-                         ::testing::Values(Interpreter::ExecMode::Decoded,
-                                           Interpreter::ExecMode::Reference),
-                         [](const auto& info) {
-                           return info.param ==
-                                          Interpreter::ExecMode::Decoded
-                                      ? "Decoded"
-                                      : "Reference";
-                         });
 
 }  // namespace
 }  // namespace cayman::sim

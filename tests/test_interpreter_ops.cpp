@@ -9,19 +9,20 @@
 #include <span>
 
 #include "ir/builder.h"
+#include "oracles/interpreter.h"
 #include "sim/interpreter.h"
 
 namespace cayman::sim {
 namespace {
 
-/// Runs `fn` through both interpreter engines and checks that their results
-/// agree bit for bit: cycles, instruction count and the typed return value.
+/// Runs `fn` through the interpreter and its reference oracle and checks
+/// that their results agree bit for bit: cycles, instruction count and the
+/// typed return value.
 Interpreter::Result runBoth(const ir::Module& m, const ir::Function& fn,
                             std::span<const int64_t> args = {}) {
-  Interpreter interp(m);
-  Interpreter::Result decoded = interp.runFunction(fn, args);
-  interp.setMode(Interpreter::ExecMode::Reference);
-  Interpreter::Result reference = interp.runFunction(fn, args);
+  Interpreter::Result decoded = Interpreter(m).runFunction(fn, args);
+  Interpreter::Result reference =
+      oracles::ReferenceInterpreter(m).runFunction(fn, args);
   EXPECT_EQ(std::bit_cast<uint64_t>(decoded.totalCycles),
             std::bit_cast<uint64_t>(reference.totalCycles))
       << fn.name();
@@ -38,7 +39,7 @@ Interpreter::Result runBoth(const ir::Module& m, const ir::Function& fn,
 }
 
 /// Runs `op(a, b)` on integer operands of `type` (i64 by default) through
-/// both interpreter engines, which must agree, and returns the result.
+/// the interpreter and its oracle, which must agree, and returns the result.
 int64_t evalInt(ir::Opcode op, int64_t a, int64_t b,
                 const ir::Type* type = ir::Type::i64()) {
   ir::Module m("op");
@@ -55,8 +56,8 @@ int64_t evalInt(ir::Opcode op, int64_t a, int64_t b,
 }
 
 /// Runs `fop(a, b)` on f64 operands (passed via globals to keep every bit)
-/// through both interpreter engines, checks that they store the same bits,
-/// and returns the decoded engine's result.
+/// through the interpreter and its oracle, checks that they store the same
+/// bits, and returns the interpreter's result.
 double evalF64(ir::Opcode op, double a, double b, bool unary = false) {
   ir::Module m("fop");
   auto* in = m.addGlobal("in", ir::Type::f64(), 2);
@@ -82,9 +83,9 @@ double evalF64(ir::Opcode op, double a, double b, bool unary = false) {
   Interpreter interp(m);
   interp.run();
   double decoded = interp.memory().readElemF64(out, 0);
-  interp.setMode(Interpreter::ExecMode::Reference);
-  interp.run();
-  double reference = interp.memory().readElemF64(out, 0);
+  oracles::ReferenceInterpreter oracle(m);
+  oracle.run();
+  double reference = oracle.memory().readElemF64(out, 0);
   EXPECT_EQ(std::bit_cast<uint64_t>(decoded),
             std::bit_cast<uint64_t>(reference))
       << ir::opcodeSpelling(op) << "(" << a << ", " << b

@@ -4,6 +4,7 @@
 
 #include "accel/model.h"
 #include "merge/merger.h"
+#include "oracles/merge.h"
 #include "select/selector.h"
 #include "test_kernels.h"
 #include "workloads/workloads.h"
@@ -250,16 +251,16 @@ TEST(MergerTest, ThreeWayChainBooksIncrementalSavings) {
   absorbUnit(merged, absorbed);
   double s21 = unitPairSaving(tech, merged, units[2]);
 
-  for (MergeMode mode : {MergeMode::Graph, MergeMode::Reference}) {
+  const oracles::MatchFn engines[] = {matchUnitsGraph,
+                                       oracles::matchUnitsReference};
+  for (size_t engine = 0; engine < std::size(engines); ++engine) {
     std::vector<Unit> copy = units;
     UnionFind groups(3);
     MatchStats stats;
-    double total = mode == MergeMode::Graph
-                       ? matchUnitsGraph(copy, tech, groups, stats)
-                       : matchUnitsReference(copy, tech, groups, stats);
-    EXPECT_EQ(stats.steps, 2) << static_cast<int>(mode);
-    EXPECT_DOUBLE_EQ(total, s11 + s21) << static_cast<int>(mode);
-    EXPECT_LT(total, 2.0 * s11) << static_cast<int>(mode);
+    double total = engines[engine](copy, tech, groups, stats);
+    EXPECT_EQ(stats.steps, 2) << engine;
+    EXPECT_DOUBLE_EQ(total, s11 + s21) << engine;
+    EXPECT_LT(total, 2.0 * s11) << engine;
   }
 }
 
@@ -320,9 +321,8 @@ TEST(MergerTest, MergeStepsBoundedByAcceleratorCount) {
       select::Solution::fromConfig(p.model.generate(loopD).back()));
   ASSERT_EQ(solution.accelerators.size(), 3u);
 
-  MergeResult graph = AcceleratorMerger(p.tech, MergeMode::Graph).run(solution);
-  MergeResult reference =
-      AcceleratorMerger(p.tech, MergeMode::Reference).run(solution);
+  MergeResult graph = AcceleratorMerger(p.tech).run(solution);
+  MergeResult reference = oracles::mergeReference(p.tech, solution);
   EXPECT_LE(graph.mergeSteps, 2);
   EXPECT_LE(reference.mergeSteps, 2);
   EXPECT_GE(graph.mergeSteps, 1);
@@ -372,8 +372,9 @@ TEST(MergerTest, SingleAcceleratorSkipsUnitExtraction) {
   ASSERT_NE(outer, nullptr);
   select::Solution solo =
       select::Solution::fromConfig(p.model.generate(outer).back());
-  for (MergeMode mode : {MergeMode::Graph, MergeMode::Reference}) {
-    MergeResult result = AcceleratorMerger(p.tech, mode).run(solo);
+  for (const MergeResult& result :
+       {AcceleratorMerger(p.tech).run(solo),
+        oracles::mergeReference(p.tech, solo)}) {
     EXPECT_EQ(result.unitsExtracted, 0u);
     EXPECT_EQ(result.pairsEvaluated, 0u);
     EXPECT_EQ(result.mergeSteps, 0);

@@ -1,5 +1,6 @@
-// Differential tests pinning MergeMode::Graph to the MergeMode::Reference
-// oracle: value-identical MergeResults over all 28 registered workloads
+// Differential tests pinning the edge-heap merge engine to the rescanning
+// greedy oracle (tests/oracles/merge.h): value-identical MergeResults over
+// all 28 registered workloads
 // across budgets, plus engine-level property tests (non-negative saving, a
 // shared-operator-area upper bound, and invariance under unit-extraction
 // order). The edge-heap matching is only allowed to be faster — never
@@ -10,10 +11,16 @@
 #include <set>
 
 #include "cayman/framework.h"
+#include "oracles/merge.h"
 #include "workloads/workloads.h"
 
 namespace cayman::merge {
 namespace {
+
+using oracles::matchUnitsReference;
+
+/// The production engine first, then the oracle.
+const oracles::MatchFn kEngines[] = {matchUnitsGraph, matchUnitsReference};
 
 void expectSameResult(const MergeResult& graph, const MergeResult& reference,
                       const std::string& context) {
@@ -29,9 +36,9 @@ void expectSameResult(const MergeResult& graph, const MergeResult& reference,
   EXPECT_EQ(graph.pairsEvaluated, reference.pairsEvaluated) << context;
 }
 
-// Every workload, several budgets: both engines must agree on every value of
-// the MergeResult, and the default Graph engine must never report less
-// saving than the fixed Reference greedy.
+// Every workload, several budgets: the merger and the oracle must agree on
+// every value of the MergeResult, and the merger must never report less
+// saving than the greedy.
 TEST(MergeDifferentialTest, GraphMatchesReferenceOnAllWorkloads) {
   for (const workloads::WorkloadInfo& info : workloads::all()) {
     Framework fw(info.build());
@@ -40,10 +47,8 @@ TEST(MergeDifferentialTest, GraphMatchesReferenceOnAllWorkloads) {
           info.name + " budget " + std::to_string(budgetRatio);
       select::Solution best = fw.best(budgetRatio);
 
-      MergeResult graph =
-          AcceleratorMerger(fw.tech(), MergeMode::Graph).run(best);
-      MergeResult reference =
-          AcceleratorMerger(fw.tech(), MergeMode::Reference).run(best);
+      MergeResult graph = AcceleratorMerger(fw.tech()).run(best);
+      MergeResult reference = oracles::mergeReference(fw.tech(), best);
       expectSameResult(graph, reference, context);
       EXPECT_GE(graph.savingPercent(), reference.savingPercent() - 1e-9)
           << context;
@@ -97,13 +102,11 @@ TEST(MergePropertyTest, SavingNonNegativeAndBounded) {
   for (size_t n : {2u, 5u, 9u, 16u}) {
     std::vector<Unit> units = distinctSyntheticUnits(n);
     double bound = totalSharedOpArea(units, tech);
-    for (MergeMode mode : {MergeMode::Graph, MergeMode::Reference}) {
+    for (oracles::MatchFn match : kEngines) {
       std::vector<Unit> copy = units;
       UnionFind groups(n);
       MatchStats stats;
-      double saving = mode == MergeMode::Graph
-                          ? matchUnitsGraph(copy, tech, groups, stats)
-                          : matchUnitsReference(copy, tech, groups, stats);
+      double saving = match(copy, tech, groups, stats);
       EXPECT_GE(saving, 0.0) << n;
       EXPECT_LE(saving, bound) << n;
       EXPECT_LE(stats.steps, static_cast<int>(n) - 1) << n;
@@ -149,13 +152,11 @@ TEST(MergePropertyTest, ResultInvariantUnderUnitOrder) {
   for (const std::vector<size_t>& order : orders) {
     std::vector<Unit> permuted;
     for (size_t index : order) permuted.push_back(base[index]);
-    for (MergeMode mode : {MergeMode::Graph, MergeMode::Reference}) {
+    for (oracles::MatchFn match : kEngines) {
       std::vector<Unit> copy = permuted;
       UnionFind groups(kN);
       MatchStats stats;
-      double saving = mode == MergeMode::Graph
-                          ? matchUnitsGraph(copy, tech, groups, stats)
-                          : matchUnitsReference(copy, tech, groups, stats);
+      double saving = match(copy, tech, groups, stats);
       EXPECT_DOUBLE_EQ(saving, baseSaving);
       EXPECT_EQ(stats.steps, baseStats.steps);
     }

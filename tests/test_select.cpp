@@ -1,14 +1,21 @@
 // Tests for candidate selection: Pareto fronts, the α-filter, the ⊗
-// combine, and Algorithm 1's DP over the wPST.
+// combine, and Algorithm 1's DP over the wPST. The Solution-vector
+// primitives are the reference oracle's (tests/oracles/select.h); the
+// frontier DP's flat-front twins are checked against them.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "oracles/select.h"
 #include "select/selector.h"
 #include "test_kernels.h"
 
 namespace cayman::select {
 namespace {
+
+using oracles::combine;
+using oracles::filterByAlpha;
+using oracles::pareto;
 
 constexpr double kRatio = 2.0;
 
@@ -668,11 +675,9 @@ TEST(SelectorTest, DeepTreeStackGrowthMatchesReference) {
   std::thread([&] {
     frontier = CandidateSelector(p.model, p.params).select(frontierStats);
   }).join();
-  SelectorParams reference = p.params;
-  reference.mode = SelectMode::Reference;
   SelectStats referenceStats;
   std::vector<Solution> expected =
-      CandidateSelector(p.model, reference).select(referenceStats);
+      oracles::ReferenceSelector(p.model, p.params).select(referenceStats);
 
   EXPECT_GT(frontierStats.regionsVisited, 500);
   EXPECT_GT(frontierStats.frontPeak, 16u);

@@ -1,15 +1,18 @@
-// Differential tests pinning SelectMode::Frontier to the
-// SelectMode::Reference oracle: bit-exact front equivalence over all 28
-// registered workloads across budgets and alphas, plus seeded
-// randomized-front combine equivalence. The frontier DP is only allowed to
-// be faster — never different.
+// Differential tests pinning the frontier DP (CandidateSelector) to the
+// Solution-vector reference oracle (tests/oracles/select.h): bit-exact
+// front equivalence over all 28 registered workloads across budgets and
+// alphas, plus seeded randomized-front combine equivalence. The frontier DP
+// is only allowed to be faster — never different.
 #include <gtest/gtest.h>
 
 #include "cayman/framework.h"
+#include "oracles/select.h"
 #include "workloads/workloads.h"
 
 namespace cayman::select {
 namespace {
+
+using oracles::ReferenceSelector;
 
 constexpr double kRatio = 1.25;
 
@@ -53,13 +56,11 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
                               std::to_string(budgetRatio) + " alpha " +
                               std::to_string(alpha);
 
-        params.mode = SelectMode::Frontier;
         CandidateSelector frontier(fw.model(), params);
         SelectStats frontierStats;
         std::vector<Solution> frontierFront = frontier.select(frontierStats);
 
-        params.mode = SelectMode::Reference;
-        CandidateSelector reference(fw.model(), params);
+        ReferenceSelector reference(fw.model(), params);
         SelectStats referenceStats;
         std::vector<Solution> referenceFront =
             reference.select(referenceStats);
@@ -71,30 +72,25 @@ TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
         }
         expectSameStats(frontierStats, referenceStats, context);
 
-        params.mode = SelectMode::Frontier;
-        Solution frontierBest =
-            CandidateSelector(fw.model(), params).best(frontierStats);
-        params.mode = SelectMode::Reference;
-        Solution referenceBest =
-            CandidateSelector(fw.model(), params).best(referenceStats);
+        Solution frontierBest = frontier.best(frontierStats);
+        Solution referenceBest = reference.best(referenceStats);
         expectBitExact(frontierBest, referenceBest, context + " best");
       }
     }
   }
 }
 
-/// Runs select() and best() in both DP engines on `model` and demands the
-/// fronts, the winners and every Stats field agree bit for bit. A run the
+/// Runs select() and best() in the frontier DP and the oracle on `model` and
+/// demands the fronts, the winners and every Stats field agree bit for bit.
+/// A run the
 /// budget does not bind must also equal the run at an unbounded budget, in
 /// winner and largest admitted area: the selection memo serves it there.
 /// Such runs are counted into `rejectionFree`.
 void expectEnginesAgree(const accel::AcceleratorModel& model,
                         SelectorParams params, const std::string& context,
                         int& rejectionFree) {
-  params.mode = SelectMode::Frontier;
   CandidateSelector frontier(model, params);
-  params.mode = SelectMode::Reference;
-  CandidateSelector reference(model, params);
+  ReferenceSelector reference(model, params);
 
   SelectStats frontierStats;
   SelectStats referenceStats;
@@ -115,22 +111,21 @@ void expectEnginesAgree(const accel::AcceleratorModel& model,
   if (frontierStats.budgetBound) return;
   ++rejectionFree;
   EXPECT_LE(frontierStats.maxAdmittedAreaUm2, params.areaBudgetUm2) << context;
-  for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
-    SelectorParams unbounded = params;
-    unbounded.areaBudgetUm2 = 1e30;
-    unbounded.mode = mode;
+  SelectorParams unbounded = params;
+  unbounded.areaBudgetUm2 = 1e30;
+  auto expectUnbounded = [&](const auto& selector, const std::string& where) {
     SelectStats unboundedStats;
-    Solution unboundedBest =
-        CandidateSelector(model, unbounded).best(unboundedStats);
-    const std::string where = context + " unbounded" +
-                              (mode == SelectMode::Frontier ? " frontier"
-                                                            : " reference");
+    Solution unboundedBest = selector.best(unboundedStats);
     expectBitExact(unboundedBest, frontierBest, where);
     EXPECT_FALSE(unboundedStats.budgetBound) << where;
     EXPECT_EQ(unboundedStats.maxAdmittedAreaUm2,
               frontierStats.maxAdmittedAreaUm2)
         << where;
-  }
+  };
+  expectUnbounded(CandidateSelector(model, unbounded),
+                  context + " unbounded frontier");
+  expectUnbounded(ReferenceSelector(model, unbounded),
+                  context + " unbounded reference");
 }
 
 // A design-space explorer's budget grid — twelve points over [0.02, 1.0],
@@ -178,8 +173,9 @@ Solution bestOfFront(const std::vector<Solution>& front, double clockRatio) {
 
 // best() picks its winner before materializing anything; it must still be
 // value-equal to the best element of the fully materialized select() front,
-// with the same DP stats, for the Cayman selector in both DP engines and for
-// the QsCores baseline's best() vs paretoFront().
+// with the same DP stats, for the Cayman selector and for the QsCores
+// baseline's best() vs paretoFront(). (The oracle's best() is defined as
+// that pick.)
 TEST(SelectDifferentialTest, BestIsBestOfSelectOnAllWorkloads) {
   for (const workloads::WorkloadInfo& info : workloads::all()) {
     Framework fw(info.build());
@@ -187,22 +183,16 @@ TEST(SelectDifferentialTest, BestIsBestOfSelectOnAllWorkloads) {
     for (double budgetRatio : {0.05, 0.25, 0.65}) {
       std::string context =
           info.name + " budget " + std::to_string(budgetRatio);
-      for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
-        SelectorParams params;
-        params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
-        params.clockRatio = ratio;
-        params.mode = mode;
-        CandidateSelector selector(fw.model(), params);
-        SelectStats selectStats;
-        SelectStats bestStats;
-        Solution expected = bestOfFront(selector.select(selectStats), ratio);
-        Solution best = selector.best(bestStats);
-        std::string where = context + (mode == SelectMode::Frontier
-                                           ? " frontier"
-                                           : " reference");
-        expectBitExact(best, expected, where);
-        expectSameStats(bestStats, selectStats, where);
-      }
+      SelectorParams params;
+      params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
+      params.clockRatio = ratio;
+      CandidateSelector selector(fw.model(), params);
+      SelectStats selectStats;
+      SelectStats bestStats;
+      Solution expected = bestOfFront(selector.select(selectStats), ratio);
+      Solution best = selector.best(bestStats);
+      expectBitExact(best, expected, context);
+      expectSameStats(bestStats, selectStats, context);
 
       const double budgetUm2 = fw.budgetUm2(budgetRatio);
       expectBitExact(
@@ -218,12 +208,10 @@ TEST(SelectDifferentialTest, BestIsBestOfSelectOnAllWorkloads) {
 TEST(SelectDifferentialTest, BestIsEmptyWhenNothingSavesCycles) {
   Framework fw(workloads::build("atax"));
   const double ratio = fw.options().clockRatio();
-  for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
-    SelectorParams params;
-    params.areaBudgetUm2 = 1.0;  // um^2: below any accelerator's area
-    params.clockRatio = ratio;
-    params.mode = mode;
-    CandidateSelector selector(fw.model(), params);
+  SelectorParams params;
+  params.areaBudgetUm2 = 1.0;  // um^2: below any accelerator's area
+  params.clockRatio = ratio;
+  auto expectEmptyBest = [&](const auto& selector) {
     SelectStats stats;
     std::vector<Solution> front = selector.select(stats);
     ASSERT_FALSE(front.empty());
@@ -231,7 +219,9 @@ TEST(SelectDifferentialTest, BestIsEmptyWhenNothingSavesCycles) {
     Solution best = selector.best(stats);
     EXPECT_TRUE(best.empty());
     expectBitExact(best, Solution{}, "empty best");
-  }
+  };
+  expectEmptyBest(CandidateSelector(fw.model(), params));
+  expectEmptyBest(ReferenceSelector(fw.model(), params));
   Solution qsBest = fw.qscores().best(1.0, ratio);
   EXPECT_TRUE(qsBest.empty());
 }
@@ -282,7 +272,7 @@ struct TwinFronts {
       rawSolutions.push_back(std::move(s));
       rawEntries.push_back(e);
     }
-    solutions = pareto(std::move(rawSolutions), kRatio);
+    solutions = oracles::pareto(std::move(rawSolutions), kRatio);
     entries = pareto(std::move(rawEntries));
   }
 
@@ -304,7 +294,7 @@ TEST(SelectDifferentialTest, RandomizedCombineEquivalence) {
     for (double budget : {150.0, 600.0, 1e9}) {
       SelectStats solutionPairs;
       SelectStats entryPairs;
-      std::vector<Solution> sCombined = combine(
+      std::vector<Solution> sCombined = oracles::combine(
           a.solutions, b.solutions, budget, kRatio, &solutionPairs);
       std::vector<FrontierEntry> eCombined = combine(
           a.entries, b.entries, budget, kRatio, arena, &entryPairs);

@@ -1,6 +1,6 @@
 // The budget-free selection memo (select/selection_memo.h): its lookup and
 // offer rules, bit-identical reports against a fresh Framework per budget
-// over every workload, budget order and DP engine, and the work a hit skips.
+// over every workload and budget order, and the work a hit skips.
 // Concurrent evaluate() calls on one memo are in test_select_concurrency.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 namespace cayman {
 namespace {
 
-using select::SelectMode;
 using select::SelectorParams;
 using select::SelectStats;
 using testing::describe;
@@ -81,9 +80,6 @@ TEST(SelectionMemoTest, MissesUnderAnotherSetup) {
   params = paramsAt(200.0);
   params.clockRatio = 2.0;
   EXPECT_EQ(memo.find(params), nullptr);
-  params = paramsAt(200.0);
-  params.mode = SelectMode::Reference;
-  EXPECT_EQ(memo.find(params), nullptr);
   // The cancellation token changes no result.
   support::CancelToken token;
   params = paramsAt(200.0);
@@ -131,10 +127,8 @@ std::vector<double> budgetGrid(const Framework& fw) {
   cayman.alpha = fw.options().alpha;
   cayman.pruneHotFraction = fw.options().pruneHotFraction;
   cayman.clockRatio = fw.options().clockRatio();
-  cayman.mode = fw.options().selectMode;
   SelectorParams qscores;
   qscores.clockRatio = fw.options().clockRatio();
-  qscores.mode = fw.options().selectMode;
   const double tile = fw.tech().cva6TileAreaUm2;
   for (double bound : {unboundedMaxArea(fw.model(), cayman),
                        unboundedMaxArea(fw.qscores().model(), qscores)}) {
@@ -170,30 +164,23 @@ std::vector<std::vector<size_t>> evaluationOrders(
   return {ascending, descending, shuffled};
 }
 
-// 28 workloads × 54 budgets in three orders, both DP engines: every report
-// one Framework returns, memo hit or not, equals a fresh Framework's.
+// 28 workloads × 54 budgets in three orders: every report one Framework
+// returns, memo hit or not, equals a fresh Framework's.
 TEST(SelectionMemoTest, ReportsMatchFreshFrameworksInAnyBudgetOrder) {
   for (const workloads::WorkloadInfo& info : workloads::all()) {
-    for (SelectMode mode : {SelectMode::Frontier, SelectMode::Reference}) {
-      FrameworkOptions options;
-      options.selectMode = mode;
-      const std::vector<double> ratios =
-          budgetGrid(Framework(info.build(), options));
-      std::vector<std::string> fresh;
-      for (double ratio : ratios) {
-        fresh.push_back(
-            describe(Framework(info.build(), options).evaluate(ratio)));
-      }
-      const char* orderNames[] = {"ascending", "descending", "shuffled"};
-      const std::vector<std::vector<size_t>> orders = evaluationOrders(ratios);
-      for (size_t o = 0; o < orders.size(); ++o) {
-        Framework fw(info.build(), options);
-        for (size_t i : orders[o]) {
-          ASSERT_EQ(describe(fw.evaluate(ratios[i])), fresh[i])
-              << info.name << " budget " << hex(ratios[i]) << " "
-              << orderNames[o]
-              << (mode == SelectMode::Frontier ? " frontier" : " reference");
-        }
+    const std::vector<double> ratios = budgetGrid(Framework(info.build()));
+    std::vector<std::string> fresh;
+    for (double ratio : ratios) {
+      fresh.push_back(describe(Framework(info.build()).evaluate(ratio)));
+    }
+    const char* orderNames[] = {"ascending", "descending", "shuffled"};
+    const std::vector<std::vector<size_t>> orders = evaluationOrders(ratios);
+    for (size_t o = 0; o < orders.size(); ++o) {
+      Framework fw(info.build());
+      for (size_t i : orders[o]) {
+        ASSERT_EQ(describe(fw.evaluate(ratios[i])), fresh[i])
+            << info.name << " budget " << hex(ratios[i]) << " "
+            << orderNames[o];
       }
     }
   }

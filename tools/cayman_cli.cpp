@@ -42,9 +42,6 @@ int usage() {
                "  evaluate-all [budget] [--jobs N] [--timeout-s S]\n"
                "               [--only a,b,..] [--metrics-json FILE]\n"
                "               [--trace-out FILE] [--trace-wall]\n"
-               "               [--select-mode frontier|reference]\n"
-               "               [--generate-mode guided|reference]\n"
-               "               [--merge-mode graph|reference]\n"
                "                               evaluate all workloads in "
                "parallel\n"
                "  report <workload> [budget]   print a cayman-metrics-v1 "
@@ -53,15 +50,6 @@ int usage() {
                "budgets are area ratios of a CVA6 tile in (0, 1], e.g. "
                "0.25\n"
                "--timeout-s sets a per-workload wall-clock deadline\n"
-               "--select-mode picks the selector DP engine: 'frontier'\n"
-               "(default, fast) or 'reference' (the oracle DP); outputs are\n"
-               "byte-identical between the two\n"
-               "--generate-mode picks the model's design-space engine:\n"
-               "'guided' (default, roofline-pruned) or 'reference' (the\n"
-               "exhaustive sweep); selected fronts are byte-identical\n"
-               "--merge-mode picks the merge matching engine: 'graph'\n"
-               "(default, edge-heap matching) or 'reference' (the greedy\n"
-               "oracle); outputs are byte-identical between the two\n"
                "--metrics-json / --trace-out enable the trace recorder and\n"
                "write a metrics report / Chrome trace-event JSON; both are\n"
                "deterministic (byte-identical across --jobs counts) unless\n"
@@ -223,48 +211,6 @@ int cmdEvaluateAll(int argc, char** argv) {
       metricsOut = argv[++i];
     } else if (arg == "--trace-wall") {
       traceWall = true;
-    } else if (arg == "--select-mode") {
-      if (i + 1 >= argc) return usage();
-      std::string mode = argv[++i];
-      if (mode == "frontier") {
-        options.selectMode = select::SelectMode::Frontier;
-      } else if (mode == "reference") {
-        options.selectMode = select::SelectMode::Reference;
-      } else {
-        std::fprintf(stderr,
-                     "error: invalid --select-mode '%s' — expected "
-                     "'frontier' or 'reference'\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--generate-mode") {
-      if (i + 1 >= argc) return usage();
-      std::string mode = argv[++i];
-      if (mode == "guided") {
-        options.generateMode = accel::GenerateMode::Guided;
-      } else if (mode == "reference") {
-        options.generateMode = accel::GenerateMode::Reference;
-      } else {
-        std::fprintf(stderr,
-                     "error: invalid --generate-mode '%s' — expected "
-                     "'guided' or 'reference'\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--merge-mode") {
-      if (i + 1 >= argc) return usage();
-      std::string mode = argv[++i];
-      if (mode == "graph") {
-        options.mergeMode = merge::MergeMode::Graph;
-      } else if (mode == "reference") {
-        options.mergeMode = merge::MergeMode::Reference;
-      } else {
-        std::fprintf(stderr,
-                     "error: invalid --merge-mode '%s' — expected "
-                     "'graph' or 'reference'\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (arg == "--only") {
       if (i + 1 >= argc) return usage();
       for (std::string_view piece : split(argv[++i], ',')) {
