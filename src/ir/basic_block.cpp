@@ -1,7 +1,5 @@
 #include "ir/basic_block.h"
 
-#include <algorithm>
-
 namespace cayman::ir {
 
 Instruction* BasicBlock::append(std::unique_ptr<Instruction> inst) {
@@ -21,55 +19,16 @@ Instruction* BasicBlock::insertPhi(std::unique_ptr<Instruction> inst) {
   return raw;
 }
 
-Instruction* BasicBlock::insertBeforeTerminator(
-    std::unique_ptr<Instruction> inst) {
-  inst->setParent(this);
-  Instruction* raw = inst.get();
-  if (hasTerminator()) {
-    instructions_.insert(instructions_.end() - 1, std::move(inst));
-  } else {
-    instructions_.push_back(std::move(inst));
-  }
-  return raw;
-}
-
-std::unique_ptr<Instruction> BasicBlock::remove(Instruction* inst) {
-  auto it = std::find_if(
-      instructions_.begin(), instructions_.end(),
-      [inst](const std::unique_ptr<Instruction>& p) { return p.get() == inst; });
-  CAYMAN_ASSERT(it != instructions_.end(), "instruction not in block");
-  std::unique_ptr<Instruction> owned = std::move(*it);
-  instructions_.erase(it);
-  owned->setParent(nullptr);
-  return owned;
-}
-
 Instruction* BasicBlock::terminator() const {
   if (instructions_.empty()) return nullptr;
   Instruction* last = instructions_.back().get();
   return last->isTerminator() ? last : nullptr;
 }
 
-std::vector<BasicBlock*> BasicBlock::successors() const {
-  const Instruction* term = terminator();
-  CAYMAN_ASSERT(term != nullptr, "block " + name_ + " lacks a terminator");
-  auto span = term->successors();
-  return {span.begin(), span.end()};
-}
-
 std::vector<Instruction*> BasicBlock::phis() const {
   std::vector<Instruction*> result;
   for (const auto& inst : instructions_) {
     if (inst->opcode() != Opcode::Phi) break;
-    result.push_back(inst.get());
-  }
-  return result;
-}
-
-std::vector<Instruction*> BasicBlock::body() const {
-  std::vector<Instruction*> result;
-  for (const auto& inst : instructions_) {
-    if (inst->opcode() == Opcode::Phi || inst->isTerminator()) continue;
     result.push_back(inst.get());
   }
   return result;

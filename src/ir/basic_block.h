@@ -33,22 +33,13 @@ class BasicBlock {
   Instruction* append(std::unique_ptr<Instruction> inst);
   /// Inserts a phi after the existing phis at the head of the block.
   Instruction* insertPhi(std::unique_ptr<Instruction> inst);
-  /// Inserts before the terminator (appends when there is none yet).
-  Instruction* insertBeforeTerminator(std::unique_ptr<Instruction> inst);
-  /// Detaches `inst` from this block without destroying it.
-  std::unique_ptr<Instruction> remove(Instruction* inst);
 
   /// The final Br/CondBr/Ret; nullptr while the block is under construction.
   Instruction* terminator() const;
   bool hasTerminator() const { return terminator() != nullptr; }
 
-  /// Successor blocks per the terminator (empty for Ret).
-  std::vector<BasicBlock*> successors() const;
-
   /// Phi nodes at the head of the block.
   std::vector<Instruction*> phis() const;
-  /// Non-phi, non-terminator body instructions.
-  std::vector<Instruction*> body() const;
 
  private:
   friend class Function;  // Function::addBlock is the only way to make one

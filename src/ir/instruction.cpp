@@ -1,7 +1,5 @@
 #include "ir/instruction.h"
 
-#include <algorithm>
-
 #include "ir/basic_block.h"
 
 namespace cayman::ir {
@@ -98,42 +96,19 @@ Instruction::Instruction(Opcode op, const Type* type,
       operands_(std::move(operands)) {
   for (Value* operand : operands_) {
     CAYMAN_ASSERT(operand != nullptr, "null operand");
-    operand->addUser(this);
   }
-}
-
-Instruction::~Instruction() { dropAllReferences(); }
-
-void Instruction::dropAllReferences() {
-  for (Value* operand : operands_) operand->removeUser(this);
-  operands_.clear();
-  incoming_.clear();
 }
 
 void Instruction::setOperand(size_t i, Value* value) {
   CAYMAN_ASSERT(i < operands_.size(), "operand index out of range");
   CAYMAN_ASSERT(value != nullptr, "null operand");
-  operands_[i]->removeUser(this);
   operands_[i] = value;
-  value->addUser(this);
-}
-
-void Instruction::replaceSuccessor(BasicBlock* from, BasicBlock* to) {
-  bool replaced = false;
-  for (BasicBlock*& succ : successors_) {
-    if (succ == from) {
-      succ = to;
-      replaced = true;
-    }
-  }
-  CAYMAN_ASSERT(replaced, "successor not found");
 }
 
 void Instruction::addIncoming(Value* value, BasicBlock* block) {
   CAYMAN_ASSERT(op_ == Opcode::Phi, "addIncoming on non-phi");
   CAYMAN_ASSERT(value->type() == type(), "phi incoming type mismatch");
   operands_.push_back(value);
-  value->addUser(this);
   incoming_.push_back(block);
 }
 
@@ -145,29 +120,12 @@ Value* Instruction::incomingValueFor(const BasicBlock* block) const {
   CAYMAN_ASSERT(false, "phi has no incoming value for block " + block->name());
 }
 
-void Instruction::replaceIncomingBlock(BasicBlock* from, BasicBlock* to) {
-  CAYMAN_ASSERT(op_ == Opcode::Phi, "replaceIncomingBlock on non-phi");
-  for (BasicBlock*& block : incoming_) {
-    if (block == from) block = to;
-  }
-}
-
 Value* Instruction::pointerOperand() const {
   switch (op_) {
     case Opcode::Load: return operands_[0];
     case Opcode::Store: return operands_[1];
     default: CAYMAN_ASSERT(false, "not a memory access");
   }
-}
-
-std::unique_ptr<Instruction> Instruction::clone() const {
-  auto copy = std::make_unique<Instruction>(op_, type(), operands_, name());
-  copy->pred_ = pred_;
-  copy->gepElemSize_ = gepElemSize_;
-  copy->successors_ = successors_;
-  copy->incoming_ = incoming_;
-  copy->callee_ = callee_;
-  return copy;
 }
 
 }  // namespace cayman::ir

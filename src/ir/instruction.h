@@ -1,7 +1,6 @@
 // Instruction: a single SSA operation inside a basic block.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,15 +44,10 @@ bool isFloatOp(Opcode op);
 
 class Instruction final : public Value {
  public:
-  /// Instructions are created through IRBuilder (or clone()); the constructor
-  /// wires operand use lists.
+  /// Instructions are created through IRBuilder or the parser. The IR keeps
+  /// no use lists: it is built once and never rewritten.
   Instruction(Opcode op, const Type* type, std::vector<Value*> operands,
               std::string name);
-  ~Instruction() override;
-
-  /// Clears all operand links (unregistering uses). Called by Module teardown
-  /// so instruction destruction order becomes irrelevant.
-  void dropAllReferences();
 
   Opcode opcode() const { return op_; }
 
@@ -83,13 +77,11 @@ class Instruction final : public Value {
   void setSuccessors(std::vector<BasicBlock*> succs) {
     successors_ = std::move(succs);
   }
-  void replaceSuccessor(BasicBlock* from, BasicBlock* to);
 
   /// Incoming blocks for Phi, parallel to operands().
   std::span<BasicBlock* const> incomingBlocks() const { return incoming_; }
   void addIncoming(Value* value, BasicBlock* block);
   Value* incomingValueFor(const BasicBlock* block) const;
-  void replaceIncomingBlock(BasicBlock* from, BasicBlock* to);
 
   /// Callee for Call.
   Function* callee() const { return callee_; }
@@ -107,10 +99,6 @@ class Instruction final : public Value {
     CAYMAN_ASSERT(op_ == Opcode::Store, "not a store");
     return operands_[0];
   }
-
-  /// Creates an unattached copy with the same operands / payload (the caller
-  /// remaps operands afterwards, e.g. during loop unrolling or merging).
-  std::unique_ptr<Instruction> clone() const;
 
  private:
   Opcode op_;

@@ -4,18 +4,6 @@
 
 namespace cayman::ir {
 
-Module::~Module() {
-  // Break every use-def link first so instruction destruction order cannot
-  // touch already-freed values.
-  for (const auto& function : functions_) {
-    for (const auto& block : function->blocks()) {
-      for (const auto& inst : block->instructions()) {
-        inst->dropAllReferences();
-      }
-    }
-  }
-}
-
 Function* Module::addFunction(
     std::string name, const Type* returnType,
     std::vector<std::pair<const Type*, std::string>> params) {

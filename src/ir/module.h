@@ -13,7 +13,6 @@ namespace cayman::ir {
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
-  ~Module();
 
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;

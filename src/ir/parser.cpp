@@ -118,9 +118,12 @@ class Cursor {
   int colBase_;
 };
 
+/// A forward reference: operand `operandIndex` of `user` holds
+/// `placeholder` until the function's last line is parsed and `name` resolves.
 struct PendingRef {
   Instruction* user;
   size_t operandIndex;
+  const Value* placeholder;
   std::string name;
   int line;
 };
@@ -306,8 +309,8 @@ class Parser {
       values_[arg->name()] = arg.get();
     }
 
-    // First pass: collect block labels and result types for forward refs.
-    std::map<std::string, const Type*> resultTypes;
+    // First pass: find the closing '}', create every block so branches can
+    // name later ones, and enforce the per-function shape limits.
     std::vector<size_t> bodyLines;
     size_t numInstructions = 0;
     for (size_t i = pos_;; ++i) {
@@ -332,19 +335,10 @@ class Parser {
                            std::to_string(limits_.maxBlocksPerFunction) + ")");
         }
         function->addBlock(std::move(label));
-      } else {
-        if (++numInstructions > limits_.maxInstructionsPerFunction) {
-          cursorAt(i).fail(
-              "instruction count exceeds the limit (" +
-              std::to_string(limits_.maxInstructionsPerFunction) + ")");
-        }
-        if (line[0] == '%') {
-          Cursor c = cursorAt(i);
-          c.expect("%");
-          std::string name = c.word();
-          c.expect("=");
-          resultTypes[name] = scanResultType(c, function);
-        }
+      } else if (++numInstructions > limits_.maxInstructionsPerFunction) {
+        cursorAt(i).fail("instruction count exceeds the limit (" +
+                         std::to_string(limits_.maxInstructionsPerFunction) +
+                         ")");
       }
     }
 
@@ -359,10 +353,13 @@ class Parser {
       }
       Cursor c = cursorAt(lineNo);
       if (current == nullptr) c.fail("instruction before first block label");
-      parseInstruction(c, function, current, resultTypes);
+      parseInstruction(c, function, current);
     }
 
-    // Resolve forward references.
+    // Resolve forward references. Each placeholder was made for exactly one
+    // pending ref and each ref overwrites its own, so none survives.
+    CAYMAN_ASSERT(pending_.size() == placeholders_.size(),
+                  "placeholder without a pending ref");
     for (const PendingRef& ref : pending_) {
       auto it = values_.find(ref.name);
       if (it == values_.end()) {
@@ -370,44 +367,16 @@ class Parser {
                                          "undefined value %" + ref.name,
                                          ref.line, 0});
       }
+      CAYMAN_ASSERT(ref.user->operand(ref.operandIndex) == ref.placeholder,
+                    "pending ref does not hold its placeholder");
       ref.user->setOperand(ref.operandIndex, it->second);
     }
-    for (auto& placeholder : placeholders_) {
-      CAYMAN_ASSERT(!placeholder->hasUsers(), "unresolved placeholder use");
-    }
   }
 
-  /// Determines the result type of an instruction line without building it.
-  const Type* scanResultType(Cursor& c, Function* /*function*/) {
-    std::string op = c.word();
-    if (op == "icmp" || op == "fcmp") return Type::i1();
-    if (op == "gep") return Type::ptr();
-    if (op == "call") {
-      c.expect("@");
-      Function* callee = module_->functionByName(c.word());
-      if (callee == nullptr) c.fail("call to unknown function");
-      return callee->returnType();
-    }
-    if (op == "zext" || op == "sext" || op == "trunc" || op == "sitofp" ||
-        op == "fptosi") {
-      parseType(c);  // source type
-      if (c.tryConsume("%") || c.tryConsume("@")) {
-        c.word();
-      } else {
-        c.number();
-      }
-      c.expect("to");
-      return parseType(c);
-    }
-    // Every remaining producing opcode spells the result type next.
-    return parseType(c);
-  }
-
-  /// Parses an operand reference of known type.
-  Value* parseOperand(Cursor& c, const Type* type, Instruction** fixupUser,
-                      std::vector<std::pair<size_t, std::string>>* fixups,
-                      size_t operandIndex) {
-    (void)fixupUser;
+  /// Parses an operand reference of known type. A forward reference returns
+  /// a placeholder and appends its ref, user not yet set, to `fixups`.
+  Value* parseOperand(Cursor& c, const Type* type,
+                      std::vector<PendingRef>* fixups, size_t operandIndex) {
     if (c.tryConsume("@")) {
       std::string name = c.word();
       GlobalArray* global = module_->globalByName(name);
@@ -419,12 +388,12 @@ class Parser {
       auto it = values_.find(name);
       if (it != values_.end()) return it->second;
       // Forward reference: create a typed placeholder, fix up later.
-      const Type* refType = type;
-      if (refType == nullptr) c.fail("forward reference %" + name +
-                                     " in a position without a known type");
-      fixups->emplace_back(operandIndex, name);
+      if (type == nullptr) c.fail("forward reference %" + name +
+                                  " in a position without a known type");
       placeholders_.push_back(
-          std::make_unique<Argument>(refType, "$placeholder." + name, 0u));
+          std::make_unique<Argument>(type, "$placeholder." + name, 0u));
+      fixups->push_back({nullptr, operandIndex, placeholders_.back().get(),
+                         name, c.line()});
       return placeholders_.back().get();
     }
     // Literal constant.
@@ -447,8 +416,7 @@ class Parser {
     return block;
   }
 
-  void parseInstruction(Cursor& c, Function* function, BasicBlock* block,
-                        const std::map<std::string, const Type*>& resultTypes) {
+  void parseInstruction(Cursor& c, Function* function, BasicBlock* block) {
     std::string resultName;
     if (c.tryConsume("%")) {
       resultName = c.word();
@@ -458,7 +426,7 @@ class Parser {
       }
     }
     std::string op = c.word();
-    std::vector<std::pair<size_t, std::string>> fixups;
+    std::vector<PendingRef> fixups;
 
     auto finish = [&](std::unique_ptr<Instruction> inst) {
       Instruction* raw = block->append(std::move(inst));
@@ -466,17 +434,12 @@ class Parser {
         raw->setName(resultName);
         values_[resultName] = raw;
       }
-      for (auto& [operandIndex, name] : fixups) {
-        pending_.push_back({raw, operandIndex, name, c.line()});
+      for (PendingRef& ref : fixups) {
+        ref.user = raw;
+        pending_.push_back(std::move(ref));
       }
       return raw;
     };
-
-    auto typeOfRef = [&](const std::string& name) -> const Type* {
-      auto it = resultTypes.find(name);
-      return it == resultTypes.end() ? nullptr : it->second;
-    };
-    (void)typeOfRef;
 
     if (op == "icmp" || op == "fcmp") {
       std::string predName = c.word();
@@ -491,9 +454,9 @@ class Parser {
       }
       if (!found) c.fail("unknown predicate '" + predName + "'");
       const Type* operandType = parseType(c);
-      Value* a = parseOperand(c, operandType, nullptr, &fixups, 0);
+      Value* a = parseOperand(c, operandType, &fixups, 0);
       c.expect(",");
-      Value* b = parseOperand(c, operandType, nullptr, &fixups, 1);
+      Value* b = parseOperand(c, operandType, &fixups, 1);
       auto inst = std::make_unique<Instruction>(
           op == "icmp" ? Opcode::ICmp : Opcode::FCmp, Type::i1(),
           std::vector<Value*>{a, b}, "");
@@ -503,9 +466,9 @@ class Parser {
     }
 
     if (op == "gep") {
-      Value* base = parseOperand(c, Type::ptr(), nullptr, &fixups, 0);
+      Value* base = parseOperand(c, Type::ptr(), &fixups, 0);
       c.expect(",");
-      Value* index = parseOperand(c, Type::i64(), nullptr, &fixups, 1);
+      Value* index = parseOperand(c, Type::i64(), &fixups, 1);
       c.expect(",");
       c.expect("elem");
       uint64_t elemSize = c.unsignedInt("gep element size");
@@ -524,7 +487,7 @@ class Parser {
       const Type* type = parseType(c);
       if (type->isVoid()) c.fail("load of void type");
       c.expect(",");
-      Value* ptr = parseOperand(c, Type::ptr(), nullptr, &fixups, 0);
+      Value* ptr = parseOperand(c, Type::ptr(), &fixups, 0);
       finish(std::make_unique<Instruction>(Opcode::Load, type,
                                            std::vector<Value*>{ptr}, ""));
       return;
@@ -533,9 +496,9 @@ class Parser {
     if (op == "store") {
       const Type* type = parseType(c);
       if (type->isVoid()) c.fail("store of void type");
-      Value* value = parseOperand(c, type, nullptr, &fixups, 0);
+      Value* value = parseOperand(c, type, &fixups, 0);
       c.expect(",");
-      Value* ptr = parseOperand(c, Type::ptr(), nullptr, &fixups, 1);
+      Value* ptr = parseOperand(c, Type::ptr(), &fixups, 1);
       finish(std::make_unique<Instruction>(Opcode::Store, Type::voidTy(),
                                            std::vector<Value*>{value, ptr},
                                            ""));
@@ -552,7 +515,7 @@ class Parser {
     }
 
     if (op == "condbr") {
-      Value* cond = parseOperand(c, Type::i1(), nullptr, &fixups, 0);
+      Value* cond = parseOperand(c, Type::i1(), &fixups, 0);
       c.expect(",");
       BasicBlock* ifTrue = parseBlockRef(c, function);
       c.expect(",");
@@ -572,15 +535,16 @@ class Parser {
       Instruction* raw = finish(std::move(inst));
       size_t operandIndex = 0;
       while (c.tryConsume("[")) {
-        // addIncoming registers the use; use a placeholder path via fixups.
-        std::vector<std::pair<size_t, std::string>> phiFixups;
-        Value* value = parseOperand(c, type, nullptr, &phiFixups, operandIndex);
+        // The phi is already appended, so its refs go to pending_ directly.
+        std::vector<PendingRef> phiFixups;
+        Value* value = parseOperand(c, type, &phiFixups, operandIndex);
         c.expect(",");
         BasicBlock* incomingBlock = parseBlockRef(c, function);
         c.expect("]");
         raw->addIncoming(value, incomingBlock);
-        for (auto& [idx, name] : phiFixups) {
-          pending_.push_back({raw, idx, name, c.line()});
+        for (PendingRef& ref : phiFixups) {
+          ref.user = raw;
+          pending_.push_back(std::move(ref));
         }
         ++operandIndex;
         if (!c.tryConsume(",")) break;
@@ -602,7 +566,7 @@ class Parser {
           }
           const Type* argType = callee->argument(args.size())->type();
           args.push_back(
-              parseOperand(c, argType, nullptr, &fixups, args.size()));
+              parseOperand(c, argType, &fixups, args.size()));
           if (c.tryConsume(")")) break;
           c.expect(",");
         }
@@ -623,7 +587,7 @@ class Parser {
       std::vector<Value*> operands;
       if (!c.atEnd()) {
         const Type* type = parseType(c);
-        operands.push_back(parseOperand(c, type, nullptr, &fixups, 0));
+        operands.push_back(parseOperand(c, type, &fixups, 0));
       }
       finish(std::make_unique<Instruction>(Opcode::Ret, Type::voidTy(),
                                            std::move(operands), ""));
@@ -633,7 +597,7 @@ class Parser {
     if (op == "zext" || op == "sext" || op == "trunc" || op == "sitofp" ||
         op == "fptosi") {
       const Type* fromType = parseType(c);
-      Value* value = parseOperand(c, fromType, nullptr, &fixups, 0);
+      Value* value = parseOperand(c, fromType, &fixups, 0);
       c.expect("to");
       const Type* toType = parseType(c);
       Opcode opcode = op == "zext"     ? Opcode::ZExt
@@ -670,7 +634,7 @@ class Parser {
       if (i > 0) c.expect(",");
       const Type* operandType =
           (opcode == Opcode::Select && i == 0) ? Type::i1() : type;
-      operands.push_back(parseOperand(c, operandType, nullptr, &fixups,
+      operands.push_back(parseOperand(c, operandType, &fixups,
                                       static_cast<size_t>(i)));
     }
     finish(std::make_unique<Instruction>(opcode, type, std::move(operands),
@@ -682,8 +646,8 @@ class Parser {
   std::vector<int> colBases_;
   size_t pos_ = 0;
   uint64_t totalGlobalBytes_ = 0;
-  // Placeholders must outlive the module: on error paths instructions may
-  // still reference them, and Module teardown unregisters those uses.
+  // Stand-ins for forward references, one per pending ref; none is left as
+  // an operand once the function is parsed.
   std::vector<std::unique_ptr<Value>> placeholders_;
   std::unique_ptr<Module> module_;
   std::map<std::string, Value*> values_;

@@ -1,27 +1,6 @@
 #include "ir/value.h"
 
-#include <algorithm>
-
-#include "ir/instruction.h"
-
 namespace cayman::ir {
-
-void Value::replaceAllUsesWith(Value* replacement) {
-  CAYMAN_ASSERT(replacement != this, "RAUW with self");
-  // Users mutate our user list as operands are rewritten, so drain a copy.
-  std::vector<Instruction*> users = users_;
-  for (Instruction* user : users) {
-    for (size_t i = 0; i < user->numOperands(); ++i) {
-      if (user->operand(i) == this) user->setOperand(i, replacement);
-    }
-  }
-}
-
-void Value::removeUser(const Instruction* user) {
-  auto it = std::find(users_.begin(), users_.end(), user);
-  CAYMAN_ASSERT(it != users_.end(), "removing a non-user");
-  users_.erase(it);
-}
 
 void GlobalArray::setInit(std::vector<double> values) {
   CAYMAN_ASSERT(values.size() == numElems_,

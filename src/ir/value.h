@@ -10,9 +10,6 @@
 
 namespace cayman::ir {
 
-class Instruction;
-class Function;
-
 /// Discriminator for the Value hierarchy (cheap LLVM-style RTTI).
 enum class ValueKind {
   Argument,
@@ -37,28 +34,14 @@ class Value {
   const std::string& name() const { return name_; }
   void setName(std::string name) { name_ = std::move(name); }
 
-  /// Instructions currently using this value as an operand; one entry per
-  /// use, so an instruction using a value twice appears twice.
-  const std::vector<Instruction*>& users() const { return users_; }
-  bool hasUsers() const { return !users_.empty(); }
-
-  /// Rewrites every use of this value to `replacement`.
-  void replaceAllUsesWith(Value* replacement);
-
  protected:
   Value(ValueKind kind, const Type* type, std::string name)
       : kind_(kind), type_(type), name_(std::move(name)) {}
 
  private:
-  friend class Instruction;
-
-  void addUser(Instruction* user) { users_.push_back(user); }
-  void removeUser(const Instruction* user);
-
   ValueKind kind_;
   const Type* type_;
   std::string name_;
-  std::vector<Instruction*> users_;
 };
 
 /// A formal parameter of a Function.

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace cayman {
@@ -40,12 +39,6 @@ std::string_view trim(std::string_view text) {
 bool startsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-std::string formatFixed(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
-  return buffer;
 }
 
 std::optional<long> parseLong(const char* text, long minValue,

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -16,9 +15,6 @@ std::string_view trim(std::string_view text);
 
 /// True when `text` starts with `prefix`.
 bool startsWith(std::string_view text, std::string_view prefix);
-
-/// Formats a double with fixed precision (no locale surprises).
-std::string formatFixed(double value, int digits);
 
 // Strict numeric parsing shared by every CLI flag and env knob. All three
 // reject empty input, trailing garbage ("8x", "1e2" for integers), and

@@ -59,8 +59,6 @@ void TraceRecorder::setEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool TraceRecorder::enabled() const { return on(); }
-
 void TraceRecorder::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   tasks_.clear();

@@ -80,7 +80,6 @@ class TraceRecorder {
 
   /// Turns recording on or off. Existing records are kept.
   void setEnabled(bool enabled);
-  bool enabled() const;
 
   /// Discards all published records and global counters.
   void clear();

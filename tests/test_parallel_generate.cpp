@@ -143,7 +143,9 @@ TEST(SchedCacheComplexityTest, AccessIfaceOrderIsConsistentWithEquality) {
     EXPECT_FALSE(x < x);
     for (const hls::AccessIface& y : samples) {
       EXPECT_EQ(x == y, !(x < y) && !(y < x));
-      if (x < y) EXPECT_FALSE(y < x);
+      if (x < y) {
+        EXPECT_FALSE(y < x);
+      }
     }
   }
 }

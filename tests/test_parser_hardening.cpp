@@ -253,6 +253,37 @@ TEST(ParserHardeningTest, DiagnosticCarriesLineAndColumn) {
             std::string::npos);
 }
 
+TEST(ParserHardeningTest, UnknownOpcodeIsReportedAtTheOpcode) {
+  // The diagnostic must blame the opcode, not the word after it.
+  Diagnostic d = expectParseFailure(
+      "module \"m\" {\n"
+      "func @f() -> i64 {\n"
+      "entry:\n"
+      "  %x = frob foo 1, 2\n"
+      "  ret i64 %x\n"
+      "}\n"
+      "}\n");
+  EXPECT_NE(d.message.find("unknown opcode 'frob'"), std::string::npos)
+      << d.message;
+  EXPECT_EQ(d.line, 4);
+  EXPECT_LT(d.col, 13);  // 'foo' starts at column 13
+
+  // Errors are reported in line order: the bad opcode on line 4 wins over
+  // the bad type on line 5.
+  d = expectParseFailure(
+      "module \"m\" {\n"
+      "func @f() -> i64 {\n"
+      "entry:\n"
+      "  %x = frob i64 1, 2\n"
+      "  %y = add bogus 1, 2\n"
+      "  ret i64 %y\n"
+      "}\n"
+      "}\n");
+  EXPECT_NE(d.message.find("unknown opcode 'frob'"), std::string::npos)
+      << d.message;
+  EXPECT_EQ(d.line, 4);
+}
+
 TEST(ParserHardeningTest, NanLiteralDoesNotCorruptConstantMap) {
   // NaN keys used to violate std::map's strict weak ordering in constFP.
   std::unique_ptr<Module> module = parseModule(

@@ -35,12 +35,6 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(startsWith("anything", ""));
 }
 
-TEST(StringsTest, FormatFixed) {
-  EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
-  EXPECT_EQ(formatFixed(-0.5, 1), "-0.5");
-  EXPECT_EQ(formatFixed(2.0, 0), "2");
-}
-
 TEST(ParseLongTest, AcceptsFullyConsumedInRangeIntegers) {
   EXPECT_EQ(parseLong("42", 0, 100), 42);
   EXPECT_EQ(parseLong("-7", -10, 10), -7);

@@ -130,7 +130,9 @@ void checkTraceEvents(const json::Value& document) {
     int64_t tid = event.find("tid")->intValue();
     double ts = event.find("ts")->numberValue();
     auto it = lastTs.find(tid);
-    if (it != lastTs.end()) EXPECT_GE(ts, it->second);
+    if (it != lastTs.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     lastTs[tid] = ts;
     const std::string& name = event.find("name")->stringValue();
     if (ph->stringValue() == "B") {
