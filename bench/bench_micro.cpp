@@ -31,6 +31,29 @@ void BM_InterpreterRun(benchmark::State& state, const char* workload) {
 BENCHMARK_CAPTURE(BM_InterpreterRun, atax, "atax");
 BENCHMARK_CAPTURE(BM_InterpreterRun, cjpeg, "cjpeg");
 
+// The counts-only run the pipeline profiles with (DESIGN.md §20); the nest
+// plan is made once, before the timed loop. insts/s counts the instructions
+// the run accounts for, interpreted or counted in closed form. atax is two
+// counted nests and is counted whole; in cjpeg every nest stores into what
+// a later branch loads, so nothing is skipped and it should time like
+// BM_InterpreterRun/cjpeg.
+void BM_InterpreterProfile(benchmark::State& state, const char* workload) {
+  auto module = workloads::build(workload);
+  analysis::WPst wpst(*module);
+  sim::Interpreter interp(*module);
+  interp.profile(wpst);
+  uint64_t instructions = 0;
+  for (auto _ : state) {
+    sim::Interpreter::Result result = interp.profile(wpst);
+    instructions += result.instructions;
+    benchmark::DoNotOptimize(result.totalCycles);
+  }
+  state.counters["insts/s"] = benchmark::Counter(
+      static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_InterpreterProfile, atax, "atax");
+BENCHMARK_CAPTURE(BM_InterpreterProfile, cjpeg, "cjpeg");
+
 // One-time decode cost (amortized over every subsequent run): lowers all
 // functions of the workload to micro-op streams from scratch each iteration.
 void BM_InterpreterDecode(benchmark::State& state) {

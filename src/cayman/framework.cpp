@@ -60,7 +60,7 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
   runStage(support::Stage::Profile, unit, options_, [&] {
     interpreter_ = std::make_unique<sim::Interpreter>(*module_);
     interpreter_->setCancelToken(options_.cancel);
-    sim::Interpreter::Result run = interpreter_->run();
+    sim::Interpreter::Result run = interpreter_->profile(*wpst_);
     profile_ = std::make_unique<sim::ProfileData>(*wpst_, run,
                                                   interpreter_->costModel());
 

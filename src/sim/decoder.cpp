@@ -1,6 +1,7 @@
 #include "sim/decoder.h"
 
 #include <bit>
+#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -101,7 +102,8 @@ MicroOpcode storeOpcodeFor(const ir::Type* type) {
 
 }  // namespace
 
-DecodedFunction Decoder::decode(const ir::Function& function) const {
+DecodedFunction Decoder::decode(const ir::Function& function,
+                                std::span<const NestPlan> nests) const {
   DecodeCtx ctx;
   DecodedFunction& df = ctx.df;
   df.source = &function;
@@ -155,6 +157,27 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
   }
   ctx.blockEntryPc.assign(df.numBlocks(), 0);
   CAYMAN_ASSERT(function.entry()->phis().empty(), "phi in entry block");
+
+  // Nests to enter through CountedNest: those whose every block costs a
+  // multiple of 0.5 cycles, so the counter's products are exact.
+  std::vector<const NestPlan*> counted;
+  std::unordered_map<const ir::BasicBlock*, uint32_t> nestEnteredFrom;
+  std::vector<uint32_t> condJumpAt(df.numBlocks(), 0);
+  for (const NestPlan& nest : nests) {
+    bool exact = true;
+    auto halves = [&](const ir::BasicBlock* block) {
+      const double twice = 2.0 * model_.blockCost(*block);
+      exact &= std::floor(twice) == twice;
+    };
+    for (const NestLoopPlan& loop : nest.loops) {
+      halves(loop.header);
+      for (const ir::BasicBlock* block : loop.body) halves(block);
+    }
+    if (!exact) continue;
+    nestEnteredFrom.emplace(nest.preheader,
+                            static_cast<uint32_t>(counted.size()));
+    counted.push_back(&nest);
+  }
 
   // Sequentializes the parallel copy set of edge pred->succ. Emitted copies
   // never read a slot already written by an earlier copy of the sequence;
@@ -225,6 +248,11 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
           emitEdgeCopies(block, succ);
           MicroOp op;
           op.op = MicroOpcode::Jump;
+          if (auto it = nestEnteredFrom.find(block);
+              it != nestEnteredFrom.end()) {
+            op.op = MicroOpcode::CountedNest;
+            op.a = it->second;
+          }
           ctx.fixups.push_back({df.ops.size(), 1, ctx.blockId.at(succ)});
           df.ops.push_back(op);
           break;
@@ -234,6 +262,7 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
           op.op = MicroOpcode::CondJump;
           op.a = slotOf(inst->operand(0));
           size_t opIndex = df.ops.size();
+          condJumpAt[id] = static_cast<uint32_t>(opIndex);
           df.ops.push_back(op);
           const ir::BasicBlock* succs[2] = {inst->successors()[0],
                                             inst->successors()[1]};
@@ -356,6 +385,73 @@ DecodedFunction Decoder::decode(const ir::Function& function) const {
   for (const DecodeCtx::Fixup& fixup : ctx.fixups) {
     MicroOp& site = df.ops[fixup.opIndex];
     (fixup.field == 1 ? site.b : site.c) = ctx.blockEntryPc[fixup.targetBlock];
+  }
+
+  // --- Counted nests, resolved against the frame layout. -------------------
+  for (const NestPlan* plan : counted) {
+    DecodedNest& nest = df.nests.emplace_back();
+    const ir::BasicBlock* rootHeader = plan->loops.front().header;
+    const MicroOp& test = df.ops[condJumpAt[ctx.blockId.at(rootHeader)]];
+    nest.exitPc =
+        rootHeader->terminator()->successors()[0] == plan->exit ? test.b
+                                                                 : test.c;
+    auto resolve = [&](const LinearForm& form) {
+      FrameLinear out;
+      out.constant = form.constant;
+      for (const auto& [symbol, coeff] : form.terms) {
+        if (const auto* global = ir::dynCast<ir::GlobalArray>(symbol)) {
+          out.constant += coeff * memory_.baseOf(global);
+          continue;
+        }
+        FrameLinear::Term term;
+        term.coeff = coeff;
+        term.index = ctx.valueSlot.at(symbol);
+        for (uint32_t i = 0; i < plan->loops.size(); ++i) {
+          if (plan->loops[i].iv == symbol) {
+            term.iv = true;
+            term.index = i;
+          }
+        }
+        out.terms.push_back(term);
+      }
+      return out;
+    };
+    for (const NestLoopPlan& loopPlan : plan->loops) {
+      DecodedNestLoop& loop = nest.loops.emplace_back();
+      loop.header = ctx.blockId.at(loopPlan.header);
+      loop.headerSize = loopPlan.header->size();
+      loop.headerCost = model_.blockCost(*loopPlan.header);
+      for (const ir::BasicBlock* block : loopPlan.body) {
+        loop.body.push_back(ctx.blockId.at(block));
+        loop.bodySize += block->size();
+        loop.bodyCost += model_.blockCost(*block);
+      }
+      loop.init = resolve(loopPlan.init);
+      loop.bound = resolve(loopPlan.bound);
+      loop.step = loopPlan.step;
+      loop.pred = loopPlan.pred;
+      for (const FrameLinear* form : {&loop.init, &loop.bound}) {
+        for (const FrameLinear::Term& term : form->terms) {
+          if (term.iv) loop.ivUses |= uint64_t{1} << term.index;
+        }
+      }
+    }
+    // Pre-order: children follow their parent, so one backward pass
+    // links them and folds each subtree's counter uses upward.
+    for (size_t i = nest.loops.size(); i-- > 1;) {
+      DecodedNestLoop& parent =
+          nest.loops[static_cast<size_t>(plan->loops[i].parent)];
+      parent.children.insert(parent.children.begin(),
+                             static_cast<uint32_t>(i));
+      parent.ivUses |= nest.loops[i].ivUses;
+    }
+    for (const NestAccessPlan& accessPlan : plan->accesses) {
+      DecodedNest::Access& access = nest.accesses.emplace_back();
+      access.address = resolve(accessPlan.address);
+      access.bytes = accessPlan.bytes;
+      access.loop = accessPlan.loop;
+      access.inHeader = accessPlan.inHeader;
+    }
   }
 
   // --- Final frame layout; rewrite parked scratch references. ---------------

@@ -19,8 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "sim/counted_nests.h"
 #include "sim/cpu_model.h"
 #include "sim/memory.h"
 
@@ -60,6 +62,8 @@ enum class MicroOpcode : uint16_t {
   Copy,       // dst = frame[a] (phi edge moves)
   Jump,       // b = target pc
   CondJump,   // a = cond slot, b = pc if true, c = pc if false
+  CountedNest,  // a = DecodedFunction::nests index, b = header pc: a jump
+                // into the nest, which a counts-only run may skip
   Call,       // imm = callee index, a = arg offset, b = arg count,
               // aux = 1 when dst receives the return value
   Ret,        // aux = 1 when a holds the returned slot; keep last
@@ -119,6 +123,9 @@ struct DecodedFunction {
   // Dense per-block metadata, indexed by the id in BlockHead.b.
   std::vector<const ir::BasicBlock*> blockOf;
 
+  // The planned nests whose preheaders end in a CountedNest micro-op.
+  std::vector<DecodedNest> nests;
+
   size_t numBlocks() const { return blockOf.size(); }
 };
 
@@ -130,7 +137,11 @@ class Decoder {
   Decoder(const SimMemory& memory, const CpuCostModel& model)
       : memory_(memory), model_(model) {}
 
-  DecodedFunction decode(const ir::Function& function) const;
+  /// `nests` are the function's planned counted nests (CountedNestPlan);
+  /// each one whose blocks all cost a multiple of 0.5 cycles is entered
+  /// through a CountedNest micro-op.
+  DecodedFunction decode(const ir::Function& function,
+                         std::span<const NestPlan> nests = {}) const;
 
  private:
   const SimMemory& memory_;

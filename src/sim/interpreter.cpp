@@ -33,7 +33,10 @@ Interpreter::DecodedEntry& Interpreter::decodedFor(
   auto it = decoded_.find(&function);
   if (it != decoded_.end()) return *it->second;
   auto entry = std::make_unique<DecodedEntry>();
-  entry->df = Decoder(memory_, model_).decode(function);
+  entry->df = Decoder(memory_, model_)
+                  .decode(function, plan_ != nullptr
+                                        ? std::span(plan_->nestsOf(function))
+                                        : std::span<const NestPlan>());
   entry->counts.assign(entry->df.numBlocks(), 0);
   return *decoded_.emplace(&function, std::move(entry)).first->second;
 }
@@ -56,10 +59,36 @@ Interpreter::Result Interpreter::run(std::span<const int64_t> args) {
 
 Interpreter::Result Interpreter::runFunction(const ir::Function& function,
                                              std::span<const int64_t> args) {
-  memory_.reset();
   Result result;
+  uint64_t word = execute(function, args, /*counting=*/false, result);
+  // The typed view of the returned word.
+  if (function.returnType()->isFloat()) {
+    result.returnValue = Slot{0, std::bit_cast<double>(word)};
+  } else if (!function.returnType()->isVoid()) {
+    result.returnValue = Slot{static_cast<int64_t>(word), 0.0};
+  }
+  return result;
+}
+
+Interpreter::Result Interpreter::profile(const analysis::WPst& wpst) {
+  CAYMAN_ASSERT(&wpst.module() == &module_,
+                "profile() needs the wPST of the interpreter's module");
+  if (plan_ == nullptr) {
+    plan_ = std::make_unique<CountedNestPlan>(wpst);
+    decoded_.clear();  // re-decode with the CountedNest entries
+  }
+  Result result;
+  execute(*module_.entryFunction(), {}, /*counting=*/true, result);
+  return result;
+}
+
+uint64_t Interpreter::execute(const ir::Function& function,
+                              std::span<const int64_t> args, bool counting,
+                              Result& result) {
+  memory_.reset();
   executed_ = 0;
   cancelTick_ = 0;
+  counting_ = counting;
   DecodedEntry& entry = decodedFor(function);
   std::vector<uint64_t> frame = newFrame(entry.df);
   for (size_t i = 0; i < function.numArguments() && i < args.size(); ++i) {
@@ -68,12 +97,6 @@ Interpreter::Result Interpreter::runFunction(const ir::Function& function,
                    : static_cast<uint64_t>(args[i]);
   }
   uint64_t word = execDecoded(entry, std::move(frame), result, 0);
-  // The typed view of the returned word.
-  if (function.returnType()->isFloat()) {
-    result.returnValue = Slot{0, std::bit_cast<double>(word)};
-  } else if (!function.returnType()->isVoid()) {
-    result.returnValue = Slot{static_cast<int64_t>(word), 0.0};
-  }
   // Map dense per-function counts back onto BasicBlock pointers.
   for (auto& [fn, decoded] : decoded_) {
     for (size_t i = 0; i < decoded->counts.size(); ++i) {
@@ -92,7 +115,7 @@ Interpreter::Result Interpreter::runFunction(const ir::Function& function,
     }
     support::trace::count("interp.blocks", blocks);
   }
-  return result;
+  return word;
 }
 
 namespace {
@@ -163,7 +186,7 @@ bool compareFloat(ir::CmpPred pred, double a, double b) {
   X(FAbs) X(FMin) X(FMax) X(ICmp) X(FCmp) X(SelectOp) X(ZExt) X(MoveI)       \
   X(Trunc) X(SIToFP) X(FPToSI) X(Gep) X(LoadI1) X(LoadI32) X(LoadI64)        \
   X(LoadF32) X(LoadF64) X(StoreI1) X(StoreI32) X(StoreI64) X(StoreF32)       \
-  X(StoreF64) X(Copy) X(Jump) X(CondJump) X(Call) X(Ret)
+  X(StoreF64) X(Copy) X(Jump) X(CondJump) X(CountedNest) X(Call) X(Ret)
 
 namespace {
 
@@ -202,6 +225,7 @@ uint64_t Interpreter::execDecoded(DecodedEntry& entry,
   const uint64_t memSize = memory_.sizeBytes();
   const uint64_t limit = instructionLimit_;
   const support::CancelToken* const cancel = cancel_;
+  const bool counting = counting_;
 
   // Accounting lives in locals, so the compiler can keep it in registers:
   // through Result& and this, every byte store into simulated memory might
@@ -404,6 +428,28 @@ op_Jump:
   DISPATCH();
 op_CondJump:
   ip = ops + (f[ip->a] != 0 ? ip->b : ip->c);
+  DISPATCH();
+op_CountedNest:
+  // A counts-only run adds the nest's counts and leaves by its exit; a nest
+  // the counter declines, and every nest of run(), is interpreted.
+  if (counting) {
+    const DecodedNest& nest = df.nests[ip->a];
+    NestCounter::Totals totals;
+    if (nestCounter_.count(nest, f, memSize, limit - executed, totals) &&
+        cycles + totals.cycles < 0x1p52) {
+      nestCounter_.apply(nest, counts);
+      cycles += totals.cycles;
+      executed += totals.instructions;
+      tick += totals.blocks;
+      if (cancel != nullptr) {
+        writeBack(cycles, executed, tick);
+        cancel->check(support::Stage::Profile, df.source->name());
+      }
+      ip = ops + nest.exitPc;
+      DISPATCH();
+    }
+  }
+  ip = ops + ip->b;
   DISPATCH();
 op_Call: {
   // Clang rejects a computed goto that leaves the scope of an object with a

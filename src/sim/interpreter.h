@@ -6,8 +6,12 @@
 // slots — no hash-map access per dynamic instruction. The original
 // tree-walking engine lives on as a test-only oracle
 // (tests/oracles/interpreter.h) that must reproduce every Result bit for bit.
+// profile() is the counts-only run the pipeline profiles with: it counts
+// the skippable loop nests in closed form instead of interpreting them
+// (sim/counted_nests.h).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -44,6 +48,14 @@ class Interpreter {
   Result runFunction(const ir::Function& function,
                      std::span<const int64_t> args = {});
 
+  /// Counts-only run of the entry function with no arguments, for
+  /// profiling: the same blockCounts, instructions and totalCycles as run(),
+  /// and the same instruction-limit and cancellation errors, but the counted
+  /// nests of CountedNestPlan are not interpreted. returnValue stays empty
+  /// and the memory image is unspecified afterwards. `wpst` must be built
+  /// over this interpreter's module; the first call plans the nests.
+  Result profile(const analysis::WPst& wpst);
+
   SimMemory& memory() { return memory_; }
   const SimMemory& memory() const { return memory_; }
   const CpuCostModel& costModel() const { return model_; }
@@ -79,6 +91,11 @@ class Interpreter {
   };
 
   DecodedEntry& decodedFor(const ir::Function& function);
+  /// One run from a freshly reset memory image; returns the raw returned
+  /// word. `counting` selects profile()'s closed-form nest entry.
+  uint64_t execute(const ir::Function& function,
+                   std::span<const int64_t> args, bool counting,
+                   Result& result);
   /// Runs one activation on a frame from newFrame() whose argument words the
   /// caller filled, and returns the raw returned word (0 for void).
   uint64_t execDecoded(DecodedEntry& entry, std::vector<uint64_t> frame,
@@ -89,6 +106,9 @@ class Interpreter {
   SimMemory memory_;
   std::unordered_map<const ir::Function*, std::unique_ptr<DecodedEntry>>
       decoded_;
+  std::unique_ptr<CountedNestPlan> plan_;  ///< made by the first profile()
+  NestCounter nestCounter_;
+  bool counting_ = false;
   uint64_t instructionLimit_ = 2'000'000'000;
   uint64_t executed_ = 0;
   const support::CancelToken* cancel_ = nullptr;
