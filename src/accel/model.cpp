@@ -138,13 +138,9 @@ std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
     if (r.kind() != RegionKind::Loop) return;
     LoopConfig lc;
     lc.loop = r.loop();
-    if (optimize) {
-      bool pipelineable = isPipelineable(&r);
-      lc.unroll = (params_.allowUnrolling && pipelineable &&
-                   canUnroll(r.loop(), fa))
-                      ? unroll
-                      : 1;
-      lc.pipelined = params_.allowPipelining && pipelineable;
+    if (optimize && isPipelineable(&r)) {
+      lc.unroll = canUnroll(r.loop(), fa) ? unroll : 1;
+      lc.pipelined = true;
     }
     configs.push_back(lc);
   });
@@ -221,7 +217,7 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
       uint64_t footprintBytes =
           *footprint * iface.array->elemType()->sizeBytes();
       if (f.countPerEntry >= params_.beta * static_cast<double>(*footprint) &&
-          footprintBytes <= params_.maxScratchpadBytes) {
+          footprintBytes <= kMaxScratchpadBytes) {
         iface.kind = hls::IfaceKind::Scratchpad;
         iface.footprintBytes = footprintBytes;
         iface.partitions = lc != nullptr ? std::max(1u, lc->unroll) : 1;
@@ -289,16 +285,6 @@ void AcceleratorModel::warmGenerateCache() const {
     }
     generate(&region);
   });
-}
-
-const analysis::RooflineAnalysis& AcceleratorModel::roofline() const {
-  std::lock_guard<std::mutex> lock(rooflineMutex_);
-  if (roofline_ == nullptr) {
-    roofline_ = std::make_unique<analysis::RooflineAnalysis>(
-        wpst_, profile_, tech_, scheduler_.timing(), params_.clockNs,
-        params_.unknownTripFallback);
-  }
-  return *roofline_;
 }
 
 std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
@@ -413,25 +399,6 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     hasLoops |= r.kind() == RegionKind::Loop;
   });
 
-  // Unrolling without pipelining reshapes sequential-loop costs in ways the
-  // II term below does not model; that ablation estimates every ladder
-  // point (the stock pipeline never uses it — QsCores disables both).
-  if (params_.allowUnrolling && !params_.allowPipelining) {
-    std::vector<AcceleratorConfig> result;
-    auto add = [&](unsigned unroll, bool optimize) {
-      if (params_.cancel != nullptr) {
-        params_.cancel->check(support::Stage::Select, region->label());
-      }
-      result.push_back(ladderConfig(region, unroll, optimize));
-      estimate(result.back());
-    };
-    add(1, /*optimize=*/false);
-    if (hasLoops) {
-      for (unsigned unroll : params_.unrollFactors) add(unroll, true);
-    }
-    return result;
-  }
-
   auto makeConfig = [&](std::vector<LoopConfig> loops,
                         hls::IfaceAssignment ifaces) {
     if (params_.cancel != nullptr) {
@@ -454,39 +421,22 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
   }
   const std::vector<LoopConfig>& baselineLoops = result.front().loops;
-  if (!hasLoops || !(params_.allowPipelining || params_.allowUnrolling)) {
-    return result;
-  }
+  if (!hasLoops || !params_.optimizeControlFlow) return result;
 
-  if (!params_.allowUnrolling) {
-    std::vector<LoopConfig> loops = makeLoopConfigs(region, 1, true);
-    // Structural dedupe: when nothing in the region is pipelineable the
-    // optimized point is the baseline again — interfaces are a
-    // deterministic function of the loop configs, so equal loop vectors
-    // mean equal configs.
-    if (loops != baselineLoops) {
-      hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
-      result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
-    }
-    return result;
-  }
-
-  // Roofline-directed unroll-ladder walk. Admission is analytic (MII
-  // bounds), estimation is guarded (branch-and-bound on the measured
-  // unroll-invariant part), and both preserve the per-region Pareto front:
-  // a skipped point is either structurally identical to a kept config or
-  // dominated by one (its II term, pipeline depth, and area are all no
-  // better than an admitted smaller-width point's).
-  const analysis::RegionRoofline& rf = roofline().classify(region);
+  // Unroll-ladder walk. Admission is analytic (MII bounds), estimation is
+  // guarded (branch-and-bound on the measured unroll-invariant part), and
+  // both preserve the per-region Pareto front: a skipped point is either
+  // structurally identical to a kept config or dominated by one (its II
+  // term, pipeline depth, and area are all no better than an admitted
+  // smaller-width point's).
   struct Point {
-    unsigned unroll = 1;
     std::vector<LoopConfig> loops;
     hls::IfaceAssignment ifaces;
     double iiTerm = 0.0;
   };
   std::vector<Point> admitted;
   double bestTerm = std::numeric_limits<double>::infinity();
-  for (unsigned unroll : params_.unrollFactors) {
+  for (unsigned unroll : kUnrollFactors) {
     std::vector<LoopConfig> loops = makeLoopConfigs(region, unroll, true);
     // Structural dedupe: ladder points that bind no loop collapse.
     if (loops == baselineLoops) continue;
@@ -498,29 +448,18 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     // MII admission filter: a wider point whose recurrence/resource II term
     // does not strictly improve is dominated — depth and area only grow
     // with width. This is also what skips pipelining/unrolling wholesale
-    // when the recurrence MII pins the II (the term is then flat).
-    if (term >= bestTerm) {
-      // Bandwidth clamp: once a memory-bound region stops improving past
-      // the computed saturating factor, the port-limited II term can only
-      // ride the flat memory roof — end the ladder scan instead of probing
-      // wider points (compute-bound regions keep scanning: their ceil
-      // staircase can still step down at the iteration-collapse cliff).
-      if (rf.bottleneck == analysis::Bottleneck::MemoryBound &&
-          unroll > rf.saturatingUnroll) {
-        break;
-      }
-      continue;
-    }
+    // when the recurrence MII pins the II (the term is then flat). The scan
+    // goes on past a flat step: the ceil staircase of the iteration count
+    // can still step down at the iteration-collapse cliff.
+    if (term >= bestTerm) continue;
     bestTerm = term;
-    admitted.push_back(Point{unroll, std::move(loops), std::move(ifaces), term});
+    admitted.push_back(Point{std::move(loops), std::move(ifaces), term});
   }
 
-  // Guarded estimation walk (compute-bound regions walk the ladder until a
-  // step scores worse than the bound allows): g tracks the measured
-  // unroll-invariant-plus-depth part, which only grows with width, so
-  // g + iiTerm lower-bounds any later point's cycles. A point whose bound
-  // cannot beat the best measured cycles is dominated (it is wider, so its
-  // area is no smaller).
+  // Guarded estimation walk: g tracks the measured unroll-invariant-plus-
+  // depth part, which only grows with width, so g + iiTerm lower-bounds any
+  // later point's cycles. A point whose bound cannot beat the best measured
+  // cycles is dominated (it is wider, so its area is no smaller).
   double gLower = -std::numeric_limits<double>::infinity();
   double bestCycles = std::numeric_limits<double>::infinity();
   bool estimatedAny = false;
@@ -571,8 +510,7 @@ const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
   // The sorted bucket turns the old O(entries) signature scan into
   // O(log entries) comparisons.
   std::lock_guard<std::mutex> lock(schedMutex_);
-  SchedBucket& bucket =
-      schedBuckets_.try_emplace(key, SigLess{&sigComparisons_}).first->second;
+  SchedBucket& bucket = schedBuckets_.try_emplace(key).first->second;
   // Hits are returned by reference: bucket entries are map nodes, never
   // erased and never moved by later insertions, so the schedule stays valid
   // (and immutable) for the model's lifetime after the lock is released.

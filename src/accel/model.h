@@ -4,16 +4,13 @@
 // configuration's cycle count and area without synthesizing full hardware.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 
 #include "accel/config.h"
-#include "analysis/roofline.h"
 #include "hls/scheduler.h"
 #include "sim/profiler.h"
 #include "support/cancellation.h"
@@ -24,16 +21,18 @@ class ThreadPool;
 
 namespace cayman::accel {
 
-/// The model's one design-space engine: generate() is roofline-guided —
-/// structurally identical ladder points are deduped before estimation,
-/// memory-bound regions clamp the ladder at the computed
-/// bandwidth-saturating factor, and compute-bound regions stop walking once
-/// a step scores worse. Nothing branches on this type; it exists only
-/// because the benchmark harness (perfbench/) still assigns
+/// Nothing branches on this type: generate() has one path (structural
+/// dedupe, MII admission and branch-and-bound over the unroll ladder). It
+/// exists only because the benchmark harness (perfbench/) still assigns
 /// ModelParams::generateMode and passes a mode to QsCoresFlow.
 enum class GenerateMode {
   Guided,
 };
+
+/// Unroll factors explored for dependence-free innermost loops.
+inline constexpr unsigned kUnrollFactors[] = {1, 2, 4, 8, 16};
+/// Largest scratchpad buffer worth allocating (bytes).
+inline constexpr uint64_t kMaxScratchpadBytes = 1u << 15;
 
 struct ModelParams {
   /// Target clock (2 ns = the paper's 500 MHz).
@@ -41,17 +40,12 @@ struct ModelParams {
   /// Scratchpad threshold β: cache an access when its per-entry count is at
   /// least β times its footprint (paper §III-C).
   double beta = 4.0;
-  /// Unroll factors explored for dependence-free innermost loops.
-  std::vector<unsigned> unrollFactors = {1, 2, 4, 8, 16};
-  /// Largest scratchpad buffer worth allocating (bytes).
-  uint64_t maxScratchpadBytes = 1u << 15;
   /// Ablation switches (coupled-only Cayman in Fig. 6 disables the first
   /// two; the QsCores-like baseline additionally disables control-flow
-  /// optimization).
+  /// optimization, i.e. both pipelining and unrolling).
   bool allowDecoupled = true;
   bool allowScratchpad = true;
-  bool allowPipelining = true;
-  bool allowUnrolling = true;
+  bool optimizeControlFlow = true;
   /// Substituted trip count when neither SCEV nor the profile knows one.
   uint64_t unknownTripFallback = 16;
   /// Unused (see GenerateMode).
@@ -100,8 +94,8 @@ class AcceleratorModel {
 
   /// One point of the region's unroll ladder, not yet estimated: the region,
   /// its loop configs (with `optimize`, every pipelineable loop pipelined
-  /// and, when unrolling is allowed and legal, unrolled by `unroll`;
-  /// without, all sequential) and the interfaces assigned for them.
+  /// and, when unrolling is legal, unrolled by `unroll`; without, all
+  /// sequential) and the interfaces assigned for them.
   /// generate() picks its candidates among these points; the exhaustive
   /// enumeration oracle in tests/ enumerates them all.
   AcceleratorConfig ladderConfig(const analysis::Region* region,
@@ -121,10 +115,6 @@ class AcceleratorModel {
   /// innermost, straight-line single body block.
   bool isPipelineable(const analysis::Region* loopRegion) const;
 
-  /// Roofline/bottleneck analysis backing generate()'s ladder walk (lazily
-  /// built on first use; memoized per region).
-  const analysis::RooflineAnalysis& roofline() const;
-
   /// Number of estimate() invocations on this model: one per candidate
   /// generate() scores, plus any direct estimate() calls.
   uint64_t estimateCalls() const {
@@ -138,14 +128,6 @@ class AcceleratorModel {
   /// scheduleBlock() invocations made on this model's scheduler: one per
   /// schedule-cache miss (see scheduleBlockCached).
   uint64_t scheduleBlockCalls() const { return scheduler_.blockCalls(); }
-
-  /// Signature comparisons performed by the schedule cache's ordered
-  /// lookups. Regression measure for the cache's container: the old
-  /// linear-scan buckets cost O(entries) comparisons per lookup, the sorted
-  /// map costs O(log entries) — tests pin the gap.
-  uint64_t schedSignatureComparisons() const {
-    return sigComparisons_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Estimate {
@@ -223,36 +205,17 @@ class AcceleratorModel {
   mutable std::atomic<uint64_t> estimateCalls_{0};
   mutable std::atomic<uint64_t> candidatesTotal_{0};
 
-  /// Lazily-built roofline analysis. Guarded by rooflineMutex_ for
-  /// concurrent generate() callers.
-  mutable std::mutex rooflineMutex_;
-  mutable std::unique_ptr<analysis::RooflineAnalysis> roofline_;
-
   // --- Schedule memoization ------------------------------------------------
   //
   // Each (block, width) bucket is a sorted map keyed by the interface
-  // signature (AccessIface per memory access in program order) — O(log n)
-  // signature comparisons per lookup where the old linear bucket scan paid
-  // O(n).
-
-  /// Signature order for the sorted buckets: lexicographic over AccessIface
-  /// operator<. Stateful so every comparison is counted (the container-
-  /// complexity regression measure behind schedSignatureComparisons()).
-  struct SigLess {
-    std::atomic<uint64_t>* comparisons = nullptr;
-    bool operator()(const std::vector<hls::AccessIface>& a,
-                    const std::vector<hls::AccessIface>& b) const {
-      comparisons->fetch_add(1, std::memory_order_relaxed);
-      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                          b.end());
-    }
-  };
+  // signature (AccessIface per memory access in program order, ordered
+  // lexicographically by AccessIface::operator<) — O(log n) signature
+  // comparisons per lookup where the old linear bucket scan paid O(n).
   using SchedBucket =
-      std::map<std::vector<hls::AccessIface>, hls::BlockSchedule, SigLess>;
+      std::map<std::vector<hls::AccessIface>, hls::BlockSchedule>;
   mutable std::mutex schedMutex_;
   mutable std::map<std::pair<const ir::BasicBlock*, unsigned>, SchedBucket>
       schedBuckets_;
-  mutable std::atomic<uint64_t> sigComparisons_{0};
 
   // --- generate() memoization ----------------------------------------------
   //

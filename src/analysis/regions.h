@@ -80,7 +80,7 @@ class Region {
 
 /// Every static analysis of one function, built once by the WPst (the
 /// pipeline's Analyze stage) and read by all downstream passes: the region
-/// builder, both accelerator models, the roofline classifier.
+/// builder and both accelerator models.
 struct FunctionAnalyses {
   explicit FunctionAnalyses(const ir::Function& function)
       : cfg(function),

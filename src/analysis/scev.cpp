@@ -105,14 +105,18 @@ std::vector<const InductionVar*> ScalarEvolution::inductionVars(
 TripCount ScalarEvolution::tripCount(const Loop* loop) const {
   // Pattern: header ends with `condbr (icmp pred iv bound), body, exit`
   // where iv is a canonical IV with constant init/step and bound constant.
+  // `condbr ..., exit, body` stays in the loop while the predicate fails.
   const ir::Instruction* term = loop->header()->terminator();
   if (term == nullptr || term->opcode() != ir::Opcode::CondBr) return {};
   const auto* cmp = ir::dynCast<ir::Instruction>(term->operand(0));
   if (cmp == nullptr || cmp->opcode() != ir::Opcode::ICmp) return {};
+  const bool trueStays = loop->contains(term->successors()[0]);
+  if (trueStays == loop->contains(term->successors()[1])) return {};
 
   const InductionVar* iv = nullptr;
   const ir::ConstantInt* bound = nullptr;
-  ir::CmpPred pred = cmp->cmpPred();
+  ir::CmpPred pred =
+      trueStays ? cmp->cmpPred() : ir::negatedPred(cmp->cmpPred());
   if (const auto* phi = ir::dynCast<ir::Instruction>(cmp->operand(0))) {
     iv = inductionVar(phi);
     bound = ir::dynCast<ir::ConstantInt>(cmp->operand(1));

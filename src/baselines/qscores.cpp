@@ -32,8 +32,7 @@ accel::ModelParams QsCoresFlow::restrictedParams(
   accel::ModelParams params;
   params.allowDecoupled = false;
   params.allowScratchpad = false;
-  params.allowPipelining = false;
-  params.allowUnrolling = false;
+  params.optimizeControlFlow = false;
   params.cancel = cancel;
   return params;
 }

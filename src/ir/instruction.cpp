@@ -58,6 +58,18 @@ const char* cmpPredSpelling(CmpPred pred) {
   CAYMAN_ASSERT(false, "unreachable predicate");
 }
 
+CmpPred negatedPred(CmpPred pred) {
+  switch (pred) {
+    case CmpPred::EQ: return CmpPred::NE;
+    case CmpPred::NE: return CmpPred::EQ;
+    case CmpPred::LT: return CmpPred::GE;
+    case CmpPred::LE: return CmpPred::GT;
+    case CmpPred::GT: return CmpPred::LE;
+    case CmpPred::GE: return CmpPred::LT;
+  }
+  CAYMAN_ASSERT(false, "unreachable predicate");
+}
+
 bool isTerminator(Opcode op) {
   return op == Opcode::Br || op == Opcode::CondBr || op == Opcode::Ret;
 }

@@ -33,6 +33,8 @@ enum class CmpPred { EQ, NE, LT, LE, GT, GE };
 
 const char* opcodeSpelling(Opcode op);
 const char* cmpPredSpelling(CmpPred pred);
+/// The predicate that holds exactly when `pred` does not (LT <-> GE, ...).
+CmpPred negatedPred(CmpPred pred);
 
 /// True for Br / CondBr / Ret.
 bool isTerminator(Opcode op);

@@ -21,18 +21,6 @@ ir::CmpPred swapped(ir::CmpPred pred) {
   }
 }
 
-ir::CmpPred negated(ir::CmpPred pred) {
-  switch (pred) {
-    case ir::CmpPred::EQ: return ir::CmpPred::NE;
-    case ir::CmpPred::NE: return ir::CmpPred::EQ;
-    case ir::CmpPred::LT: return ir::CmpPred::GE;
-    case ir::CmpPred::LE: return ir::CmpPred::GT;
-    case ir::CmpPred::GT: return ir::CmpPred::LE;
-    case ir::CmpPred::GE: return ir::CmpPred::LT;
-  }
-  return pred;
-}
-
 /// Checks one candidate root loop and everything nested in it, and records
 /// the nest's loops and accesses. Values the nest does not define are
 /// symbols: their frame words cannot change while it runs.
@@ -86,7 +74,7 @@ class NestBuilder {
       pred = swapped(pred);
     }
     if (iv == nullptr) return false;
-    if (!trueStays) pred = negated(pred);
+    if (!trueStays) pred = ir::negatedPred(pred);
     if (pred == ir::CmpPred::EQ || pred == ir::CmpPred::NE) return false;
 
     NestLoopPlan added;

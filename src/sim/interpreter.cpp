@@ -89,6 +89,10 @@ uint64_t Interpreter::execute(const ir::Function& function,
   executed_ = 0;
   cancelTick_ = 0;
   counting_ = counting;
+  // Zeroed here, not after the run: a run that throws leaves partial counts.
+  for (auto& [fn, decoded] : decoded_) {
+    std::fill(decoded->counts.begin(), decoded->counts.end(), 0);
+  }
   DecodedEntry& entry = decodedFor(function);
   std::vector<uint64_t> frame = newFrame(entry.df);
   for (size_t i = 0; i < function.numArguments() && i < args.size(); ++i) {
@@ -102,7 +106,6 @@ uint64_t Interpreter::execute(const ir::Function& function,
     for (size_t i = 0; i < decoded->counts.size(); ++i) {
       if (decoded->counts[i] == 0) continue;
       result.blockCounts[decoded->df.blockOf[i]] += decoded->counts[i];
-      decoded->counts[i] = 0;
     }
   }
   if (support::trace::on()) {

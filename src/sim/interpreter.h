@@ -83,8 +83,8 @@ class Interpreter {
   DecodeStats predecodeAll(bool force = false);
 
  private:
-  /// Decoded stream plus its dense execution-count accumulator (folded into
-  /// Result::blockCounts at the end of each run).
+  /// Decoded stream plus its dense execution-count accumulator (zeroed at
+  /// the start of each run, folded into Result::blockCounts at its end).
   struct DecodedEntry {
     DecodedFunction df;
     std::vector<uint64_t> counts;

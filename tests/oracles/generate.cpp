@@ -47,10 +47,8 @@ std::vector<AcceleratorConfig> ReferenceGenerator::enumerate(
   region->walk([&](const Region& r) {
     hasLoops |= r.kind() == analysis::RegionKind::Loop;
   });
-  if (hasLoops && params.allowUnrolling) {
-    for (unsigned unroll : params.unrollFactors) add(unroll, true);
-  } else if (hasLoops && params.allowPipelining) {
-    add(1, true);
+  if (hasLoops && params.optimizeControlFlow) {
+    for (unsigned unroll : accel::kUnrollFactors) add(unroll, true);
   }
 
   // Drop duplicates (same cycles and area), as generate() does.

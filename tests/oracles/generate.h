@@ -1,7 +1,7 @@
 // Reference generator: the exhaustive enumeration oracle for
 // AcceleratorModel::generate(). It estimates every point of a region's
-// unroll ladder — no roofline clamp, no MII admission, no guarded walk, no
-// schedule cache — so the roofline-guided engine can be checked for what it
+// unroll ladder — no structural dedupe, no MII admission, no guarded walk,
+// no schedule cache — so the model's ladder walk can be checked for what it
 // must never change (the Pareto front the selector sees) and measured for
 // what it saves (estimate and scheduleBlock calls).
 #pragma once
@@ -19,8 +19,8 @@ class ReferenceGenerator {
   explicit ReferenceGenerator(const accel::AcceleratorModel& model);
 
   /// One config per ladder point — the sequential point, then every unroll
-  /// factor optimized (just the pipelined point when unrolling is off) —
-  /// sorted by area with exact (area, cycles) duplicates dropped.
+  /// factor optimized (unless control-flow optimization is off) — sorted by
+  /// area with exact (area, cycles) duplicates dropped.
   /// Dominated points are kept. Memoized per region, like generate().
   const std::vector<accel::AcceleratorConfig>& generate(
       const analysis::Region* region);

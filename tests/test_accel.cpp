@@ -188,8 +188,7 @@ TEST(ModelTest, CoupledOnlyIsSlowerThanFull) {
 
 TEST(ModelTest, SequentialRestrictionMatchesQsCoresShape) {
   ModelParams params;
-  params.allowPipelining = false;
-  params.allowUnrolling = false;
+  params.optimizeControlFlow = false;
   Pipeline p(testing::linearKernel(), params);
   const analysis::Region* loop = loopRegionByHeader(p.wpst, "i.header");
   for (const AcceleratorConfig& config : p.model.generate(loop)) {

@@ -64,8 +64,7 @@ TEST(QsCoresTest, RestrictionsForbidFastHardware) {
   accel::ModelParams params = QsCoresFlow::restrictedParams();
   EXPECT_FALSE(params.allowDecoupled);
   EXPECT_FALSE(params.allowScratchpad);
-  EXPECT_FALSE(params.allowPipelining);
-  EXPECT_FALSE(params.allowUnrolling);
+  EXPECT_FALSE(params.optimizeControlFlow);
   hls::InterfaceTiming timing = QsCoresFlow::scanChainTiming();
   hls::InterfaceTiming fast;
   EXPECT_GT(timing.coupledLoadLatency, fast.coupledLoadLatency);

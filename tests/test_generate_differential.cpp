@@ -1,4 +1,5 @@
-// Differential tests pinning the model's roofline-guided generate() to the
+// Differential tests pinning the model's generate() (one ladder walk:
+// structural dedupe, MII admission, branch-and-bound) to the
 // exhaustive enumeration oracle (tests/oracles/generate.h): bit-exact
 // selected fronts over all 28 registered workloads across budgets, on the
 // Cayman model and on the QsCores baseline's restricted model, a
@@ -220,37 +221,6 @@ TEST(GenerateDifferentialTest, GuidedNeverKeepsStrictlyDominatedConfigs) {
       }
     }
   }
-}
-
-// The ablation that unrolls without pipelining skips the roofline walk and
-// estimates every ladder point, so generate() keeps exactly the
-// enumeration's configs that no other config strictly dominates.
-TEST(GenerateDifferentialTest, UnrollingWithoutPipeliningKeepsTheLadder) {
-  accel::ModelParams params;
-  params.allowPipelining = false;
-  using Build = std::unique_ptr<ir::Module> (*)();
-  size_t ladders = 0;  // regions with more than one distinct config
-  for (Build build : {Build{[] { return testing::linearKernel(); }},
-                      Build{[] { return testing::dotRowsKernel(8, 12); }},
-                      Build{[] { return testing::chainKernel(); }}}) {
-    Pipeline p(build(), params);
-    oracles::ReferenceGenerator reference(p.model);
-    for (const analysis::Region* region : p.wpst.allRegions()) {
-      const std::vector<accel::AcceleratorConfig>& all =
-          reference.generate(region);
-      std::vector<accel::AcceleratorConfig> kept;
-      for (const accel::AcceleratorConfig& c : all) {
-        bool dominated = false;
-        for (const accel::AcceleratorConfig& d : all) {
-          dominated |= d.areaUm2 <= c.areaUm2 && d.cycles < c.cycles;
-        }
-        if (!dominated) kept.push_back(c);
-      }
-      EXPECT_TRUE(p.model.generate(region) == kept) << region->label();
-      ladders += all.size() > 1;
-    }
-  }
-  EXPECT_GT(ladders, 0u);
 }
 
 // ---------------------------------------------------------------------------

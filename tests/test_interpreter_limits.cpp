@@ -76,6 +76,23 @@ TYPED_TEST(InstructionLimitTest, InterpreterIsReusableAfterTrippingTheLimit) {
   EXPECT_EQ(result.returnValue->i, 1000000);
 }
 
+TYPED_TEST(InstructionLimitTest, BlockCountsAreExactAfterTrippingTheLimit) {
+  // A run that throws must not leak its partial block counts into the next
+  // run on the same interpreter.
+  std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
+  TypeParam interpreter(*module);
+  interpreter.setInstructionLimit(1000);
+  EXPECT_THROW(interpreter.run(), Error);
+
+  interpreter.setInstructionLimit(100'000'000);
+  auto result = interpreter.run();
+  const ir::Function* main = module->entryFunction();
+  for (const auto& block : main->blocks()) {
+    uint64_t expected = block->name() == "loop" ? 1000000 : 1;
+    EXPECT_EQ(result.countOf(block.get()), expected) << block->name();
+  }
+}
+
 TYPED_TEST(InstructionLimitTest, CancelTokenAbortsTheRun) {
   std::unique_ptr<ir::Module> module = ir::parseModule(kLongLoop);
   TypeParam interpreter(*module);

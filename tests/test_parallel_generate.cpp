@@ -116,19 +116,19 @@ TEST(SchedCacheComplexityTest, SortedBucketStaysLogarithmic) {
 }
 
 TEST(SchedCacheComplexityTest, ModelComparisonCountIsDeterministic) {
-  // Two fresh identical models do identical schedule-cache work, and a
-  // memoized re-generate touches the schedule cache zero further times.
+  // Two fresh identical models do identical schedule-cache work (one
+  // scheduleBlock per miss), and a memoized re-generate schedules nothing
+  // further.
   Pipeline a(testing::dotRowsKernel());
   Pipeline b(testing::dotRowsKernel());
   a.model.warmGenerateCache();
   b.model.warmGenerateCache();
-  EXPECT_GT(a.model.schedSignatureComparisons(), 0u);
-  EXPECT_EQ(a.model.schedSignatureComparisons(),
-            b.model.schedSignatureComparisons());
+  EXPECT_GT(a.model.scheduleBlockCalls(), 0u);
+  EXPECT_EQ(a.model.scheduleBlockCalls(), b.model.scheduleBlockCalls());
 
-  uint64_t before = a.model.schedSignatureComparisons();
+  uint64_t before = a.model.scheduleBlockCalls();
   a.model.warmGenerateCache();  // pure cache hits
-  EXPECT_EQ(a.model.schedSignatureComparisons(), before);
+  EXPECT_EQ(a.model.scheduleBlockCalls(), before);
 }
 
 TEST(SchedCacheComplexityTest, AccessIfaceOrderIsConsistentWithEquality) {

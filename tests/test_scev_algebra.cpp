@@ -224,5 +224,50 @@ TEST(IvTest, NegativeStepInduction) {
   EXPECT_EQ(trip.value, 32u);  // 63, 61, ..., 1
 }
 
+/// for (i = 0; ; ++i) { if (icmp pred i, 10) break; body } — the header's
+/// true successor leaves the loop.
+TripCount exitOnTrueTripCount(ir::CmpPred pred) {
+  auto module = std::make_unique<ir::Module>("exit_on_true");
+  auto* out = module->addGlobal("out", ir::Type::i64(), 16);
+  KernelBuilder kb(module.get());
+  kb.beginFunction("main");
+  ir::Function* f = module->functionByName("main");
+  ir::BasicBlock* entry = kb.ir().insertBlock();
+  ir::BasicBlock* header = f->addBlock("header");
+  ir::BasicBlock* body = f->addBlock("body");
+  ir::BasicBlock* exit = f->addBlock("exit");
+  kb.ir().br(header);
+  kb.ir().setInsertPoint(header);
+  ir::Instruction* iv = kb.ir().phi(ir::Type::i64(), "i");
+  iv->addIncoming(kb.ir().i64(0), entry);
+  kb.ir().condBr(kb.ir().icmp(pred, iv, kb.ir().i64(10)), exit, body);
+  kb.ir().setInsertPoint(body);
+  kb.storeAt(out, iv, iv);
+  ir::Value* next = kb.ir().add(iv, kb.ir().i64(1), "i.next");
+  kb.ir().br(header);
+  iv->addIncoming(next, body);
+  kb.ir().setInsertPoint(exit);
+  kb.ir().ret();
+  ir::verifyOrThrow(*module);
+
+  const ir::Function* fn = module->entryFunction();
+  FunctionAnalyses fa(*fn);
+  ScalarEvolution scev(*fn, fa);
+  return scev.tripCount(fa.loops.topLevelLoops()[0]);
+}
+
+TEST(IvTest, ExitOnTrueNegatesThePredicate) {
+  // `icmp ge i, 10; condbr %c, exit, body` runs the body for i = 0..9.
+  TripCount ge = exitOnTrueTripCount(ir::CmpPred::GE);
+  ASSERT_TRUE(ge.known);
+  EXPECT_EQ(ge.value, 10u);
+  // `icmp gt i, 10` stays while i <= 10: 11 iterations.
+  TripCount gt = exitOnTrueTripCount(ir::CmpPred::GT);
+  ASSERT_TRUE(gt.known);
+  EXPECT_EQ(gt.value, 11u);
+  // `icmp lt i, 10` leaves at once (0 < 10): no positive trip count, not 10.
+  EXPECT_FALSE(exitOnTrueTripCount(ir::CmpPred::LT).known);
+}
+
 }  // namespace
 }  // namespace cayman::analysis
