@@ -1,6 +1,7 @@
 #include "accel/model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -245,37 +246,17 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
 
 const std::vector<AcceleratorConfig>& AcceleratorModel::generate(
     const Region* region) const {
-  GenerateSlot& slot = generateSlots_.at(static_cast<size_t>(region->id()));
-  std::unique_lock<std::mutex> lock(generateMutex_);
-  // Another caller is generating this region: wait for it to publish (or,
-  // if its generation threw, to reset the slot so this caller retries).
-  generateReady_.wait(lock,
-                      [&slot] { return slot.state != SlotState::Running; });
-  if (slot.state == SlotState::Done) {
-    lock.unlock();
+  std::optional<std::vector<AcceleratorConfig>>& slot =
+      generateSlots_.at(static_cast<size_t>(region->id()));
+  if (slot.has_value()) {
     support::trace::count("model.cache_hits", 1);
-    return slot.configs;
+    return *slot;
   }
-  // We own the cold generation; everyone who arrives before it is published
-  // waits above and then counts a hit — the hit/miss totals match a serial
-  // run at any concurrency.
-  slot.state = SlotState::Running;
-  lock.unlock();
   support::trace::count("model.cache_misses", 1);
-  std::vector<AcceleratorConfig> configs;
-  try {
-    configs = generateUncached(region);
-  } catch (...) {
-    lock.lock();
-    slot.state = SlotState::Empty;
-    generateReady_.notify_all();
-    throw;
-  }
-  lock.lock();
-  slot.configs = std::move(configs);
-  slot.state = SlotState::Done;
-  generateReady_.notify_all();
-  return slot.configs;
+  // Assigned only once generateUncached returns: a throw leaves the slot
+  // empty and the next call retries.
+  slot = generateUncached(region);
+  return *slot;
 }
 
 void AcceleratorModel::warmGenerateCache() const {
@@ -331,7 +312,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
     }
     if (!dominated) front.push_back(std::move(unique[i]));
   }
-  candidatesTotal_.fetch_add(front.size(), std::memory_order_relaxed);
+  candidatesTotal_ += front.size();
   support::trace::count("model.candidates_total", front.size());
   return front;
 }
@@ -503,17 +484,12 @@ const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
     signature.push_back(iface);
   }
   const auto key = std::make_pair(&block, unroll);
-  // The lock spans the miss-path scheduling so concurrent callers cannot
-  // double-schedule one tuple: the sched.block_calls total must be
-  // deterministic across --jobs counts (the metrics exporter's byte-identity
-  // contract), and scheduleBlock is cheap enough that contention is noise.
   // The sorted bucket turns the old O(entries) signature scan into
   // O(log entries) comparisons.
-  std::lock_guard<std::mutex> lock(schedMutex_);
   SchedBucket& bucket = schedBuckets_.try_emplace(key).first->second;
   // Hits are returned by reference: bucket entries are map nodes, never
   // erased and never moved by later insertions, so the schedule stays valid
-  // (and immutable) for the model's lifetime after the lock is released.
+  // (and immutable) for the model's lifetime.
   auto it = bucket.find(signature);
   if (it != bucket.end()) return it->second;
   return bucket
@@ -722,7 +698,7 @@ AcceleratorModel::IfaceCosts AcceleratorModel::interfaceCosts(
 
 void AcceleratorModel::estimate(AcceleratorConfig& config) const {
   CAYMAN_ASSERT(config.region != nullptr, "config without region");
-  estimateCalls_.fetch_add(1, std::memory_order_relaxed);
+  ++estimateCalls_;
   support::trace::count("model.estimate_calls", 1);
   Estimate e = estimateRegion(config.region, config, 1);
   IfaceCosts ic = interfaceCosts(config);

@@ -4,10 +4,7 @@
 // configuration's cycle count and area without synthesizing full hardware.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <optional>
 
 #include "accel/config.h"
@@ -61,6 +58,8 @@ struct ModelParams {
   ThreadPool* pool = nullptr;
 };
 
+/// Thread-compatible, like the Framework that owns it: its caches and
+/// counters are unsynchronized, so one thread at a time uses a model.
 class AcceleratorModel {
  public:
   AcceleratorModel(const analysis::WPst& wpst, const sim::ProfileData& profile,
@@ -78,15 +77,13 @@ class AcceleratorModel {
   ///
   /// Memoized: the result is budget-independent (budget filtering happens in
   /// the selector), so repeated budget sweeps over one model reuse the cached
-  /// list. Safe to call from concurrent selector runs: one caller generates
-  /// a region while the others wait for its list. The returned reference
-  /// stays valid for the model's lifetime.
+  /// list. The returned reference stays valid for the model's lifetime. A
+  /// generation that throws caches nothing, so the next call retries it.
   const std::vector<AcceleratorConfig>& generate(
       const analysis::Region* region) const;
 
   /// Eagerly fills the generate cache for every region of the wPST (calling
-  /// generate() in pre-order), leaving later concurrent explore() calls pure
-  /// cache reads.
+  /// generate() in pre-order), leaving later selector runs pure cache reads.
   void warmGenerateCache() const;
 
   /// Re-estimates (cycles, area, counters) for a fully-specified config.
@@ -117,14 +114,10 @@ class AcceleratorModel {
 
   /// Number of estimate() invocations on this model: one per candidate
   /// generate() scores, plus any direct estimate() calls.
-  uint64_t estimateCalls() const {
-    return estimateCalls_.load(std::memory_order_relaxed);
-  }
+  uint64_t estimateCalls() const { return estimateCalls_; }
   /// Number of candidate configs produced by generateUncached() across all
   /// regions (post-dedup, i.e. the lists the selector actually sees).
-  uint64_t candidatesTotal() const {
-    return candidatesTotal_.load(std::memory_order_relaxed);
-  }
+  uint64_t candidatesTotal() const { return candidatesTotal_; }
   /// scheduleBlock() invocations made on this model's scheduler: one per
   /// schedule-cache miss (see scheduleBlockCached).
   uint64_t scheduleBlockCalls() const { return scheduler_.blockCalls(); }
@@ -202,8 +195,8 @@ class AcceleratorModel {
   const hls::TechLibrary& tech_;
   hls::Scheduler scheduler_;
   ModelParams params_;
-  mutable std::atomic<uint64_t> estimateCalls_{0};
-  mutable std::atomic<uint64_t> candidatesTotal_{0};
+  mutable uint64_t estimateCalls_ = 0;
+  mutable uint64_t candidatesTotal_ = 0;
 
   // --- Schedule memoization ------------------------------------------------
   //
@@ -213,25 +206,16 @@ class AcceleratorModel {
   // comparisons per lookup where the old linear bucket scan paid O(n).
   using SchedBucket =
       std::map<std::vector<hls::AccessIface>, hls::BlockSchedule>;
-  mutable std::mutex schedMutex_;
   mutable std::map<std::pair<const ir::BasicBlock*, unsigned>, SchedBucket>
       schedBuckets_;
 
   // --- generate() memoization ----------------------------------------------
   //
-  // One slot per region, indexed by Region::id(). The first caller marks the
-  // slot Running and generates outside the lock; later callers wait on
-  // generateReady_ until it is Done (a hit) or, when the generation threw,
-  // back to Empty (they retry it themselves). A Done slot's list never moves,
-  // so it is handed out by reference.
-  enum class SlotState : uint8_t { Empty, Running, Done };
-  struct GenerateSlot {
-    SlotState state = SlotState::Empty;
-    std::vector<AcceleratorConfig> configs;
-  };
-  mutable std::mutex generateMutex_;
-  mutable std::condition_variable generateReady_;
-  mutable std::vector<GenerateSlot> generateSlots_;
+  // One slot per region, indexed by Region::id(): empty until the region's
+  // generation finishes. A filled slot's list never moves, so it is handed
+  // out by reference.
+  mutable std::vector<std::optional<std::vector<AcceleratorConfig>>>
+      generateSlots_;
 };
 
 /// Process-wide high-water mark of concurrently running cold candidate

@@ -51,4 +51,10 @@ class DominatorTree {
   std::vector<std::pair<int, int>> interval_;
 };
 
+/// The dominator tree of cfg.function(), once every instruction operand's
+/// definition is checked to dominate its use (for a phi, the end of the
+/// incoming block); uses in unreachable blocks are exempt. Throws a
+/// Stage::Verify support::DiagnosticError naming the first offender.
+DominatorTree verifiedDominators(const Cfg& cfg);
+
 }  // namespace cayman::analysis

@@ -80,11 +80,12 @@ class Region {
 
 /// Every static analysis of one function, built once by the WPst (the
 /// pipeline's Analyze stage) and read by all downstream passes: the region
-/// builder and both accelerator models.
+/// builder and both accelerator models. Building it rejects a function
+/// with a use its definition does not dominate (verifiedDominators).
 struct FunctionAnalyses {
   explicit FunctionAnalyses(const ir::Function& function)
       : cfg(function),
-        dom(DominatorTree::dominators(cfg)),
+        dom(verifiedDominators(cfg)),
         postDom(DominatorTree::postDominators(cfg)),
         loops(cfg, dom),
         scev(function, *this),

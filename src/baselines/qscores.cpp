@@ -56,7 +56,9 @@ select::Solution QsCoresFlow::best(double areaBudgetUm2, double clockRatio,
                                    select::SelectMode) const {
   const select::SelectorParams params =
       selectorParams(areaBudgetUm2, clockRatio);
-  if (auto memoized = memo_.find(params)) return *memoized;
+  if (const select::Solution* memoized = memo_.find(params)) {
+    return *memoized;
+  }
   select::SelectStats stats;
   select::Solution winner =
       select::CandidateSelector(model_, params).best(stats);

@@ -28,12 +28,12 @@ class QsCoresFlow {
   static accel::ModelParams restrictedParams(
       const support::CancelToken* cancel = nullptr);
 
-  /// Both are safe to call concurrently: selection state is per-call and
-  /// the restricted model's generate cache and best()'s selection memo are
-  /// internally synchronized. best() keeps the first winner the budget does
-  /// not bind and serves it, without running the DP, at every budget it
-  /// covers under the same clock ratio (select/selection_memo.h). Its
-  /// SelectMode argument is unused; the benchmark harness still passes one.
+  /// One thread at a time, like the Framework that owns the flow: the
+  /// restricted model's generate cache and best()'s selection memo are
+  /// unsynchronized. best() keeps the first winner the budget does not bind
+  /// and serves it, without running the DP, at every budget it covers under
+  /// the same clock ratio (select/selection_memo.h). Its SelectMode argument
+  /// is unused; the benchmark harness still passes one.
   std::vector<select::Solution> paretoFront(double areaBudgetUm2,
                                             double clockRatio = 1.25) const;
   select::Solution best(

@@ -58,11 +58,13 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
            [&] { wpst_ = std::make_unique<analysis::WPst>(*module_); });
 
   runStage(support::Stage::Profile, unit, options_, [&] {
-    interpreter_ = std::make_unique<sim::Interpreter>(*module_);
-    interpreter_->setCancelToken(options_.cancel);
-    sim::Interpreter::Result run = interpreter_->profile(*wpst_);
+    // A local: ProfileData and NoviaFlow copy what they need, so the
+    // interpreter's memory images and decoded streams die with this stage.
+    sim::Interpreter interpreter(*module_);
+    interpreter.setCancelToken(options_.cancel);
+    sim::Interpreter::Result run = interpreter.profile(*wpst_);
     profile_ = std::make_unique<sim::ProfileData>(*wpst_, run,
-                                                  interpreter_->costModel());
+                                                  interpreter.costModel());
 
     accel::ModelParams params;
     params.clockNs = options_.accelClockNs;
@@ -75,7 +77,7 @@ Framework::Framework(std::unique_ptr<ir::Module> module,
         *wpst_, *profile_, tech_, hls::InterfaceTiming{}, params);
 
     novia_ = std::make_unique<baselines::NoviaFlow>(
-        *wpst_, *profile_, tech_, interpreter_->costModel(),
+        *wpst_, *profile_, tech_, interpreter.costModel(),
         options_.cpuClockNs);
     qscores_ = std::make_unique<baselines::QsCoresFlow>(
         *wpst_, *profile_, tech_, accel::GenerateMode::Guided,
@@ -119,7 +121,7 @@ EvaluationReport Framework::evaluate(double budgetRatio) const {
   // A memo hit skips the DP (with its select.* counters and span) and the
   // merge; the stage checkpoints still run.
   const select::SelectorParams params = selectorParams(budgetRatio);
-  std::shared_ptr<const Selected> memoized;
+  const Selected* memoized = nullptr;
   select::SelectStats stats;
   runStage(support::Stage::Select, unit, options_, [&] {
     memoized = memo_.find(params);

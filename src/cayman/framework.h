@@ -92,10 +92,16 @@ struct EvaluationReport {
   double selectionSeconds = 0.0;     ///< framework runtime
 };
 
+/// Thread-compatible: one thread at a time uses a Framework and all it owns,
+/// const methods included (they fill caches and memos); the driver gives
+/// each workload task its own. Neither copyable nor movable: the model and
+/// the baselines keep references to tech_.
 class Framework {
  public:
   explicit Framework(std::unique_ptr<ir::Module> module,
                      FrameworkOptions options = {});
+  Framework(const Framework&) = delete;
+  Framework& operator=(const Framework&) = delete;
 
   const ir::Module& module() const { return *module_; }
   const analysis::WPst& wpst() const { return *wpst_; }
@@ -112,11 +118,8 @@ class Framework {
   }
 
   /// Pareto-optimal solution sequence under the budget (Algorithm 1).
-  /// Thread-safe: concurrent explore/best/evaluate calls on one Framework
-  /// share the model's generate cache (each region generated once, by the
-  /// first caller to ask; the others wait for its list) and the selection
-  /// memos of this Framework and its QsCores baseline (each set once under
-  /// its own mutex, then only read); selector state is per-call.
+  /// Every call shares the model's generate cache (each region generated
+  /// once, by the first call to ask); selector state is per-call.
   std::vector<select::Solution> explore(double budgetRatio) const;
   /// Best (highest-saving) solution under the budget.
   select::Solution best(double budgetRatio) const;
@@ -150,7 +153,6 @@ class Framework {
   FrameworkOptions options_;
   std::unique_ptr<ir::Module> module_;
   std::unique_ptr<analysis::WPst> wpst_;
-  std::unique_ptr<sim::Interpreter> interpreter_;
   std::unique_ptr<sim::ProfileData> profile_;
   hls::TechLibrary tech_;
   std::unique_ptr<accel::AcceleratorModel> model_;

@@ -97,7 +97,7 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
                                        const IfaceAssignment& ifaces,
                                        unsigned unroll) const {
   CAYMAN_ASSERT(unroll >= 1, "unroll factor must be >= 1");
-  blockCalls_.fetch_add(1, std::memory_order_relaxed);
+  ++blockCalls_;
   support::trace::count("sched.block_calls", 1);
   BlockSchedule result;
   SchedScratch& scratch = t_sched;

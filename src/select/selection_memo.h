@@ -13,8 +13,7 @@
 // and is never served.
 #pragma once
 
-#include <memory>
-#include <mutex>
+#include <optional>
 
 #include "select/selector.h"
 
@@ -23,21 +22,20 @@ namespace cayman::select {
 /// Holds one `Value` derived from a rejection-free run and the bound M it
 /// is valid above. The setup key is SelectorParams without the budget (the
 /// α, pruning threshold and clock ratio); a lookup under another
-/// setup misses. Thread-safe: the value is set once under the mutex and
-/// then only read, through a shared pointer that stays valid after the
-/// lock is released.
+/// setup misses. Thread-compatible, like the Framework that owns it: the
+/// value is set once and never replaced, so a pointer find() returns stays
+/// valid for the memo's lifetime.
 template <typename Value>
 class SelectionMemo {
  public:
   /// The memoized value when `params` has the stored setup and its budget
   /// is at least the stored bound; nullptr otherwise.
-  std::shared_ptr<const Value> find(const SelectorParams& params) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (value_ == nullptr || !sameSetup(params, setup_) ||
+  const Value* find(const SelectorParams& params) const {
+    if (!value_.has_value() || !sameSetup(params, setup_) ||
         !(params.areaBudgetUm2 >= setup_.areaBudgetUm2)) {
       return nullptr;
     }
-    return value_;
+    return &*value_;
   }
 
   /// Offers a finished run under `params` with `stats`: when the run
@@ -46,10 +44,8 @@ class SelectionMemo {
   template <typename Make>
   void offer(const SelectorParams& params, const SelectStats& stats,
              Make&& make) {
-    if (stats.budgetBound) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (value_ != nullptr) return;
-    value_ = std::make_shared<const Value>(make());
+    if (stats.budgetBound || value_.has_value()) return;
+    value_.emplace(make());
     setup_ = params;
     setup_.areaBudgetUm2 = stats.maxAdmittedAreaUm2;
     setup_.cancel = nullptr;
@@ -61,10 +57,9 @@ class SelectionMemo {
            a.clockRatio == b.clockRatio;
   }
 
-  mutable std::mutex mutex_;
   /// The stored run's setup; areaBudgetUm2 holds the bound M.
   SelectorParams setup_;
-  std::shared_ptr<const Value> value_;
+  std::optional<Value> value_;
 };
 
 }  // namespace cayman::select

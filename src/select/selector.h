@@ -36,6 +36,8 @@ struct SelectorParams {
   const support::CancelToken* cancel = nullptr;
 };
 
+/// Holds no mutable state; the model it reads is thread-compatible, so runs
+/// over one model go one at a time.
 class CandidateSelector {
  public:
   CandidateSelector(const accel::AcceleratorModel& model,
@@ -47,9 +49,7 @@ class CandidateSelector {
 
   /// Runs Algorithm 1 and returns F[root]: the Pareto-optimal solution
   /// sequence under the area budget, ascending in area. Stats accumulate
-  /// into the caller-owned `stats`, so one selector can run concurrently
-  /// from several threads (the model's generate cache is internally
-  /// synchronized; the selector itself holds no mutable state).
+  /// into `stats`.
   std::vector<Solution> select(SelectStats& stats) const;
 
   /// The single best solution under the budget: the first element of
@@ -57,12 +57,6 @@ class CandidateSelector {
   /// solution when nothing saves cycles. Same DP, stats and counters as
   /// select(); the frontier engine materializes only the winner.
   Solution best(SelectStats& stats) const;
-
-  /// Convenience wrappers recording into the selector-owned stats block.
-  /// Single-threaded use only; `stats()` reads back the last run.
-  std::vector<Solution> select() { return select(stats_); }
-  Solution best() { return best(stats_); }
-  const SelectStats& stats() const { return stats_; }
 
   const SelectorParams& params() const { return params_; }
 
@@ -108,7 +102,6 @@ class CandidateSelector {
 
   const accel::AcceleratorModel& model_;
   SelectorParams params_;
-  SelectStats stats_;
 };
 
 }  // namespace cayman::select

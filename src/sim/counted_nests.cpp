@@ -84,8 +84,8 @@ class NestBuilder {
     added.step = iv->step;
     added.pred = pred;
     if (!linear(iv->phi->incomingValueFor(loop->preheader()), parent,
-                {loop->preheader(), nullptr}, added.init) ||
-        !linear(boundValue, parent, {header, cmp}, added.bound)) {
+                added.init) ||
+        !linear(boundValue, parent, added.bound)) {
       return false;
     }
     const uint32_t index = static_cast<uint32_t>(plan_.loops.size());
@@ -139,9 +139,7 @@ class NestBuilder {
     const analysis::InductionVar* iv = fa_.scev.inductionVar(phi);
     if (iv == nullptr || iv->loop != loop ||
         phi->type()->kind() != ir::Type::Kind::I64 ||
-        iv->update->type()->kind() != ir::Type::Kind::I64 ||
-        !loop->contains(iv->update->parent()) ||
-        !fa_.dom.dominates(iv->update->parent(), loop->latch())) {
+        iv->update->type()->kind() != ir::Type::Kind::I64) {
       return nullptr;
     }
     return iv;
@@ -154,7 +152,7 @@ class NestBuilder {
       if (!inst->isMemoryAccess()) continue;
       NestAccessPlan access;
       if (!linear(inst->pointerOperand(), static_cast<int>(loop),
-                  {block, inst.get()}, access.address)) {
+                  access.address)) {
         return false;
       }
       const ir::Type* type = inst->opcode() == Opcode::Load
@@ -168,37 +166,16 @@ class NestBuilder {
     return true;
   }
 
-  /// Where a value is read: just before `inst`, or at the end of `block`
-  /// (the phi copies of its outgoing edge) when `inst` is null.
-  struct UsePoint {
-    const ir::BasicBlock* block;
-    const ir::Instruction* inst;
-  };
-
-  /// Whether `def` runs before `use` on every path, so the frame holds this
-  /// iteration's value there. The verifier does not check SSA dominance,
-  /// and a use ahead of its definition reads the previous value.
-  bool reaches(const ir::Instruction* def, UsePoint use) const {
-    if (def->parent() != use.block) {
-      return fa_.dom.dominates(def->parent(), use.block);
-    }
-    for (const auto& inst : use.block->instructions()) {
-      if (inst.get() == use.inst) return false;
-      if (inst.get() == def) return true;
-    }
-    return false;
-  }
-
-  /// Decomposes `value`, read at `use`, into `out`; counters of loop
-  /// `innermost` and its nest ancestors may appear (-1: none).
-  bool linear(const ir::Value* value, int innermost, UsePoint use,
-              LinearForm& out) const {
-    return accumulate(value, 1, innermost, use, out, 0);
+  /// Decomposes `value` into `out`; counters of loop `innermost` and its
+  /// nest ancestors may appear (-1: none). FunctionAnalyses checked that
+  /// definitions dominate uses, so each frame word read is this iteration's.
+  bool linear(const ir::Value* value, int innermost, LinearForm& out) const {
+    return accumulate(value, 1, innermost, out, 0);
   }
 
   /// out += scale · value, exactly in 64-bit wrapping arithmetic.
   bool accumulate(const ir::Value* value, uint64_t scale, int innermost,
-                  UsePoint use, LinearForm& out, int depth) const {
+                  LinearForm& out, int depth) const {
     if (depth > 64) return false;
     switch (value->valueKind()) {
       case ir::ValueKind::ConstantInt:
@@ -220,8 +197,6 @@ class NestBuilder {
       addTerm(out, value, scale);
       return true;
     }
-    if (!reaches(inst, use)) return false;
-    const UsePoint here{inst->parent(), inst};
     const bool i64 = inst->type()->kind() == ir::Type::Kind::I64;
     auto constOperand = [&](size_t i) {
       return ir::dynCast<ir::ConstantInt>(inst->operand(i));
@@ -238,22 +213,21 @@ class NestBuilder {
       case Opcode::Add:
       case Opcode::Sub:
         return i64 &&
-               accumulate(inst->operand(0), scale, innermost, here, out,
-                          depth + 1) &&
+               accumulate(inst->operand(0), scale, innermost, out, depth + 1) &&
                accumulate(inst->operand(1),
                           inst->opcode() == Opcode::Sub ? 0 - scale : scale,
-                          innermost, here, out, depth + 1);
+                          innermost, out, depth + 1);
       case Opcode::Mul: {
         if (!i64) return false;
         if (const auto* c = constOperand(1)) {
           return accumulate(inst->operand(0),
                             scale * static_cast<uint64_t>(c->value()),
-                            innermost, here, out, depth + 1);
+                            innermost, out, depth + 1);
         }
         if (const auto* c = constOperand(0)) {
           return accumulate(inst->operand(1),
                             scale * static_cast<uint64_t>(c->value()),
-                            innermost, here, out, depth + 1);
+                            innermost, out, depth + 1);
         }
         return false;
       }
@@ -264,22 +238,19 @@ class NestBuilder {
           return false;
         }
         return accumulate(inst->operand(0), scale << amount->value(),
-                          innermost, here, out, depth + 1);
+                          innermost, out, depth + 1);
       }
       case Opcode::Gep:
-        return accumulate(inst->operand(0), scale, innermost, here, out,
-                          depth + 1) &&
+        return accumulate(inst->operand(0), scale, innermost, out, depth + 1) &&
                accumulate(inst->operand(1), scale * inst->gepElemSize(),
-                          innermost, here, out, depth + 1);
+                          innermost, out, depth + 1);
       case Opcode::SExt:
         // A copy of the word in this 64-bit-slot IR.
-        return accumulate(inst->operand(0), scale, innermost, here, out,
-                          depth + 1);
+        return accumulate(inst->operand(0), scale, innermost, out, depth + 1);
       case Opcode::ZExt: {
         const ir::Type::Kind from = inst->operand(0)->type()->kind();
         return (from == ir::Type::Kind::I64 || from == ir::Type::Kind::Ptr) &&
-               accumulate(inst->operand(0), scale, innermost, here, out,
-                          depth + 1);
+               accumulate(inst->operand(0), scale, innermost, out, depth + 1);
       }
       default:
         return false;

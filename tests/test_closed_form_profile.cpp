@@ -306,15 +306,21 @@ outer.exit:
 }
 )";
 
-TEST(ClosedFormProfileTest, ValuesDefinedAfterTheirUseAreNotCurrent) {
-  // The verifier does not check dominance: the inner bound is read before
-  // the outer latch defines it, so each outer iteration sees the value of
-  // the one before (0 at first), not i + 2.
+TEST(ClosedFormProfileTest, ValuesUsedBeforeTheirDefinitionAreRejected) {
+  // The inner bound is read before the outer latch defines it. The
+  // structural verifier passes the module; building its analyses rejects
+  // it, since the interpreter would read the previous iteration's value
+  // while SCEV and the memory analysis assume SSA.
   std::unique_ptr<ir::Module> module = ir::parseModule(kBoundDefinedLater);
   ir::verifyOrThrow(*module);
-  analysis::WPst wpst(*module);
-  expectSameOutcome(referenceWithLimit(*module, 1'000'000),
-                    profileWithLimit(*module, wpst, 1'000'000), "later");
+  try {
+    analysis::WPst wpst(*module);
+    FAIL() << "a use not dominated by its definition was accepted";
+  } catch (const support::DiagnosticError& e) {
+    EXPECT_EQ(e.diagnostic().stage, support::Stage::Verify);
+    EXPECT_NE(e.diagnostic().message.find("%bound"), std::string::npos)
+        << e.diagnostic().message;
+  }
 }
 
 // --- Fuzz crash corpus -------------------------------------------------------

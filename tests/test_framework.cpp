@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "cayman/framework.h"
 #include "ir/builder.h"
@@ -17,6 +18,16 @@ TEST(FrameworkTest, RejectsMalformedModules) {
   module->addFunction("f", ir::Type::voidTy(), {});  // block-less function
   module->functionByName("f")->addBlock("entry");    // no terminator
   EXPECT_THROW(Framework{std::move(module)}, Error);
+}
+
+TEST(FrameworkTest, IsNeitherCopyableNorMovable) {
+  // The model and the baselines keep a reference to the Framework's tech
+  // library member, which a copy or a move would leave pointing at the
+  // source object.
+  static_assert(!std::is_copy_constructible_v<Framework>);
+  static_assert(!std::is_copy_assignable_v<Framework>);
+  static_assert(!std::is_move_constructible_v<Framework>);
+  static_assert(!std::is_move_assignable_v<Framework>);
 }
 
 TEST(FrameworkTest, EndToEndOnLinearKernel) {

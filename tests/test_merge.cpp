@@ -84,7 +84,8 @@ struct MergePipeline {
   select::Solution best(double budgetUm2) {
     select::SelectorParams params;
     params.areaBudgetUm2 = budgetUm2;
-    return select::CandidateSelector(model, params).best();
+    select::SelectStats stats;
+    return select::CandidateSelector(model, params).best(stats);
   }
 
   std::unique_ptr<ir::Module> module;

@@ -561,7 +561,8 @@ struct SelectPipeline {
 TEST(SelectorTest, FrontIsMonotone) {
   SelectPipeline p(testing::dotRowsKernel(24, 12));
   CandidateSelector selector(p.model, p.params);
-  std::vector<Solution> front = selector.select();
+  SelectStats stats;
+  std::vector<Solution> front = selector.select(stats);
   ASSERT_GE(front.size(), 2u);
   for (size_t i = 1; i < front.size(); ++i) {
     EXPECT_GT(front[i].areaUm2, front[i - 1].areaUm2);
@@ -573,7 +574,8 @@ TEST(SelectorTest, FrontIsMonotone) {
 TEST(SelectorTest, SelectionsNeverOverlap) {
   SelectPipeline p(testing::dotRowsKernel(24, 12));
   CandidateSelector selector(p.model, p.params);
-  for (const Solution& s : selector.select()) {
+  SelectStats stats;
+  for (const Solution& s : selector.select(stats)) {
     // No accelerator's region may be an ancestor of another's.
     for (const auto& a : s.accelerators) {
       for (const auto& b : s.accelerators) {
@@ -591,7 +593,8 @@ TEST(SelectorTest, SelectionsNeverOverlap) {
 TEST(SelectorTest, BudgetIsRespected) {
   SelectPipeline tight(testing::dotRowsKernel(24, 12), 3e4);
   CandidateSelector selector(tight.model, tight.params);
-  for (const Solution& s : selector.select()) {
+  SelectStats stats;
+  for (const Solution& s : selector.select(stats)) {
     EXPECT_LE(s.areaUm2, tight.params.areaBudgetUm2);
   }
 }
@@ -602,10 +605,11 @@ TEST(SelectorTest, LargerBudgetNeverWorse) {
   small.areaBudgetUm2 = 5e4;
   SelectorParams large = p.params;
   large.areaBudgetUm2 = 1e6;
+  SelectStats stats;
   double savedSmall =
-      CandidateSelector(p.model, small).best().savedCycles(2.0);
+      CandidateSelector(p.model, small).best(stats).savedCycles(2.0);
   double savedLarge =
-      CandidateSelector(p.model, large).best().savedCycles(2.0);
+      CandidateSelector(p.model, large).best(stats).savedCycles(2.0);
   EXPECT_GE(savedLarge, savedSmall);
 }
 
@@ -613,22 +617,22 @@ TEST(SelectorTest, PruningSkipsColdRegions) {
   SelectPipeline p(testing::dotRowsKernel(24, 12));
   SelectorParams aggressive = p.params;
   aggressive.pruneHotFraction = 0.2;
-  CandidateSelector pruned(p.model, aggressive);
-  pruned.select();
+  SelectStats prunedStats;
+  CandidateSelector(p.model, aggressive).select(prunedStats);
   SelectorParams lax = p.params;
   lax.pruneHotFraction = 0.0;
-  CandidateSelector unpruned(p.model, lax);
-  unpruned.select();
-  EXPECT_GT(pruned.stats().regionsPruned, 0);
-  EXPECT_LT(pruned.stats().configsGenerated,
-            unpruned.stats().configsGenerated);
+  SelectStats unprunedStats;
+  CandidateSelector(p.model, lax).select(unprunedStats);
+  EXPECT_GT(prunedStats.regionsPruned, 0);
+  EXPECT_LT(prunedStats.configsGenerated, unprunedStats.configsGenerated);
 }
 
 TEST(SelectorTest, BestPicksMaximumSaving) {
   SelectPipeline p(testing::dotRowsKernel(24, 12));
   CandidateSelector selector(p.model, p.params);
-  std::vector<Solution> front = selector.select();
-  Solution best = selector.best();
+  SelectStats stats;
+  std::vector<Solution> front = selector.select(stats);
+  Solution best = selector.best(stats);
   for (const Solution& s : front) {
     EXPECT_GE(best.savedCycles(p.params.clockRatio),
               s.savedCycles(p.params.clockRatio));
@@ -702,13 +706,14 @@ TEST_P(AlphaSweepTest, LargerAlphaNeverEnlargesFrontOrBeatsBest) {
   coarse.alpha = GetParam() * 1.5;
   CandidateSelector fineSel(p.model, fine);
   CandidateSelector coarseSel(p.model, coarse);
-  std::vector<Solution> fineFront = fineSel.select();
-  std::vector<Solution> coarseFront = coarseSel.select();
+  SelectStats stats;
+  std::vector<Solution> fineFront = fineSel.select(stats);
+  std::vector<Solution> coarseFront = coarseSel.select(stats);
   EXPECT_GE(fineFront.size(), coarseFront.size());
   // The filter trades solution density for runtime; the best solution of a
   // coarser filter cannot beat the finer one's.
-  EXPECT_GE(fineSel.best().savedCycles(2.0) + 1e-9,
-            coarseSel.best().savedCycles(2.0));
+  EXPECT_GE(fineSel.best(stats).savedCycles(2.0) + 1e-9,
+            coarseSel.best(stats).savedCycles(2.0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Alphas, AlphaSweepTest,

@@ -59,7 +59,7 @@ TEST(SelectionMemoTest, ServesEveryBudgetAtOrAboveTheBound) {
   select::SelectionMemo<int> memo;
   memo.offer(paramsAt(150.0), rejectionFree(100.0), [] { return 7; });
   for (double budget : {100.0, 120.0, 150.0, 1e30}) {
-    std::shared_ptr<const int> hit = memo.find(paramsAt(budget));
+    const int* hit = memo.find(paramsAt(budget));
     ASSERT_NE(hit, nullptr) << budget;
     EXPECT_EQ(*hit, 7);
   }
