@@ -1,10 +1,9 @@
 // Determinism tests for the parallel DSE layer: a parallel evaluate-all run
-// must be bit-identical to the sequential one, and concurrent explore()
-// calls on a shared Framework must match their sequential counterparts.
-// The TSan CI job runs this binary.
+// must be bit-identical to the sequential one, and pool tasks that each own
+// a Framework must match one Framework used sequentially. A Framework
+// belongs to one thread, so no test here shares one across tasks. The TSan
+// CI job runs this binary.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "cayman/driver.h"
 #include "support/thread_pool.h"
@@ -58,22 +57,23 @@ TEST(ParallelEvalTest, ParallelEvaluateAllMatchesSequentialBitExact) {
   EXPECT_EQ(formatEvaluationTable(sequential), formatEvaluationTable(parallel));
 }
 
-TEST(ParallelEvalTest, ConcurrentExploreOnSharedFrameworkIsDeterministic) {
-  // Budget sweeps on one Framework race on the model's generate cache —
-  // exactly the access pattern the mutex guards.
-  Framework framework(workloads::build("3mm"));
+TEST(ParallelEvalTest, PerTaskFrameworksMatchOneSequentialFramework) {
+  // A budget sweep on one Framework (warm caches after the first budget)
+  // must equal the same sweep with a fresh Framework per pool task.
   const std::vector<double> budgets = {0.10, 0.15, 0.20, 0.25,
                                        0.30, 0.35, 0.40, 0.45};
-
+  Framework framework(workloads::build("3mm"));
   std::vector<std::vector<select::Solution>> sequential;
   for (double budget : budgets) {
     sequential.push_back(framework.explore(budget));
   }
 
   ThreadPool pool(4);
-  std::vector<std::vector<select::Solution>> parallel = parallelIndexMap(
-      pool, budgets.size(),
-      [&](size_t i) { return framework.explore(budgets[i]); });
+  std::vector<std::vector<select::Solution>> parallel =
+      parallelIndexMap(pool, budgets.size(), [&](size_t i) {
+        Framework own(workloads::build("3mm"));
+        return own.explore(budgets[i]);
+      });
 
   ASSERT_EQ(sequential.size(), parallel.size());
   for (size_t i = 0; i < budgets.size(); ++i) {
@@ -88,20 +88,18 @@ TEST(ParallelEvalTest, ConcurrentExploreOnSharedFrameworkIsDeterministic) {
   }
 }
 
-TEST(ParallelEvalTest, ConcurrentEvaluateOnSharedFrameworkIsDeterministic) {
-  Framework framework(workloads::build("fft"));
-  EvaluationReport seqSmall = framework.evaluate(0.25);
-  EvaluationReport seqLarge = framework.evaluate(0.65);
-
-  // Hammer both budgets from several threads at once.
-  ThreadPool pool(4);
-  std::vector<EvaluationReport> reports =
-      parallelIndexMap(pool, 8, [&](size_t i) {
-        return framework.evaluate(i % 2 == 0 ? 0.25 : 0.65);
-      });
-  for (size_t i = 0; i < reports.size(); ++i) {
-    expectReportsIdentical(reports[i], i % 2 == 0 ? seqSmall : seqLarge,
-                           "fft");
+TEST(ParallelEvalTest, ParallelEvaluateMatchesSequentialAtBothBudgets) {
+  const std::vector<std::string> names = {"3mm", "fft"};
+  for (double budget : {0.25, 0.65}) {
+    std::vector<WorkloadEvaluation> sequential =
+        evaluateWorkloads(names, budget, 1);
+    std::vector<WorkloadEvaluation> parallel =
+        evaluateWorkloads(names, budget, 4);
+    ASSERT_EQ(sequential.size(), parallel.size());
+    for (size_t i = 0; i < sequential.size(); ++i) {
+      expectReportsIdentical(sequential[i].report, parallel[i].report,
+                             sequential[i].name);
+    }
   }
 }
 
