@@ -8,7 +8,11 @@
 //   4. differential interpretation: the decoded engine and the reference
 //      tree-walker (the test-only oracle in tests/oracles/) run the module
 //      under a tiny instruction limit and must either both throw or produce
-//      bit-identical results.
+//      bit-identical results,
+//   5. the profiling path: once the module's analyses accept it,
+//      Interpreter::profile() (which skips or streams the counted nests)
+//      must throw where the reference run throws and otherwise report the
+//      same instructions, cycle bits and block counts.
 //
 // Build shapes:
 //   - fuzz_parser        libFuzzer driver (Clang only, -fsanitize=fuzzer).
@@ -18,8 +22,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
+#include "analysis/regions.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -61,30 +68,51 @@ struct RunOutcome {
   bool hasReturn = false;
   int64_t returnI = 0;
   uint64_t returnFBits = 0;
+  std::unordered_map<const ir::BasicBlock*, uint64_t> blockCounts;
 };
+
+/// Reduces a completed run to its bit-comparable fields.
+RunOutcome outcomeOf(const sim::Interpreter::Result& result) {
+  RunOutcome out;
+  out.instructions = result.instructions;
+  std::memcpy(&out.cyclesBits, &result.totalCycles, sizeof(out.cyclesBits));
+  out.hasReturn = result.returnValue.has_value();
+  if (out.hasReturn) {
+    out.returnI = result.returnValue->i;
+    std::memcpy(&out.returnFBits, &result.returnValue->f,
+                sizeof(out.returnFBits));
+  }
+  out.blockCounts = result.blockCounts;
+  return out;
+}
 
 /// Runs the module on one engine: sim::Interpreter or the reference oracle.
 template <typename Engine>
 RunOutcome interpret(const ir::Module& module) {
-  RunOutcome out;
   try {
     Engine interpreter(module);
     interpreter.setInstructionLimit(kFuzzInstructionLimit);
-    sim::Interpreter::Result result = interpreter.run();
-    out.instructions = result.instructions;
-    std::memcpy(&out.cyclesBits, &result.totalCycles, sizeof(out.cyclesBits));
-    out.hasReturn = result.returnValue.has_value();
-    if (out.hasReturn) {
-      out.returnI = result.returnValue->i;
-      std::memcpy(&out.returnFBits, &result.returnValue->f,
-                  sizeof(out.returnFBits));
-    }
+    return outcomeOf(interpreter.run());
   } catch (const Error&) {
     // Instruction limit, call-depth guard, division traps, ... — catchable
     // rejection is a valid outcome as long as both engines agree.
+    RunOutcome out;
     out.threw = true;
+    return out;
   }
-  return out;
+}
+
+/// The counts-only run the pipeline profiles with, under the same limit.
+RunOutcome profile(const ir::Module& module, const analysis::WPst& wpst) {
+  try {
+    sim::Interpreter interpreter(module);
+    interpreter.setInstructionLimit(kFuzzInstructionLimit);
+    return outcomeOf(interpreter.profile(wpst));
+  } catch (const Error&) {
+    RunOutcome out;
+    out.threw = true;
+    return out;
+  }
 }
 
 void runOne(const uint8_t* data, size_t size) {
@@ -124,6 +152,27 @@ void runOne(const uint8_t* data, size_t size) {
               decoded.returnI == reference.returnI &&
               decoded.returnFBits == reference.returnFBits,
           "decoded and reference engines disagree on return value");
+  require(decoded.blockCounts == reference.blockCounts,
+          "decoded and reference engines disagree on block counts");
+
+  // The profiling path. The analyses reject a use its definition does not
+  // dominate, which the structural verifier accepts.
+  std::optional<analysis::WPst> wpst;
+  try {
+    wpst.emplace(*module);
+  } catch (const support::DiagnosticError&) {
+    return;
+  }
+  RunOutcome profiled = profile(*module, *wpst);
+  require(profiled.threw == reference.threw,
+          "profile() and the reference run disagree on rejection");
+  if (profiled.threw) return;
+  require(profiled.instructions == reference.instructions,
+          "profile() and the reference run disagree on instruction count");
+  require(profiled.cyclesBits == reference.cyclesBits,
+          "profile() and the reference run disagree on cycles");
+  require(profiled.blockCounts == reference.blockCounts,
+          "profile() and the reference run disagree on block counts");
 }
 
 }  // namespace

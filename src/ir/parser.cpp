@@ -208,6 +208,25 @@ class Parser {
     return type;
   }
 
+  /// One initializer element of `global`. The whole token must be a
+  /// number, and an integer array's element must lie in int64's range
+  /// (converting anything else to int64 is undefined).
+  static double initElement(Cursor& c, const GlobalArray& global) {
+    const std::string token = c.number();
+    char* end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) {
+      c.fail("invalid element '" + token + "' in the initializer for @" +
+             global.name());
+    }
+    if (!global.elemType()->isFloat() &&
+        !(value >= -0x1p63 && value < 0x1p63)) {
+      c.fail("element '" + token + "' of @" + global.name() +
+             " is outside the range of a 64-bit integer");
+    }
+    return value;
+  }
+
   void parseGlobal(Cursor& c) {
     c.expect("@");
     std::string name = c.word();
@@ -243,7 +262,7 @@ class Parser {
             c.fail("initializer for @" + global->name() + " has more than " +
                    std::to_string(numElems) + " elements");
           }
-          init.push_back(std::strtod(c.number().c_str(), nullptr));
+          init.push_back(initElement(c, *global));
           if (c.tryConsume("]")) break;
           c.expect(",");
         }

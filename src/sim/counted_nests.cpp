@@ -37,7 +37,6 @@ class NestBuilder {
     if (enter == nullptr || enter->opcode() != Opcode::Br) return std::nullopt;
     if (!addLoop(root_, -1)) return std::nullopt;
     plan_.preheader = root_->preheader();
-    plan_.exit = root_->exitBlocks().front();
     return std::move(plan_);
   }
 
@@ -80,6 +79,7 @@ class NestBuilder {
     NestLoopPlan added;
     added.parent = parent;
     added.header = header;
+    added.exit = loop->exitBlocks().front();
     added.iv = iv->phi;
     added.step = iv->step;
     added.pred = pred;
@@ -151,6 +151,7 @@ class NestBuilder {
       if (inst->opcode() == Opcode::Call) return false;
       if (!inst->isMemoryAccess()) continue;
       NestAccessPlan access;
+      access.inst = inst.get();
       if (!linear(inst->pointerOperand(), static_cast<int>(loop),
                   access.address)) {
         return false;
@@ -454,8 +455,9 @@ CountedNestPlan::CountedNestPlan(const analysis::WPst& wpst) {
   // symbols are roots already or become ones, so the slice only grows.
   if (candidates.empty()) return;
   const ModuleIndex index(module);
-  bool dropped = true;
-  while (dropped) {
+  std::vector<Candidate> dropped;
+  bool changed = true;
+  while (changed) {
     const std::vector<char> slice = controlSlice(module, index, candidates);
     std::vector<Candidate> kept;
     std::vector<Candidate> gone;
@@ -470,16 +472,42 @@ CountedNestPlan::CountedNestPlan(const analysis::WPst& wpst) {
       (touched ? gone : kept).push_back(std::move(candidate));
     }
     candidates = std::move(kept);
-    for (const Candidate& candidate : gone) {
+    for (Candidate& candidate : gone) {
       for (const analysis::Loop* child : candidate.loop->subLoops()) {
         consider(candidate.function, child, consider);
       }
+      dropped.push_back(std::move(candidate));
     }
-    dropped = !gone.empty();
+    changed = !gone.empty();
+  }
+
+  // A dropped candidate passed every local check, so its counts follow
+  // from its trip counts; only its values are needed. It is live when it
+  // holds no skipped nest and no live one holds it. An ancestor is dropped
+  // before its descendants are considered, so it comes first.
+  auto holds = [](const Candidate& outer, const Candidate& inner) {
+    return outer.function == inner.function && outer.loop->contains(inner.loop);
+  };
+  std::vector<Candidate*> live;
+  for (Candidate& candidate : dropped) {
+    auto inside = [&](const Candidate& skipped) {
+      return holds(candidate, skipped);
+    };
+    auto within = [&](const Candidate* outer) {
+      return holds(*outer, candidate);
+    };
+    if (std::none_of(candidates.begin(), candidates.end(), inside) &&
+        std::none_of(live.begin(), live.end(), within)) {
+      candidate.plan.live = true;
+      live.push_back(&candidate);
+    }
   }
 
   for (Candidate& candidate : candidates) {
     nests_[candidate.function].push_back(std::move(candidate.plan));
+  }
+  for (Candidate* candidate : live) {
+    nests_[candidate->function].push_back(std::move(candidate->plan));
   }
   for (auto& [function, nests] : nests_) {
     (void)function;
@@ -507,59 +535,62 @@ namespace {
 /// before its counter would wrap.
 std::optional<uint64_t> tripCount(int64_t init, int64_t bound, int64_t step,
                                   ir::CmpPred pred) {
-  const __int128 i = init;
-  const __int128 b = bound;
-  const __int128 s = step;
-  __int128 trips = 0;
+  // Once the test holds on entry, trips = span / |step| + 1, where span is
+  // the distance the counter may still travel while the test holds.
+  const uint64_t i = static_cast<uint64_t>(init);
+  const uint64_t b = static_cast<uint64_t>(bound);
+  uint64_t span = 0;
   switch (pred) {
     case ir::CmpPred::LT:
-      if (i >= b) return 0;
-      if (s <= 0) return std::nullopt;
-      trips = (b - i + s - 1) / s;
+      if (init >= bound) return 0;
+      span = b - i - 1;
       break;
     case ir::CmpPred::LE:
-      if (i > b) return 0;
-      if (s <= 0) return std::nullopt;
-      trips = (b - i) / s + 1;
+      if (init > bound) return 0;
+      span = b - i;
       break;
     case ir::CmpPred::GT:
-      if (i <= b) return 0;
-      if (s >= 0) return std::nullopt;
-      trips = (i - b - s - 1) / -s;
+      if (init <= bound) return 0;
+      span = i - b - 1;
       break;
     case ir::CmpPred::GE:
-      if (i < b) return 0;
-      if (s >= 0) return std::nullopt;
-      trips = (i - b) / -s + 1;
+      if (init < bound) return 0;
+      span = i - b;
       break;
     default:
       return std::nullopt;
   }
+  const bool up = pred == ir::CmpPred::LT || pred == ir::CmpPred::LE;
+  if (up ? step <= 0 : step >= 0) return std::nullopt;
+  const uint64_t stride = up ? static_cast<uint64_t>(step)
+                             : 0 - static_cast<uint64_t>(step);
+  const uint64_t steps = stride == 1 ? span : span / stride;
+  if (steps == UINT64_MAX) return std::nullopt;  // the exit value wraps
+  const uint64_t trips = steps + 1;
   // The exit value, written by the last update, must not wrap.
-  const __int128 last = i + trips * s;
+  const __int128 last = static_cast<__int128>(init) +
+                        static_cast<__int128>(trips) * step;
   if (last > INT64_MAX || last < INT64_MIN) return std::nullopt;
-  return static_cast<uint64_t>(trips);
+  return trips;
 }
 
-void include(int64_t a, int64_t b, int64_t& lo, int64_t& hi, bool& empty) {
+}  // namespace
+
+void NestCounter::Range::include(int64_t a, int64_t b) {
   const int64_t low = std::min(a, b);
   const int64_t high = std::max(a, b);
   if (empty) {
-    lo = low;
-    hi = high;
-    empty = false;
+    *this = {low, high, false};
     return;
   }
   lo = std::min(lo, low);
   hi = std::max(hi, high);
 }
 
-}  // namespace
-
 uint64_t NestCounter::eval(const FrameLinear& form) const {
   uint64_t value = form.constant;
   for (const FrameLinear::Term& term : form.terms) {
-    value += term.coeff * (term.iv ? static_cast<uint64_t>(ivValue_[term.index])
+    value += term.coeff * (term.iv ? static_cast<uint64_t>(loops_[term.index].iv)
                                    : frame_[term.index]);
   }
   return value;
@@ -590,21 +621,20 @@ bool NestCounter::visit(const DecodedNest& nest, uint32_t index,
       instructions_ > budget_) {
     return false;
   }
-  entries_[index] += mult;
-  iters_[index] += iterations;
+  LoopState& state = loops_[index];
+  state.entries += mult;
+  state.iters += iterations;
 
   // The counter's values: init + k·step for k < t in the body, k ≤ t in the
   // header (tripCount proved init + t·step in range).
   const int64_t exitValue = static_cast<int64_t>(
       static_cast<uint64_t>(init) + t * static_cast<uint64_t>(loop.step));
-  Range& head = headerRange_[index];
-  include(init, exitValue, head.lo, head.hi, head.empty);
+  state.header.include(init, exitValue);
   if (t == 0) return true;
   const int64_t lastValue =
       static_cast<int64_t>(static_cast<uint64_t>(exitValue) -
                            static_cast<uint64_t>(loop.step));
-  Range& body = bodyRange_[index];
-  include(init, lastValue, body.lo, body.hi, body.empty);
+  state.body.include(init, lastValue);
 
   for (uint32_t child : loop.children) {
     if ((nest.loops[child].ivUses >> index & 1) == 0) {
@@ -613,7 +643,7 @@ bool NestCounter::visit(const DecodedNest& nest, uint32_t index,
     }
     int64_t value = init;
     for (uint64_t k = 0; k < t; ++k) {
-      ivValue_[index] = value;
+      loops_[index].iv = value;
       if (!visit(nest, child, mult)) return false;
       value = static_cast<int64_t>(static_cast<uint64_t>(value) +
                                    static_cast<uint64_t>(loop.step));
@@ -628,18 +658,16 @@ bool NestCounter::count(const DecodedNest& nest, const uint64_t* frame,
   frame_ = frame;
   budget_ = budget;
   instructions_ = 0;
-  entries_.assign(n, 0);
-  iters_.assign(n, 0);
-  ivValue_.assign(n, 0);
-  bodyRange_.assign(n, Range{});
-  headerRange_.assign(n, Range{});
+  loops_.assign(n, LoopState{});
   if (!visit(nest, 0, 1)) return false;
 
   // Every access that runs must stay inside the memory image. The counter
   // ranges bound each address by a box over the values its loops take.
   for (const DecodedNest::Access& access : nest.accesses) {
     const uint32_t at = access.loop;
-    if ((access.inHeader ? entries_[at] : iters_[at]) == 0) continue;
+    if ((access.inHeader ? loops_[at].entries : loops_[at].iters) == 0) {
+      continue;
+    }
     uint64_t fixed = access.address.constant;
     for (const FrameLinear::Term& term : access.address.terms) {
       if (!term.iv) fixed += term.coeff * frame_[term.index];
@@ -649,8 +677,8 @@ bool NestCounter::count(const DecodedNest& nest, const uint64_t* frame,
     for (const FrameLinear::Term& term : access.address.terms) {
       if (!term.iv) continue;
       const Range& range = term.index == at && access.inHeader
-                               ? headerRange_[term.index]
-                               : bodyRange_[term.index];
+                               ? loops_[term.index].header
+                               : loops_[term.index].body;
       const __int128 coeff = static_cast<int64_t>(term.coeff);
       const __int128 a = coeff * range.lo;
       const __int128 b = coeff * range.hi;
@@ -670,12 +698,13 @@ bool NestCounter::count(const DecodedNest& nest, const uint64_t* frame,
   totals.instructions = instructions_;
   for (size_t i = 0; i < n; ++i) {
     const DecodedNestLoop& loop = nest.loops[i];
-    const uint64_t headerRuns = entries_[i] + iters_[i];
-    totals.blocks += headerRuns + iters_[i] * loop.body.size();
+    const uint64_t iters = loops_[i].iters;
+    const uint64_t headerRuns = loops_[i].entries + iters;
+    totals.blocks += headerRuns + iters * loop.body.size();
     // Costs are multiples of 0.5, so each product and sum below 2^52 is
     // exact: the total equals the interpreter's block-by-block sum.
     totals.cycles += static_cast<double>(headerRuns) * loop.headerCost +
-                     static_cast<double>(iters_[i]) * loop.bodyCost;
+                     static_cast<double>(iters) * loop.bodyCost;
   }
   return true;
 }
@@ -683,8 +712,8 @@ bool NestCounter::count(const DecodedNest& nest, const uint64_t* frame,
 void NestCounter::apply(const DecodedNest& nest, uint64_t* counts) const {
   for (size_t i = 0; i < nest.loops.size(); ++i) {
     const DecodedNestLoop& loop = nest.loops[i];
-    counts[loop.header] += entries_[i] + iters_[i];
-    for (uint32_t block : loop.body) counts[block] += iters_[i];
+    counts[loop.header] += loops_[i].entries + loops_[i].iters;
+    for (uint32_t block : loop.body) counts[block] += loops_[i].iters;
   }
 }
 

@@ -1,14 +1,17 @@
 // Closed-form profiling (DESIGN.md §20): the loop nests a counts-only run
-// may skip, and the evaluator that counts one entry of such a nest instead
-// of interpreting it.
+// counts instead of interpreting block by block, and the evaluator that
+// counts one entry of such a nest.
 //
 // Profiling reads only block counts, instructions and cycles. Inside a
 // counted nest those follow from the trip counts alone, so Interpreter::
-// profile() adds them in closed form on nest entry and jumps to the nest's
-// exit. CountedNestPlan decides, on the IR, which nests that is sound for;
-// the Decoder resolves each planned nest against a frame (DecodedNest) and
-// ends its preheader in a CountedNest micro-op; NestCounter evaluates a
-// DecodedNest from the frame's values at entry.
+// profile() adds them in closed form on nest entry. A skipped nest's values
+// feed nothing profiling reads, so the run jumps to the nest's exit; a live
+// nest's values feed a later branch or address, so the run executes its
+// value operations on a stream without block accounting or branches.
+// CountedNestPlan decides, on the IR, which nests that is sound for; the
+// Decoder resolves each planned nest against a frame (DecodedNest), emits a
+// live nest's stream and ends its preheader in a CountedNest micro-op;
+// NestCounter evaluates a DecodedNest from the frame's values at entry.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@ struct LinearForm {
 struct NestLoopPlan {
   int parent = -1;  ///< index into NestPlan::loops; -1 for the nest's root
   const ir::BasicBlock* header = nullptr;
+  const ir::BasicBlock* exit = nullptr;     ///< where the header test leaves
   std::vector<const ir::BasicBlock*> body;  ///< own blocks but the header
   const ir::Instruction* iv = nullptr;      ///< the header's counter phi
   LinearForm init;                          ///< iv's value on entry
@@ -43,8 +47,9 @@ struct NestLoopPlan {
 };
 
 /// One load or store of a planned nest, whose address the counter must
-/// prove in bounds before it may skip the nest.
+/// prove in bounds before it may count the nest.
 struct NestAccessPlan {
+  const ir::Instruction* inst = nullptr;  ///< the load or store
   LinearForm address;
   uint32_t bytes = 0;
   uint32_t loop = 0;      ///< innermost nest loop holding the access
@@ -53,23 +58,26 @@ struct NestAccessPlan {
 
 struct NestPlan {
   const ir::BasicBlock* preheader = nullptr;  ///< its jump enters the nest
-  const ir::BasicBlock* exit = nullptr;
   std::vector<NestLoopPlan> loops;  ///< pre-order, the root first
   std::vector<NestAccessPlan> accesses;
+  /// Its values feed the control/address slice, so a counts-only run
+  /// executes its value operations after counting it.
+  bool live = false;
 };
 
-/// The skippable nests of every function of a module, built from the
-/// WPst's analyses. A nest qualifies when every loop is counted (one latch,
-/// a preheader, one exit, the header test its only conditional branch, an
+/// The counted nests of every function of a module, built from the WPst's
+/// analyses. A nest is a candidate when every loop is counted (one latch, a
+/// preheader, one exit, the header test its only conditional branch, an
 /// i64 counter with a trip count affine in the enclosing counters), it
-/// holds no call, every access address is affine, each value those forms
-/// read inside the nest dominates its use, and no instruction of it lies in
-/// the module's control/address slice.
+/// holds no call, every access address is affine and each value those forms
+/// read inside the nest dominates its use. A candidate with no instruction
+/// in the module's control/address slice is skipped; a maximal candidate
+/// the slice drops that holds no skipped nest is live.
 class CountedNestPlan {
  public:
   explicit CountedNestPlan(const analysis::WPst& wpst);
 
-  /// The outermost skippable nests of `function`, in header order.
+  /// The skipped and live nests of `function`, in header order.
   const std::vector<NestPlan>& nestsOf(const ir::Function& function) const;
 
  private:
@@ -114,7 +122,10 @@ struct DecodedNest {
   };
   std::vector<DecodedNestLoop> loops;
   std::vector<Access> accesses;
-  uint32_t exitPc = 0;  ///< where the header's exit edge leads
+  uint32_t exitPc = 0;  ///< where the root header's exit edge leads
+  /// Where a counted entry continues: a live nest's value stream, which
+  /// ends at exitPc; exitPc itself for a skipped nest.
+  uint32_t streamPc = 0;
 };
 
 /// Evaluates decoded nests; its scratch state is reused across entries.
@@ -137,10 +148,19 @@ class NestCounter {
   void apply(const DecodedNest& nest, uint64_t* counts) const;
 
  private:
+  /// The values a counter takes in some part of the nest.
   struct Range {
     int64_t lo = 0;
     int64_t hi = 0;
     bool empty = true;
+    void include(int64_t a, int64_t b);
+  };
+  struct LoopState {
+    uint64_t entries = 0;  ///< header entries
+    uint64_t iters = 0;    ///< body iterations
+    int64_t iv = 0;        ///< the counter, while a child is visited
+    Range body;            ///< counter values the body sees
+    Range header;          ///< the same plus each exit value
   };
 
   bool visit(const DecodedNest& nest, uint32_t loop, uint64_t mult);
@@ -149,11 +169,7 @@ class NestCounter {
   const uint64_t* frame_ = nullptr;
   uint64_t budget_ = 0;
   uint64_t instructions_ = 0;
-  std::vector<uint64_t> entries_;  ///< header entries per nest loop
-  std::vector<uint64_t> iters_;    ///< body iterations per nest loop
-  std::vector<int64_t> ivValue_;
-  std::vector<Range> bodyRange_;    ///< counter values the body sees
-  std::vector<Range> headerRange_;  ///< the same plus each exit value
+  std::vector<LoopState> loops_;  ///< by nest loop
 };
 
 }  // namespace cayman::sim

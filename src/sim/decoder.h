@@ -14,7 +14,10 @@
 //     sequentialized parallel-copy sequence (one scratch slot breaks cycles)
 //     followed by a jump, so block bodies are pure straight-line code;
 //   - blocks get dense IDs, making per-block execution counts plain array
-//     indexing; each block's size and cycle cost ride in its BlockHead.
+//     indexing; each block's size and cycle cost ride in its BlockHead;
+//   - a live counted nest also gets a value stream after the blocks: its
+//     value operations without block accounting or branches, which
+//     profile() runs once the nest's counts are added (counted_nests.h).
 #pragma once
 
 #include <cstddef>
@@ -63,7 +66,10 @@ enum class MicroOpcode : uint16_t {
   Jump,       // b = target pc
   CondJump,   // a = cond slot, b = pc if true, c = pc if false
   CountedNest,  // a = DecodedFunction::nests index, b = header pc: a jump
-                // into the nest, which a counts-only run may skip
+                // into the nest, which a counts-only run counts instead
+  LoopStep,   // a live nest's header test: dst = icmp(a, b) by the outcome
+              // mask in aux bits 0-2; to pc c while aux bits 3-5 select
+              // the outcome (the loop stays), else to pc imm
   Call,       // imm = callee index, a = arg offset, b = arg count,
               // aux = 1 when dst receives the return value
   Ret,        // aux = 1 when a holds the returned slot; keep last
@@ -108,7 +114,8 @@ struct DecodedFunction {
   const ir::Function* source = nullptr;
   std::vector<MicroOp> ops;
 
-  // Frame layout: [arguments | instruction results | constant pool | scratch].
+  // Frame layout: [arguments | instruction results | constant pool | scratch
+  // | live-nest stream temporaries].
   uint32_t numArgs = 0;
   uint32_t constBase = 0;
   uint32_t scratchSlot = 0;
@@ -123,7 +130,8 @@ struct DecodedFunction {
   // Dense per-block metadata, indexed by the id in BlockHead.b.
   std::vector<const ir::BasicBlock*> blockOf;
 
-  // The planned nests whose preheaders end in a CountedNest micro-op.
+  // The planned nests whose preheaders end in a CountedNest micro-op, with
+  // the streams of the live ones appended to `ops`.
   std::vector<DecodedNest> nests;
 
   size_t numBlocks() const { return blockOf.size(); }
@@ -139,7 +147,7 @@ class Decoder {
 
   /// `nests` are the function's planned counted nests (CountedNestPlan);
   /// each one whose blocks all cost a multiple of 0.5 cycles is entered
-  /// through a CountedNest micro-op.
+  /// through a CountedNest micro-op, and a live one gets a value stream.
   DecodedFunction decode(const ir::Function& function,
                          std::span<const NestPlan> nests = {}) const;
 

@@ -189,7 +189,8 @@ bool compareFloat(ir::CmpPred pred, double a, double b) {
   X(FAbs) X(FMin) X(FMax) X(ICmp) X(FCmp) X(SelectOp) X(ZExt) X(MoveI)       \
   X(Trunc) X(SIToFP) X(FPToSI) X(Gep) X(LoadI1) X(LoadI32) X(LoadI64)        \
   X(LoadF32) X(LoadF64) X(StoreI1) X(StoreI32) X(StoreI64) X(StoreF32)       \
-  X(StoreF64) X(Copy) X(Jump) X(CondJump) X(CountedNest) X(Call) X(Ret)
+  X(StoreF64) X(Copy) X(Jump) X(CondJump) X(CountedNest) X(LoopStep)         \
+  X(Call) X(Ret)
 
 namespace {
 
@@ -433,8 +434,9 @@ op_CondJump:
   ip = ops + (f[ip->a] != 0 ? ip->b : ip->c);
   DISPATCH();
 op_CountedNest:
-  // A counts-only run adds the nest's counts and leaves by its exit; a nest
-  // the counter declines, and every nest of run(), is interpreted.
+  // A counts-only run adds the nest's counts, then leaves by its exit or,
+  // for a live nest, runs its value stream; a nest the counter declines,
+  // and every nest of run(), is interpreted.
   if (counting) {
     const DecodedNest& nest = df.nests[ip->a];
     NestCounter::Totals totals;
@@ -448,12 +450,27 @@ op_CountedNest:
         writeBack(cycles, executed, tick);
         cancel->check(support::Stage::Profile, df.source->name());
       }
-      ip = ops + nest.exitPc;
+      ip = ops + nest.streamPc;
       DISPATCH();
     }
   }
   ip = ops + ip->b;
   DISPATCH();
+op_LoopStep: {
+  // The block counts were added at nest entry; only the tick advances here,
+  // so a long live nest still polls the token.
+  const int64_t a = asInt(f[ip->a]);
+  const int64_t b = asInt(f[ip->b]);
+  const unsigned outcome = (a > b) * 2 + (a == b);
+  f[ip->dst] = (ip->aux >> outcome) & 1;
+  if (cancel != nullptr && (++tick & 0x3FF) == 0) [[unlikely]] {
+    writeBack(cycles, executed, tick);
+    cancel->check(support::Stage::Profile, df.source->name());
+  }
+  ip = ops + ((ip->aux >> (outcome + 3)) & 1 ? ip->c
+                                              : static_cast<uint32_t>(ip->imm));
+  DISPATCH();
+}
 op_Call: {
   // Clang rejects a computed goto that leaves the scope of an object with a
   // destructor, so the callee frame dies in its own block before NEXT().

@@ -7,7 +7,8 @@
 // tree-walking engine lives on as a test-only oracle
 // (tests/oracles/interpreter.h) that must reproduce every Result bit for bit.
 // profile() is the counts-only run the pipeline profiles with: it counts
-// the skippable loop nests in closed form instead of interpreting them
+// the planned loop nests in closed form instead of interpreting them block
+// by block, and runs only the value operations of the live ones
 // (sim/counted_nests.h).
 #pragma once
 
@@ -51,9 +52,11 @@ class Interpreter {
   /// Counts-only run of the entry function with no arguments, for
   /// profiling: the same blockCounts, instructions and totalCycles as run(),
   /// and the same instruction-limit and cancellation errors, but the counted
-  /// nests of CountedNestPlan are not interpreted. returnValue stays empty
-  /// and the memory image is unspecified afterwards. `wpst` must be built
-  /// over this interpreter's module; the first call plans the nests.
+  /// nests of CountedNestPlan are not interpreted block by block: a skipped
+  /// nest is not run at all, a live one runs its value stream. returnValue
+  /// stays empty and the memory image is unspecified afterwards. `wpst`
+  /// must be built over this interpreter's module; the first call plans
+  /// the nests.
   Result profile(const analysis::WPst& wpst);
 
   SimMemory& memory() { return memory_; }

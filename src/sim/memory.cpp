@@ -17,6 +17,15 @@ uint64_t splitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Writes elements 0, 1, ... of an array of T at `out`, in that order.
+template <typename T, typename Element>
+void fill(std::byte* out, uint64_t count, Element&& element) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const T value = element(i);
+    std::memcpy(out + i * sizeof(T), &value, sizeof(T));
+  }
+}
+
 }  // namespace
 
 SimMemory::SimMemory(const ir::Module& module) {
@@ -28,28 +37,52 @@ SimMemory::SimMemory(const ir::Module& module) {
   }
   bytes_.assign(cursor - kBase, std::byte{0});
 
+  // Explicit initializers, else a SplitMix64 sequence drawn element by
+  // element across the uninitialized globals, written as the typed stores
+  // of storeInt/storeFloat would write them.
   uint64_t seed = 0xCA51A0FFULL;
   for (const auto& global : module.globals()) {
-    const ir::Type* elem = global->elemType();
-    uint64_t base = bases_[global.get()];
-    for (uint64_t i = 0; i < global->numElems(); ++i) {
-      uint64_t address = base + i * elem->sizeBytes();
-      if (global->hasInit()) {
-        double v = global->init()[i];
-        if (elem->isFloat()) {
-          storeFloat(address, elem, v);
-        } else {
-          storeInt(address, elem, static_cast<int64_t>(v));
-        }
-      } else if (elem->isFloat()) {
-        // Uniform in [0, 1): keeps accumulations numerically tame.
-        storeFloat(address, elem,
-                   static_cast<double>(splitMix64(seed) >> 11) * 0x1.0p-53);
-      } else {
-        // Small non-negative integers, safe as indices into the array.
-        storeInt(address, elem,
-                 static_cast<int64_t>(splitMix64(seed) % global->numElems()));
-      }
+    const uint64_t n = global->numElems();
+    const std::vector<double>* init =
+        global->hasInit() ? &global->init() : nullptr;
+    // Uniform in [0, 1): keeps accumulations numerically tame.
+    auto real = [&](uint64_t i) {
+      return init != nullptr
+                 ? (*init)[i]
+                 : static_cast<double>(splitMix64(seed) >> 11) * 0x1.0p-53;
+    };
+    // Small non-negative integers, safe as indices into the array. The
+    // parser keeps initializers of integer arrays inside int64's range.
+    auto integer = [&](uint64_t i) {
+      return init != nullptr ? static_cast<int64_t>((*init)[i])
+                             : static_cast<int64_t>(splitMix64(seed) % n);
+    };
+    std::byte* out = bytes_.data() + (bases_[global.get()] - kBase);
+    switch (global->elemType()->kind()) {
+      case ir::Type::Kind::F32:
+        fill<float>(out, n, [&](uint64_t i) {
+          return static_cast<float>(real(i));
+        });
+        break;
+      case ir::Type::Kind::F64:
+        fill<double>(out, n, real);
+        break;
+      case ir::Type::Kind::I1:
+        fill<uint8_t>(out, n, [&](uint64_t i) {
+          return static_cast<uint8_t>(integer(i) != 0);
+        });
+        break;
+      case ir::Type::Kind::I32:
+        fill<int32_t>(out, n, [&](uint64_t i) {
+          return static_cast<int32_t>(integer(i));
+        });
+        break;
+      case ir::Type::Kind::I64:
+      case ir::Type::Kind::Ptr:
+        fill<int64_t>(out, n, integer);
+        break;
+      default:
+        CAYMAN_ASSERT(false, "global of unsupported type " + global->name());
     }
   }
   initialBytes_ = bytes_;

@@ -70,6 +70,37 @@ TEST(ParserHardeningTest, ShortInitializerIsRejected) {
   EXPECT_EQ(d.line, 2);
 }
 
+TEST(ParserHardeningTest, GarbageInitializerElementIsRejected) {
+  // strtod stopped at the first bad character, so "12abc" read as 12.
+  Diagnostic d = expectParseFailure(
+      "module \"m\" {\n"
+      "global @g : f64[2] = [1.5, 12abc]\n"
+      "}\n");
+  EXPECT_NE(d.message.find("invalid element '12abc'"), std::string::npos)
+      << d.message;
+  EXPECT_NE(d.message.find("@g"), std::string::npos) << d.message;
+  EXPECT_EQ(d.line, 2);
+}
+
+TEST(ParserHardeningTest, IntegerInitializerOutsideInt64IsRejected) {
+  // SimMemory converts each element of an integer array to int64, which is
+  // undefined for these values.
+  for (const char* element :
+       {"1e300", "-1e300", "nan", "inf", "9223372036854775808"}) {
+    Diagnostic d = expectParseFailure(
+        std::string("module \"m\" {\nglobal @big : i64[2] = [0, ") +
+        element + "]\n}\n");
+    EXPECT_NE(d.message.find("@big is outside the range"), std::string::npos)
+        << element << ": " << d.message;
+  }
+  // The ends of the range, and a float array's non-finite values, parse.
+  EXPECT_TRUE(parseModuleExpected("module \"m\" {\n"
+                                  "global @g : i32[2] = "
+                                  "[-9223372036854775808, 9.2e18]\n"
+                                  "global @f : f64[2] = [nan, -inf]\n}\n")
+                  .ok());
+}
+
 TEST(ParserHardeningTest, OversizedInitializerIsRejected) {
   Diagnostic d = expectParseFailure(
       "module \"m\" {\n"
