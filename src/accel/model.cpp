@@ -1,7 +1,6 @@
 #include "accel/model.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -14,39 +13,6 @@ namespace cayman::accel {
 using analysis::Loop;
 using analysis::Region;
 using analysis::RegionKind;
-
-namespace {
-
-/// Process-wide count (and high-water mark) of generateUncached bodies in
-/// flight, across all models: the injected-stall overlap tests read the peak
-/// to prove distinct workloads really generated concurrently, and
-/// wall-mode metrics export it as the model.cold_inflight_peak gauge.
-std::atomic<int64_t> g_coldInflight{0};
-std::atomic<int64_t> g_coldInflightPeak{0};
-
-struct ColdInflightScope {
-  ColdInflightScope() {
-    int64_t now = g_coldInflight.fetch_add(1, std::memory_order_relaxed) + 1;
-    int64_t peak = g_coldInflightPeak.load(std::memory_order_relaxed);
-    while (now > peak && !g_coldInflightPeak.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-    support::trace::gaugeMax("model.cold_inflight_peak", now);
-  }
-  ~ColdInflightScope() {
-    g_coldInflight.fetch_sub(1, std::memory_order_relaxed);
-  }
-};
-
-}  // namespace
-
-int64_t coldGenerationInflightPeak() {
-  return g_coldInflightPeak.load(std::memory_order_relaxed);
-}
-
-void resetColdGenerationInflightPeak() {
-  g_coldInflightPeak.store(0, std::memory_order_relaxed);
-}
 
 AcceleratorModel::AcceleratorModel(const analysis::WPst& wpst,
                                    const sim::ProfileData& profile,
@@ -270,7 +236,6 @@ void AcceleratorModel::warmGenerateCache() const {
 
 std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
     const Region* region) const {
-  ColdInflightScope inflight;
   if (params_.injectGenerateStallUs > 0) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(params_.injectGenerateStallUs));

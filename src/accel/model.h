@@ -218,13 +218,4 @@ class AcceleratorModel {
       generateSlots_;
 };
 
-/// Process-wide high-water mark of concurrently running cold candidate
-/// generations (generateUncached bodies, all models). Exported as the
-/// model.cold_inflight_peak gauge in wall-clock trace mode; tests read it
-/// directly to prove cold generations of distinct workloads overlapped.
-int64_t coldGenerationInflightPeak();
-/// Resets the peak (tests only; the gauge in an already-attached trace
-/// recorder keeps its high-water mark).
-void resetColdGenerationInflightPeak();
-
 }  // namespace cayman::accel

@@ -27,7 +27,7 @@ struct MetricsOptions {
   /// executes which task is schedule-dependent, so these values would break
   /// deterministic byte-identity.
   std::vector<std::pair<std::string, uint64_t>> globalCounters;
-  /// Global gauges (model.cold_inflight_peak, pool.workers) from
+  /// Global gauges (pool.workers) from
   /// TraceRecorder::gauges(). Same wall-mode-only export rule.
   std::vector<std::pair<std::string, int64_t>> gauges;
 };

@@ -32,7 +32,6 @@ struct SchedNode {
   unsigned predBegin = 0;
   unsigned predEnd = 0;
   unsigned finish = 0;  ///< in the instance being scheduled
-  unsigned start0 = 0;  ///< start cycle in instance 0
 };
 
 /// Scratchpad banks of one resource key (a backing array, else a single
@@ -47,7 +46,7 @@ struct BankGroup {
 };
 
 /// Per-thread working storage, reused across calls so scheduling a block
-/// allocates nothing but its result.
+/// allocates nothing once the vectors have grown.
 struct SchedScratch {
   std::vector<SchedNode> nodes;
   std::vector<std::pair<const ir::Instruction*, unsigned>> index;
@@ -95,7 +94,8 @@ const void* Scheduler::bankKey(const AccessIface& iface,
 
 BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
                                        const IfaceAssignment& ifaces,
-                                       unsigned unroll) const {
+                                       unsigned unroll,
+                                       std::vector<unsigned>* starts) const {
   CAYMAN_ASSERT(unroll >= 1, "unroll factor must be >= 1");
   ++blockCalls_;
   support::trace::count("sched.block_calls", 1);
@@ -192,6 +192,7 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
     bankSlots += group.capacity;
   }
   scratch.bankFree.assign(bankSlots, 0);
+  if (starts != nullptr) starts->clear();
 
   // Resource state shared across unroll instances: the coupled port's next
   // free cycle and each scratchpad bank's next free cycle (greedy).
@@ -223,17 +224,12 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
             break;  // private FIFO: no shared resource
         }
       }
-      if (instance == 0) node.start0 = startCycle;
+      if (starts != nullptr) starts->push_back(startCycle);
       node.finish = startCycle + node.latency;
       overallFinish = std::max(overallFinish, node.finish);
     }
   }
   result.latency = nodes.empty() ? 1 : std::max(1u, overallFinish);
-
-  // `index` is sorted by instruction, so every insertion lands at the end.
-  for (const auto& [inst, i] : index) {
-    result.start.emplace_hint(result.start.end(), inst, nodes[i].start0);
-  }
   return result;
 }
 

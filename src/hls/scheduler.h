@@ -3,6 +3,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "analysis/memdep.h"
 #include "hls/interface.h"
@@ -20,8 +21,6 @@ struct BlockSchedule {
   double regAreaUm2 = 0.0;
   /// Number of scheduled operations (one unroll instance).
   unsigned numOps = 0;
-  /// Start cycle per instruction (first unroll instance).
-  std::map<const ir::Instruction*, unsigned> start;
 };
 
 /// Thread-compatible: scheduleBlock() counts its calls in a plain member, so
@@ -41,9 +40,13 @@ class Scheduler {
 
   /// Schedules one basic block with `unroll` parallel instances (used to
   /// model unrolled loop bodies: compute replicates, memory ports contend).
+  /// When `starts` is given (tests only), it receives the start cycle of
+  /// every scheduled op in every instance, at [instance * numOps + k] for
+  /// the block's k-th scheduled op (phis and the terminator are not).
   BlockSchedule scheduleBlock(const ir::BasicBlock& block,
                               const IfaceAssignment& ifaces,
-                              unsigned unroll = 1) const;
+                              unsigned unroll = 1,
+                              std::vector<unsigned>* starts = nullptr) const;
 
   /// Resource-constrained minimum II for a pipelined body block.
   unsigned resMII(const ir::BasicBlock& block, const IfaceAssignment& ifaces,

@@ -208,21 +208,24 @@ class Parser {
     return type;
   }
 
-  /// One initializer element of `global`. The whole token must be a
-  /// number, and an integer array's element must lie in int64's range
-  /// (converting anything else to int64 is undefined).
-  static double initElement(Cursor& c, const GlobalArray& global) {
-    const std::string token = c.number();
+  /// The value of numeric literal `token` of scalar type `type`: an
+  /// element of `global`'s initializer, else an operand constant. The whole
+  /// token must be a number, and an integer's value must lie in int64's
+  /// range (converting anything else to int64 is undefined).
+  static double literalValue(Cursor& c, const Type* type,
+                             const std::string& token,
+                             const GlobalArray* global = nullptr) {
+    auto name = [&] {
+      return global != nullptr ? "element '" + token +
+                                     "' in the initializer for @" +
+                                     global->name()
+                               : "constant '" + token + "'";
+    };
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      c.fail("invalid element '" + token + "' in the initializer for @" +
-             global.name());
-    }
-    if (!global.elemType()->isFloat() &&
-        !(value >= -0x1p63 && value < 0x1p63)) {
-      c.fail("element '" + token + "' of @" + global.name() +
-             " is outside the range of a 64-bit integer");
+    if (end != token.c_str() + token.size()) c.fail("invalid " + name());
+    if (!type->isFloat() && !(value >= -0x1p63 && value < 0x1p63)) {
+      c.fail(name() + " is outside the range of a 64-bit integer");
     }
     return value;
   }
@@ -262,7 +265,8 @@ class Parser {
             c.fail("initializer for @" + global->name() + " has more than " +
                    std::to_string(numElems) + " elements");
           }
-          init.push_back(initElement(c, *global));
+          init.push_back(
+              literalValue(c, global->elemType(), c.number(), global));
           if (c.tryConsume("]")) break;
           c.expect(",");
         }
@@ -418,14 +422,13 @@ class Parser {
     // Literal constant.
     if (type == nullptr) c.fail("literal constant in an untyped position");
     std::string text = c.number();
-    if (type->isFloat()) {
-      return module_->constFP(type, std::strtod(text.c_str(), nullptr));
+    if (!type->isFloat() && !type->isInteger()) {
+      c.fail("literal constant cannot have pointer type");
     }
-    if (type->isInteger()) {
-      return module_->constInt(type,
-                               std::strtoll(text.c_str(), nullptr, 10));
-    }
-    c.fail("literal constant cannot have pointer type");
+    const double value = literalValue(c, type, text);
+    if (type->isFloat()) return module_->constFP(type, value);
+    // Exact, where the double would round integers beyond 2^53.
+    return module_->constInt(type, std::strtoll(text.c_str(), nullptr, 10));
   }
 
   BasicBlock* parseBlockRef(Cursor& c, Function* function) {

@@ -90,17 +90,6 @@ void TraceRecorder::setGauge(std::string_view name, int64_t value) {
   gauges_.emplace_back(name, value);
 }
 
-void TraceRecorder::setGaugeMax(std::string_view name, int64_t value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [existing, slot] : gauges_) {
-    if (existing == name) {
-      if (value > slot) slot = value;
-      return;
-    }
-  }
-  gauges_.emplace_back(name, value);
-}
-
 std::vector<TaskRecord> TraceRecorder::drainTasks() {
   std::vector<TaskRecord> result;
   {
@@ -264,11 +253,6 @@ void addStageSeconds(std::string_view stage, double seconds) {
 void gauge(std::string_view name, int64_t value) {
   if (!on()) return;
   TraceRecorder::global().setGauge(name, value);
-}
-
-void gaugeMax(std::string_view name, int64_t value) {
-  if (!on()) return;
-  TraceRecorder::global().setGaugeMax(name, value);
 }
 
 namespace {

@@ -89,10 +89,6 @@ class TraceRecorder {
   void countGlobal(std::string_view name, uint64_t delta);
   /// Global gauges: last-written values (e.g. pool.workers). Thread-safe.
   void setGauge(std::string_view name, int64_t value);
-  /// Raises gauge `name` to at least `value` — a monotonic high-water mark
-  /// (e.g. model.cold_inflight_peak), safe against racing late writers that
-  /// would regress a last-write gauge. Thread-safe.
-  void setGaugeMax(std::string_view name, int64_t value);
 
   /// Takes every published task record, sorted by (index, unit); the
   /// recorder keeps running. Orphan buffers of live threads stay attached.
@@ -169,9 +165,6 @@ void addStageSeconds(std::string_view stage, double seconds);
 
 /// Sets a global gauge (no-op when tracing is off).
 void gauge(std::string_view name, int64_t value);
-
-/// Raises a global gauge to at least `value` (no-op when tracing is off).
-void gaugeMax(std::string_view name, int64_t value);
 
 /// Names this thread's orphan record (e.g. "pool-worker-3") instead of the
 /// default publish-order "thread-<n>" label. Wall-mode traces only.

@@ -1,6 +1,7 @@
 // Shared kernel builders for the test suite.
 #pragma once
 
+#include "hls/interface.h"
 #include "ir/verifier.h"
 #include "workloads/kernel_builder.h"
 
@@ -64,6 +65,34 @@ inline std::unique_ptr<ir::Module> chainKernel(int64_t n = 64) {
   kb.endFunction();
   ir::verifyOrThrow(*module);
   return module;
+}
+
+/// One-block function `f` whose single block `body` the caller fills, with
+/// two f64 globals x and y. Loads and stores address the globals directly,
+/// so hand-scheduled blocks need no address arithmetic.
+struct HandBlock {
+  ir::Module module{"hand"};
+  ir::GlobalArray* x = module.addGlobal("x", ir::Type::f64(), 8);
+  ir::GlobalArray* y = module.addGlobal("y", ir::Type::f64(), 8);
+  ir::Function* fn = module.addFunction("f", ir::Type::voidTy(), {});
+  ir::BasicBlock* body = fn->addBlock("body");
+  ir::IRBuilder b{&module};
+
+  HandBlock() { b.setInsertPoint(body); }
+
+  static hls::AccessIface iface(hls::IfaceKind kind,
+                                const ir::GlobalArray* array,
+                                unsigned partitions = 1) {
+    hls::AccessIface result;
+    result.kind = kind;
+    result.array = array;
+    result.partitions = partitions;
+    return result;
+  }
+};
+
+inline const ir::Instruction* asInst(const ir::Value* value) {
+  return ir::dynCast<ir::Instruction>(value);
 }
 
 }  // namespace cayman::testing

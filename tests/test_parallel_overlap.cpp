@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/model.h"
 #include "cayman/driver.h"
 
 namespace cayman {
@@ -40,20 +39,16 @@ TEST(ParallelOverlapTest, InjectedStallsOverlapAcrossWorkloads) {
   // so this run is genuinely serial.
   auto [serialSeconds, serialTable] = timedRun(1);
 
-  accel::resetColdGenerationInflightPeak();
   auto [parallelSeconds, parallelTable] = timedRun(2);
   unsetenv("CAYMAN_INJECT_SLOW");
 
   // Determinism: the table is byte-identical whatever the schedule.
   EXPECT_EQ(parallelTable, serialTable);
 
-  // The stalls overlapped: two cold generations were in flight at once ...
-  EXPECT_GE(accel::coldGenerationInflightPeak(), 2);
-
-  // ... and the wall clock proves it. Whole workloads are the only tasks,
-  // so the best jobs=2 ratio is atax's stalled time over atax's plus
-  // bicg's: about 0.58, set by the two workloads' region counts. 0.6
-  // leaves about 2% of the serial time as scheduling slack.
+  // The wall clock proves the stalls overlapped. Whole workloads are the
+  // only tasks, so the best jobs=2 ratio is atax's stalled time over
+  // atax's plus bicg's: about 0.58, set by the two workloads' region
+  // counts. 0.6 leaves about 2% of the serial time as scheduling slack.
   EXPECT_LE(parallelSeconds, 0.6 * serialSeconds)
       << "jobs=2 took " << parallelSeconds << "s vs jobs=1 "
       << serialSeconds << "s";

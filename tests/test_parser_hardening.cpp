@@ -101,6 +101,48 @@ TEST(ParserHardeningTest, IntegerInitializerOutsideInt64IsRejected) {
                   .ok());
 }
 
+TEST(ParserHardeningTest, GarbageOperandConstantIsRejected) {
+  // strtoll stopped at the first bad character, so "12abc" read as 12.
+  for (const char* constant : {"12abc", "1.5.5", "7-"}) {
+    Diagnostic d = expectParseFailure(
+        std::string("module \"m\" {\nfunc @main() -> i64 {\nentry:\n"
+                    "  %a = add i64 ") +
+        constant + ", 1\n  ret i64 %a\n}\n}\n");
+    EXPECT_NE(d.message.find(std::string("invalid constant '") + constant +
+                             "'"),
+              std::string::npos)
+        << d.message;
+    EXPECT_EQ(d.line, 4);
+  }
+  Diagnostic d = expectParseFailure(
+      "module \"m\" {\nfunc @main() -> f64 {\nentry:\n"
+      "  %a = fadd f64 1.0, 2.5x\n  ret f64 %a\n}\n}\n");
+  EXPECT_NE(d.message.find("invalid constant '2.5x'"), std::string::npos)
+      << d.message;
+}
+
+TEST(ParserHardeningTest, IntegerOperandOutsideInt64IsRejected) {
+  // strtoll clamped these to INT64_MAX / INT64_MIN without a word.
+  for (const char* constant : {"99999999999999999999999", "9223372036854775808",
+                               "-1e300", "nan", "inf"}) {
+    Diagnostic d = expectParseFailure(
+        std::string("module \"m\" {\nfunc @main() -> i64 {\nentry:\n"
+                    "  %a = add i64 1, 2\n  %b = add i64 %a, ") +
+        constant + "\n  ret i64 %b\n}\n}\n");
+    EXPECT_NE(d.message.find("is outside the range of a 64-bit integer"),
+              std::string::npos)
+        << constant << ": " << d.message;
+    EXPECT_EQ(d.line, 5) << constant;
+  }
+  // The ends of the range, and a float's non-finite values, still parse.
+  auto parsed = parseModuleExpected(
+      "module \"m\" {\nfunc @main() -> i64 {\nentry:\n"
+      "  %a = add i64 -9223372036854775808, 9223372036854774784\n"
+      "  %f = fadd f64 nan, -inf\n"
+      "  ret i64 %a\n}\n}\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.diagnostic().message;
+}
+
 TEST(ParserHardeningTest, OversizedInitializerIsRejected) {
   Diagnostic d = expectParseFailure(
       "module \"m\" {\n"

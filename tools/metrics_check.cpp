@@ -224,10 +224,6 @@ void checkGlobal(const Value& global) {
           fail(where, "gauge '" + name + "' is not an integer");
         }
       }
-      const Value* peak = gauges->find("model.cold_inflight_peak");
-      if (peak != nullptr && peak->isInt() && peak->intValue() < 0) {
-        fail(where, "model.cold_inflight_peak is negative");
-      }
     }
   }
 }
