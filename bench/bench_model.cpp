@@ -1,11 +1,12 @@
 // Accelerator-model micro-benchmarks (google-benchmark): candidate
 // generation on the largest workloads, cold (fresh model, eager
 // warmGenerateCache over every candidate region) and warm (memoized
-// generate() reads), plus a synthetic deep-loop-nest stress kernel whose
-// every level is a candidate region. The per-iteration counters report each
-// cold sweep's estimate()/scheduleBlock() totals (DESIGN.md §12 has the
-// sweep-wide counter table). The cjpeg/3mm rows keep their `_guided` suffix
-// so they stay comparable with the recorded history.
+// generate() reads), the cold generation of both models over all 28
+// workloads (`BM_GenerateCold/all`), plus a synthetic deep-loop-nest stress
+// kernel whose every level is a candidate region. The per-iteration
+// counters report each cold sweep's estimate()/scheduleBlock() totals
+// (DESIGN.md §12 has the sweep-wide counter table). The cjpeg/3mm rows keep
+// their `_guided` suffix so they stay comparable with the recorded history.
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
@@ -39,6 +40,56 @@ void BM_GenerateCold(benchmark::State& state, const char* workload) {
 }
 BENCHMARK_CAPTURE(BM_GenerateCold, cjpeg_guided, "cjpeg");
 BENCHMARK_CAPTURE(BM_GenerateCold, 3mm_guided, "3mm");
+
+// Cold generation sweep-wide: for each of the 28 workloads, fresh Cayman
+// and QsCores-restricted models generate the regions a budget-0.25
+// evaluate() generates (the selector's pre-pass skips the subtrees the
+// hot-fraction prune cuts), as one evaluate-all row's Select and Baselines
+// stages do.
+void BM_GenerateColdAll(benchmark::State& state) {
+  struct Workload {
+    std::unique_ptr<Framework> fw;
+    std::vector<const analysis::Region*> cayman;
+    std::vector<const analysis::Region*> qscores;
+  };
+  std::vector<Workload> sweep;
+  for (const workloads::WorkloadInfo& info : workloads::all()) {
+    Workload w;
+    w.fw = std::make_unique<Framework>(workloads::build(info.name));
+    w.fw->evaluate(0.25);
+    for (const analysis::Region* region : w.fw->wpst().allRegions()) {
+      if (w.fw->model().generated(region)) w.cayman.push_back(region);
+      if (w.fw->qscores().model().generated(region)) {
+        w.qscores.push_back(region);
+      }
+    }
+    sweep.push_back(std::move(w));
+  }
+  uint64_t estimates = 0;
+  uint64_t schedules = 0;
+  for (auto _ : state) {
+    estimates = 0;
+    schedules = 0;
+    for (const Workload& w : sweep) {
+      accel::AcceleratorModel cayman(w.fw->wpst(), w.fw->profile(),
+                                     w.fw->tech(), hls::InterfaceTiming{},
+                                     w.fw->model().params());
+      for (const analysis::Region* region : w.cayman) cayman.generate(region);
+      accel::AcceleratorModel qscores(
+          w.fw->wpst(), w.fw->profile(), w.fw->tech(),
+          baselines::QsCoresFlow::scanChainTiming(),
+          baselines::QsCoresFlow::restrictedParams());
+      for (const analysis::Region* region : w.qscores) {
+        qscores.generate(region);
+      }
+      estimates += cayman.estimateCalls() + qscores.estimateCalls();
+      schedules += cayman.scheduleBlockCalls() + qscores.scheduleBlockCalls();
+    }
+  }
+  state.counters["estimates"] = static_cast<double>(estimates);
+  state.counters["schedules"] = static_cast<double>(schedules);
+}
+BENCHMARK(BM_GenerateColdAll)->Name("BM_GenerateCold/all");
 
 // Warm generation: every call is a memoized cache read; this is what the
 // selector's pre-pass sees on repeated budget sweeps over one Framework.

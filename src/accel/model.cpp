@@ -26,14 +26,63 @@ AcceleratorModel::AcceleratorModel(const analysis::WPst& wpst,
       params_(std::move(params)),
       generateSlots_(wpst.allRegions().size()) {}
 
+AcceleratorModel::FunctionTables& AcceleratorModel::tablesFor(
+    const ir::Function* function) const {
+  for (const std::unique_ptr<FunctionTables>& tables : tables_) {
+    if (tables->function == function) return *tables;
+  }
+  auto tables = std::make_unique<FunctionTables>();
+  const analysis::FunctionAnalyses& fa = analysesFor(function);
+  tables->function = function;
+  tables->analyses = &fa;
+  for (const auto& block : function->blocks()) {
+    tables->accessBegin.push_back(
+        static_cast<uint32_t>(tables->accesses.size()));
+    tables->blockCounts.push_back(profile_.blockCount(block.get()));
+    const Loop* loop = fa.loops.loopFor(block.get());
+    for (const auto& inst : block->instructions()) {
+      if (!inst->isMemoryAccess()) continue;
+      const analysis::MemAccessInfo* info = fa.mem.infoFor(inst.get());
+      AccessEntry entry;
+      entry.inst = inst.get();
+      entry.array =
+          info != nullptr && info->addr.valid ? info->addr.base : nullptr;
+      entry.loop = loop;
+      tables->accesses.push_back(entry);
+    }
+  }
+  tables->accessBegin.push_back(
+      static_cast<uint32_t>(tables->accesses.size()));
+  tables->blocks.resize(function->blocks().size());
+  for (const std::unique_ptr<Loop>& loop : fa.loops.loops()) {
+    LoopEntry entry;
+    entry.canUnroll = canUnroll(loop.get(), fa);
+    // Static, else profiled, else the fallback.
+    analysis::TripCount staticTrip = fa.scev.tripCount(loop.get());
+    if (staticTrip.known) {
+      entry.tripCount = static_cast<double>(staticTrip.value);
+    } else {
+      double profiled = profile_.avgTripCount(loop.get());
+      entry.tripCount = profiled > 0.0
+                            ? profiled
+                            : static_cast<double>(params_.unknownTripFallback);
+    }
+    tables->loops.push_back(entry);
+  }
+  tables_.push_back(std::move(tables));
+  return *tables_.back();
+}
+
+std::span<AcceleratorModel::AccessEntry> AcceleratorModel::accessesOf(
+    FunctionTables& tables, const ir::BasicBlock* block) {
+  return std::span<AccessEntry>(tables.accesses)
+      .subspan(tables.accessBegin[block->index()],
+               tables.accessBegin[block->index() + 1] -
+                   tables.accessBegin[block->index()]);
+}
+
 double AcceleratorModel::tripCount(const Loop* loop) const {
-  const analysis::FunctionAnalyses& fa =
-      analysesFor(loop->header()->parent());
-  analysis::TripCount staticTrip = fa.scev.tripCount(loop);
-  if (staticTrip.known) return static_cast<double>(staticTrip.value);
-  double profiled = profile_.avgTripCount(loop);
-  if (profiled > 0.0) return profiled;
-  return static_cast<double>(params_.unknownTripFallback);
+  return tablesFor(loop->header()->parent()).loops[loop->index()].tripCount;
 }
 
 bool AcceleratorModel::isPipelineable(const Region* loopRegion) const {
@@ -98,15 +147,15 @@ bool AcceleratorModel::isPromotable(
 }
 
 std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
-    const Region* region, unsigned unroll, bool optimize) const {
+    FunctionTables& tables, const Region* region, unsigned unroll,
+    bool optimize) const {
   std::vector<LoopConfig> configs;
-  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
   region->walk([&](const Region& r) {
     if (r.kind() != RegionKind::Loop) return;
     LoopConfig lc;
     lc.loop = r.loop();
     if (optimize && isPipelineable(&r)) {
-      lc.unroll = canUnroll(r.loop(), fa) ? unroll : 1;
+      lc.unroll = tables.loops[r.loop()->index()].canUnroll ? unroll : 1;
       lc.pipelined = true;
     }
     configs.push_back(lc);
@@ -115,40 +164,40 @@ std::vector<LoopConfig> AcceleratorModel::makeLoopConfigs(
 }
 
 std::vector<AcceleratorModel::AccessFacts> AcceleratorModel::accessFacts(
-    const Region* region) const {
+    FunctionTables& tables, const Region* region) const {
   std::vector<AccessFacts> facts;
-  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
+  const analysis::MemoryAnalysis& mem = tables.analyses->mem;
   uint64_t entries = std::max<uint64_t>(1, profile_.entries(region));
   for (const ir::BasicBlock* block : region->blocks()) {
-    for (const auto& inst : block->instructions()) {
-      if (!inst->isMemoryAccess()) continue;
-      const analysis::MemAccessInfo* info = fa.mem.infoFor(inst.get());
+    double countPerEntry =
+        static_cast<double>(tables.blockCounts[block->index()]) /
+        static_cast<double>(entries);
+    for (AccessEntry& access : accessesOf(tables, block)) {
       AccessFacts f;
-      f.inst = inst.get();
-      f.array = info != nullptr && info->addr.valid ? info->addr.base : nullptr;
-      f.countPerEntry = static_cast<double>(profile_.blockCount(block)) /
-                        static_cast<double>(entries);
-      f.loop = fa.loops.loopFor(block);
-      f.footprintElems = fa.mem.footprintElems(inst.get(), region,
-                                               params_.unknownTripFallback);
+      f.access = &access;
+      f.countPerEntry = countPerEntry;
+      f.footprintElems = mem.footprintElems(access.inst, region,
+                                            params_.unknownTripFallback);
       facts.push_back(f);
     }
   }
-  // Instruction order, so assignInterfaces() appends every map entry at the
-  // end instead of searching the tree (the rules are per access, so the
-  // visiting order cannot change an assignment).
+  // Instruction order, so assignInterfaces() appends every entry at the
+  // end of the assignment (the rules are per access, so the visiting order
+  // cannot change an assignment).
   std::sort(facts.begin(), facts.end(),
             [](const AccessFacts& a, const AccessFacts& b) {
-              return std::less<const ir::Instruction*>{}(a.inst, b.inst);
+              return std::less<const ir::Instruction*>{}(a.access->inst,
+                                                         b.access->inst);
             });
   return facts;
 }
 
 hls::IfaceAssignment AcceleratorModel::assignInterfaces(
-    const Region* region, std::vector<AccessFacts>& facts,
+    FunctionTables& tables, std::vector<AccessFacts>& facts,
     const std::vector<LoopConfig>& loops) const {
   hls::IfaceAssignment assignment;
-  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
+  assignment.reserve(facts.size());
+  const analysis::FunctionAnalyses& fa = *tables.analyses;
 
   auto loopConfig = [&](const Loop* loop) -> const LoopConfig* {
     for (const LoopConfig& lc : loops) {
@@ -158,19 +207,21 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
   };
 
   // The rules in priority order; each access takes the first that applies.
-  auto choose = [&](AccessFacts& f) {
+  auto choose = [&](const AccessFacts& f) {
+    AccessEntry& access = *f.access;
     hls::AccessIface iface;
     iface.kind = hls::IfaceKind::Coupled;
-    iface.array = f.array;
-    const LoopConfig* lc = f.loop != nullptr ? loopConfig(f.loop) : nullptr;
+    iface.array = access.array;
+    const LoopConfig* lc =
+        access.loop != nullptr ? loopConfig(access.loop) : nullptr;
     bool pipelined = lc != nullptr && lc->pipelined;
 
     // Register promotion inside pipelined loops: a loop-invariant scalar
     // slot is held in a register; the load/store bracket the loop.
-    if (pipelined && !f.promotable.has_value()) {
-      f.promotable = isPromotable(f.inst, f.loop, fa);
+    if (pipelined && !access.promotable.has_value()) {
+      access.promotable = isPromotable(access.inst, access.loop, fa);
     }
-    if (pipelined && *f.promotable) {
+    if (pipelined && *access.promotable) {
       iface.promoted = true;
       return iface;
     }
@@ -194,8 +245,10 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
 
     // Decoupled rule: stream accesses inside pipelined loops reach II=1.
     if (params_.allowDecoupled && pipelined) {
-      if (!f.stream.has_value()) f.stream = fa.mem.isStream(f.inst, f.loop);
-      if (*f.stream) {
+      if (!access.stream.has_value()) {
+        access.stream = fa.mem.isStream(access.inst, access.loop);
+      }
+      if (*access.stream) {
         iface.kind = hls::IfaceKind::Decoupled;
         return iface;
       }
@@ -203,9 +256,9 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
     return iface;  // coupled fallback (area saving)
   };
 
-  // `facts` ascend by instruction, so each entry lands at the map's end.
-  for (AccessFacts& f : facts) {
-    assignment.emplace_hint(assignment.end(), f.inst, choose(f));
+  // `facts` ascend by instruction, so each entry lands at the end.
+  for (const AccessFacts& f : facts) {
+    assignment.emplace_hint(assignment.end(), f.access->inst, choose(f));
   }
   return assignment;
 }
@@ -285,18 +338,21 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateUncached(
 AcceleratorConfig AcceleratorModel::ladderConfig(const Region* region,
                                                  unsigned unroll,
                                                  bool optimize) const {
-  std::vector<AccessFacts> facts = accessFacts(region);
+  FunctionTables& tables = tablesFor(region->function());
+  std::vector<AccessFacts> facts = accessFacts(tables, region);
   AcceleratorConfig config;
   config.region = region;
-  config.loops = makeLoopConfigs(region, unroll, optimize);
-  config.ifaces = assignInterfaces(region, facts, config.loops);
+  config.loops = makeLoopConfigs(tables, region, unroll, optimize);
+  config.ifaces = assignInterfaces(tables, facts, config.loops);
   return config;
 }
 
-double AcceleratorModel::iiTreeTerm(
-    const Region* region, const std::vector<LoopConfig>& loops,
-    const hls::IfaceAssignment& ifaces) const {
-  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
+double AcceleratorModel::iiTreeTerm(const Region* region,
+                                    const std::vector<LoopConfig>& loops,
+                                    const hls::IfaceAssignment& ifaces,
+                                    std::vector<LoopII>& iis) const {
+  FunctionTables& tables = tablesFor(region->function());
+  const analysis::FunctionAnalyses& fa = *tables.analyses;
   double total = 0.0;
   region->walk([&](const Region& r) {
     if (r.kind() != RegionKind::Loop) return;
@@ -323,11 +379,15 @@ double AcceleratorModel::iiTreeTerm(
     unsigned unroll = std::max(1u, lc->unroll);
     double entries =
         std::max<double>(1.0, static_cast<double>(profile_.entries(&r)));
-    double iterations = std::ceil(tripCount(r.loop()) /
-                                  static_cast<double>(unroll));
+    double iterations =
+        std::ceil(tables.loops[r.loop()->index()].tripCount /
+                  static_cast<double>(unroll));
+    const hls::BlockPlan& plan = planFor(tables, *body);
     unsigned ii = std::max(
         scheduler_.recMII(fa.mem.carriedDeps(r.loop()), ifaces),
-        scheduler_.resMII(*body, ifaces, unroll));
+        scheduler_.resMII(plan, hls::Scheduler::signature(plan, ifaces),
+                          unroll));
+    iis.push_back(LoopII{r.loop(), ii});
     double perEntry = static_cast<double>(hls::Scheduler::pipelinedCycles(
         static_cast<uint64_t>(iterations), 0, ii));
     for (unsigned lanes = unroll; lanes > 1; lanes /= 2) {
@@ -346,7 +406,8 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
   });
 
   auto makeConfig = [&](std::vector<LoopConfig> loops,
-                        hls::IfaceAssignment ifaces) {
+                        hls::IfaceAssignment ifaces,
+                        std::span<const LoopII> iis) {
     if (params_.cancel != nullptr) {
       params_.cancel->check(support::Stage::Select, region->label());
     }
@@ -354,17 +415,19 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     config.region = region;
     config.loops = std::move(loops);
     config.ifaces = std::move(ifaces);
-    estimate(config);
+    estimateWith(config, iis);
     return config;
   };
 
+  FunctionTables& tables = tablesFor(region->function());
   std::vector<AcceleratorConfig> result;
-  std::vector<AccessFacts> facts = accessFacts(region);
+  std::vector<AccessFacts> facts = accessFacts(tables, region);
   // Cheapest point: fully sequential.
   {
-    std::vector<LoopConfig> loops = makeLoopConfigs(region, 1, false);
-    hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
-    result.push_back(makeConfig(std::move(loops), std::move(ifaces)));
+    std::vector<LoopConfig> loops =
+        makeLoopConfigs(tables, region, 1, false);
+    hls::IfaceAssignment ifaces = assignInterfaces(tables, facts, loops);
+    result.push_back(makeConfig(std::move(loops), std::move(ifaces), {}));
   }
   const std::vector<LoopConfig>& baselineLoops = result.front().loops;
   if (!hasLoops || !params_.optimizeControlFlow) return result;
@@ -379,18 +442,21 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     std::vector<LoopConfig> loops;
     hls::IfaceAssignment ifaces;
     double iiTerm = 0.0;
+    std::vector<LoopII> iis;
   };
   std::vector<Point> admitted;
   double bestTerm = std::numeric_limits<double>::infinity();
   for (unsigned unroll : kUnrollFactors) {
-    std::vector<LoopConfig> loops = makeLoopConfigs(region, unroll, true);
+    std::vector<LoopConfig> loops =
+        makeLoopConfigs(tables, region, unroll, true);
     // Structural dedupe: ladder points that bind no loop collapse.
     if (loops == baselineLoops) continue;
     bool duplicate = false;
     for (const Point& p : admitted) duplicate |= p.loops == loops;
     if (duplicate) continue;
-    hls::IfaceAssignment ifaces = assignInterfaces(region, facts, loops);
-    double term = iiTreeTerm(region, loops, ifaces);
+    hls::IfaceAssignment ifaces = assignInterfaces(tables, facts, loops);
+    std::vector<LoopII> iis;
+    double term = iiTreeTerm(region, loops, ifaces, iis);
     // MII admission filter: a wider point whose recurrence/resource II term
     // does not strictly improve is dominated — depth and area only grow
     // with width. This is also what skips pipelining/unrolling wholesale
@@ -399,7 +465,8 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
     // can still step down at the iteration-collapse cliff.
     if (term >= bestTerm) continue;
     bestTerm = term;
-    admitted.push_back(Point{std::move(loops), std::move(ifaces), term});
+    admitted.push_back(
+        Point{std::move(loops), std::move(ifaces), term, std::move(iis)});
   }
 
   // Guarded estimation walk: g tracks the measured unroll-invariant-plus-
@@ -412,7 +479,7 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
   for (Point& p : admitted) {
     if (estimatedAny && gLower + p.iiTerm >= bestCycles) continue;
     AcceleratorConfig config =
-        makeConfig(std::move(p.loops), std::move(p.ifaces));
+        makeConfig(std::move(p.loops), std::move(p.ifaces), p.iis);
     gLower = std::max(gLower, config.cycles - p.iiTerm);
     bestCycles = std::min(bestCycles, config.cycles);
     estimatedAny = true;
@@ -421,61 +488,63 @@ std::vector<AcceleratorConfig> AcceleratorModel::generateGuided(
   return result;
 }
 
-const hls::BlockSchedule& AcceleratorModel::scheduleBlockCached(
+hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
     const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
     unsigned unroll) const {
-  // The scheduler reads the assignment only through per-instruction
-  // ifaceFor() lookups, so the AccessIface of each memory access (in program
-  // order, defaulted like the scheduler defaults unmapped accesses) is a
-  // complete cache key for this (block, width). Normalized to the fields the
-  // schedule can observe: a promoted access is register-held (latency 0, no
-  // port, exempt from memory ordering) regardless of its other fields, and
-  // footprintBytes only prices scratchpad area in interfaceCosts(), never the
-  // schedule — collapsing them turns nesting-level beta-rule variations of
-  // one block into cache hits.
-  // Built in a per-thread buffer; a copy is made only when a miss inserts.
-  thread_local std::vector<hls::AccessIface> signature;
-  signature.clear();
-  for (const auto& inst : block.instructions()) {
-    if (!inst->isMemoryAccess()) continue;
-    auto it = ifaces.find(inst.get());
-    hls::AccessIface iface =
-        it == ifaces.end() ? hls::AccessIface{} : it->second;
-    if (iface.promoted) {
-      iface = hls::AccessIface{};
-      iface.promoted = true;
-    }
-    iface.footprintBytes = 0;
-    signature.push_back(iface);
+  return scheduleBlockCached(tablesFor(block.parent()), block, ifaces,
+                             unroll);
+}
+
+const hls::BlockPlan& AcceleratorModel::planFor(
+    FunctionTables& tables, const ir::BasicBlock& block) const {
+  std::unique_ptr<hls::BlockPlan>& plan = tables.blocks[block.index()].plan;
+  if (plan == nullptr) {
+    plan = std::make_unique<hls::BlockPlan>(scheduler_.plan(block));
   }
-  const auto key = std::make_pair(&block, unroll);
-  // The sorted bucket turns the old O(entries) signature scan into
-  // O(log entries) comparisons.
-  SchedBucket& bucket = schedBuckets_.try_emplace(key).first->second;
-  // Hits are returned by reference: bucket entries are map nodes, never
-  // erased and never moved by later insertions, so the schedule stays valid
-  // (and immutable) for the model's lifetime.
-  auto it = bucket.find(signature);
-  if (it != bucket.end()) return it->second;
-  return bucket
-      .emplace(signature, scheduler_.scheduleBlock(block, ifaces, unroll))
-      .first->second;
+  return *plan;
+}
+
+hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
+    FunctionTables& tables, const ir::BasicBlock& block,
+    const hls::IfaceAssignment& ifaces, unsigned unroll) const {
+  const hls::BlockPlan& plan = planFor(tables, block);
+  // Equal signatures schedule equally, so (width, signature) is a complete
+  // key, and collapsing promoted accesses and footprints turns
+  // nesting-level beta-rule variations of one block into hits. A block sees
+  // few distinct keys, so a scan.
+  std::span<const hls::AccessIface> signature =
+      hls::Scheduler::signature(plan, ifaces);
+  BlockSlot& slot = tables.blocks[block.index()];
+  for (const BlockSlot::Entry& entry : slot.entries) {
+    if (entry.width == unroll &&
+        std::equal(entry.signature.begin(), entry.signature.end(),
+                   signature.begin(), signature.end())) {
+      return entry.schedule;
+    }
+  }
+  hls::BlockSchedule schedule =
+      scheduler_.scheduleBlock(plan, signature, unroll);
+  slot.entries.push_back(BlockSlot::Entry{
+      unroll, std::vector<hls::AccessIface>(signature.begin(),
+                                            signature.end()),
+      schedule});
+  return schedule;
 }
 
 AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
-    const Region* region, const AcceleratorConfig& config,
-    unsigned unrollContext) const {
+    FunctionTables& tables, const Region* region,
+    const AcceleratorConfig& config, unsigned unrollContext,
+    std::span<const LoopII> iis) const {
   Estimate e;
-  const analysis::FunctionAnalyses& fa = analysesFor(region->function());
 
   switch (region->kind()) {
     case RegionKind::Bb: {
       const ir::BasicBlock* block = region->block();
       double execs = std::ceil(
-          static_cast<double>(profile_.blockCount(block)) /
+          static_cast<double>(tables.blockCounts[block->index()]) /
           static_cast<double>(unrollContext));
-      const hls::BlockSchedule& sched =
-          scheduleBlockCached(*block, config.ifaces, unrollContext);
+      hls::BlockSchedule sched =
+          scheduleBlockCached(tables, *block, config.ifaces, unrollContext);
       e.cycles = execs * static_cast<double>(sched.latency);
       e.area = sched.opAreaUm2 + sched.regAreaUm2 +
                tech_.fsmAreaPerState * sched.latency;
@@ -490,7 +559,7 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
       bool pipelined = lc != nullptr && lc->pipelined;
       double entries =
           std::max<double>(1.0, static_cast<double>(profile_.entries(region)));
-      double trip = tripCount(loop);
+      double trip = tables.loops[loop->index()].tripCount;
       double iterations = std::ceil(trip / static_cast<double>(unroll));
 
       if (pipelined) {
@@ -502,23 +571,36 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
         }
         CAYMAN_ASSERT(body != nullptr, "pipelined loop without body block");
         unsigned width = unroll * unrollContext;
-        const hls::BlockSchedule& sched =
-            scheduleBlockCached(*body, config.ifaces, width);
+        hls::BlockSchedule sched =
+            scheduleBlockCached(tables, *body, config.ifaces, width);
         unsigned depth = sched.latency + 1;  // +1: IV/exit-condition stage
-        unsigned ii = std::max(
-            scheduler_.recMII(fa.mem.carriedDeps(loop), config.ifaces),
-            scheduler_.resMII(*body, config.ifaces, width));
+        // iiTreeTerm's bound for this loop, when it computed one at this
+        // width (it assumes an unroll context of 1).
+        auto known =
+            std::find_if(iis.begin(), iis.end(),
+                         [&](const LoopII& l) { return l.loop == loop; });
+        unsigned ii = 0;
+        if (known != iis.end() && unrollContext == 1) {
+          ii = known->ii;
+        } else {
+          const hls::BlockPlan& plan = planFor(tables, *body);
+          ii = std::max(
+              scheduler_.recMII(tables.analyses->mem.carriedDeps(loop),
+                                config.ifaces),
+              scheduler_.resMII(
+                  plan, hls::Scheduler::signature(plan, config.ifaces),
+                  width));
+        }
         double perEntry =
             static_cast<double>(hls::Scheduler::pipelinedCycles(
                 static_cast<uint64_t>(iterations), depth, ii)) +
             2.0;  // start / drain control
         // Register-promoted accesses bracket the loop: load the cells before
         // the first iteration, write accumulators back after the last.
-        for (const auto& inst : body->instructions()) {
-          if (!inst->isMemoryAccess()) continue;
-          auto it = config.ifaces.find(inst.get());
+        for (const AccessEntry& access : accessesOf(tables, body)) {
+          auto it = config.ifaces.find(access.inst);
           if (it == config.ifaces.end() || !it->second.promoted) continue;
-          perEntry += inst->opcode() == ir::Opcode::Load
+          perEntry += access.inst->opcode() == ir::Opcode::Load
                           ? scheduler_.timing().coupledLoadLatency
                           : scheduler_.timing().coupledStoreLatency;
         }
@@ -536,8 +618,8 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
       // Sequential loop: children estimated against profiled counts, plus
       // per-entry enter/exit control.
       for (const auto& child : region->children()) {
-        Estimate ce =
-            estimateRegion(child.get(), config, unrollContext * unroll);
+        Estimate ce = estimateRegion(tables, child.get(), config,
+                                     unrollContext * unroll, iis);
         e.cycles += ce.cycles;
         e.area += ce.area;
         e.seqBlocks += ce.seqBlocks;
@@ -550,7 +632,8 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
 
     case RegionKind::If: {
       for (const auto& child : region->children()) {
-        Estimate ce = estimateRegion(child.get(), config, unrollContext);
+        Estimate ce =
+            estimateRegion(tables, child.get(), config, unrollContext, iis);
         e.cycles += ce.cycles;
         e.area += ce.area;
         e.seqBlocks += ce.seqBlocks;
@@ -569,7 +652,7 @@ AcceleratorModel::Estimate AcceleratorModel::estimateRegion(
 }
 
 AcceleratorModel::IfaceCosts AcceleratorModel::interfaceCosts(
-    const AcceleratorConfig& config) const {
+    FunctionTables& tables, const AcceleratorConfig& config) const {
   // One pass over the region's memory accesses in program order (region
   // block order, then instruction order). `config.ifaces` is keyed by
   // instruction pointer, so iterating the map directly would follow heap-
@@ -587,9 +670,9 @@ AcceleratorModel::IfaceCosts AcceleratorModel::interfaceCosts(
   IfaceCosts costs;
   size_t visited = 0;
   for (const ir::BasicBlock* block : config.region->blocks()) {
-    for (const auto& inst : block->instructions()) {
-      if (!inst->isMemoryAccess()) continue;
-      auto it = config.ifaces.find(inst.get());
+    for (const AccessEntry& access : accessesOf(tables, block)) {
+      const ir::Instruction* inst = access.inst;
+      auto it = config.ifaces.find(inst);
       if (it == config.ifaces.end()) continue;
       ++visited;
       const hls::AccessIface& iface = it->second;
@@ -662,11 +745,17 @@ AcceleratorModel::IfaceCosts AcceleratorModel::interfaceCosts(
 }
 
 void AcceleratorModel::estimate(AcceleratorConfig& config) const {
+  estimateWith(config, {});
+}
+
+void AcceleratorModel::estimateWith(AcceleratorConfig& config,
+                                    std::span<const LoopII> iis) const {
   CAYMAN_ASSERT(config.region != nullptr, "config without region");
   ++estimateCalls_;
   support::trace::count("model.estimate_calls", 1);
-  Estimate e = estimateRegion(config.region, config, 1);
-  IfaceCosts ic = interfaceCosts(config);
+  FunctionTables& tables = tablesFor(config.region->function());
+  Estimate e = estimateRegion(tables, config.region, config, 1, iis);
+  IfaceCosts ic = interfaceCosts(tables, config);
   double entries = static_cast<double>(profile_.entries(config.region));
   config.cycles = e.cycles + entries * ic.dmaCyclesPerEntry;
   config.cpuCycles = profile_.cycles(config.region);

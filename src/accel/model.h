@@ -4,8 +4,9 @@
 // configuration's cycle count and area without synthesizing full hardware.
 #pragma once
 
-#include <map>
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "accel/config.h"
 #include "hls/scheduler.h"
@@ -86,6 +87,11 @@ class AcceleratorModel {
   /// generate() in pre-order), leaving later selector runs pure cache reads.
   void warmGenerateCache() const;
 
+  /// True once generate(region) has cached the region's list.
+  bool generated(const analysis::Region* region) const {
+    return generateSlots_.at(static_cast<size_t>(region->id())).has_value();
+  }
+
   /// Re-estimates (cycles, area, counters) for a fully-specified config.
   void estimate(AcceleratorConfig& config) const;
 
@@ -122,6 +128,13 @@ class AcceleratorModel {
   /// schedule-cache miss (see scheduleBlockCached).
   uint64_t scheduleBlockCalls() const { return scheduler_.blockCalls(); }
 
+  /// The model's memoized scheduleBlock(): each block keeps one cache slot
+  /// holding its plan and the schedules computed so far, one per (width,
+  /// interface signature); a miss schedules once, a hit returns a copy.
+  hls::BlockSchedule scheduleBlockCached(const ir::BasicBlock& block,
+                                         const hls::IfaceAssignment& ifaces,
+                                         unsigned unroll) const;
+
  private:
   struct Estimate {
     double cycles = 0.0;  ///< whole-run cycles
@@ -130,28 +143,87 @@ class AcceleratorModel {
     unsigned pipelined = 0;
   };
 
+  // --- Per-function tables ---------------------------------------------------
+  //
+  // Everything generation reads that no region, ladder point or interface
+  // assignment changes, built once per function of the module on first use.
+
+  /// One memory access. Promotability and stream-ness are filled in lazily,
+  /// the first time a pipelined loop asks.
+  struct AccessEntry {
+    const ir::Instruction* inst = nullptr;
+    const ir::GlobalArray* array = nullptr;  ///< resolved base, else null
+    const analysis::Loop* loop = nullptr;    ///< innermost enclosing loop
+    std::optional<bool> promotable;
+    std::optional<bool> stream;
+  };
+  /// One loop, by Loop::index().
+  struct LoopEntry {
+    bool canUnroll = false;
+    double tripCount = 0.0;  ///< see tripCount()
+  };
+  /// A block's schedule-cache slot: its plan, and the schedules computed
+  /// so far, one per (width, hls::Scheduler::signature()).
+  struct BlockSlot {
+    struct Entry {
+      unsigned width = 0;
+      std::vector<hls::AccessIface> signature;
+      hls::BlockSchedule schedule;
+    };
+    std::unique_ptr<hls::BlockPlan> plan;  ///< built on the first request
+    std::vector<Entry> entries;
+  };
+  struct FunctionTables {
+    const ir::Function* function = nullptr;
+    const analysis::FunctionAnalyses* analyses = nullptr;
+    /// The function's accesses in program order; block b's are
+    /// accesses[accessBegin[b] .. accessBegin[b + 1]).
+    std::vector<AccessEntry> accesses;
+    std::vector<uint32_t> accessBegin;
+    std::vector<uint64_t> blockCounts;  ///< profiled, by block index
+    std::vector<BlockSlot> blocks;      ///< by block index
+    std::vector<LoopEntry> loops;
+  };
+  FunctionTables& tablesFor(const ir::Function* function) const;
+  static std::span<AccessEntry> accessesOf(FunctionTables& tables,
+                                           const ir::BasicBlock* block);
+
+  /// The MII that iiTreeTerm computed for one pipelined loop of a ladder
+  /// point, handed on to that point's estimate.
+  struct LoopII {
+    const analysis::Loop* loop = nullptr;
+    unsigned ii = 0;
+  };
+
   std::vector<AcceleratorConfig> generateUncached(
       const analysis::Region* region) const;
   std::vector<AcceleratorConfig> generateGuided(
       const analysis::Region* region) const;
+  /// estimate() that reuses MII bounds iiTreeTerm already computed for the
+  /// config's loops.
+  void estimateWith(AcceleratorConfig& config,
+                    std::span<const LoopII> iis) const;
   /// The unroll-sensitive part of a config's estimated cycles: for every
   /// pipelined loop in `region`, entries * ((iterations-1)*II +
   /// reduction-tree cycles), computed from the scheduler's MII bounds
   /// exactly as estimateRegion() would. Used by generateGuided to admit
-  /// ladder points without estimating them.
+  /// ladder points without estimating them. Each loop's II is appended to
+  /// `iis`.
   double iiTreeTerm(const analysis::Region* region,
                     const std::vector<LoopConfig>& loops,
-                    const hls::IfaceAssignment& ifaces) const;
-  /// scheduleBlock with memoization: identical
-  /// (block, interface-restriction, width) requests are scheduled once, and
-  /// the returned reference points into the cache (valid for the model's
-  /// lifetime).
-  const hls::BlockSchedule& scheduleBlockCached(
-      const ir::BasicBlock& block, const hls::IfaceAssignment& ifaces,
-      unsigned unroll) const;
-  Estimate estimateRegion(const analysis::Region* region,
+                    const hls::IfaceAssignment& ifaces,
+                    std::vector<LoopII>& iis) const;
+  const hls::BlockPlan& planFor(FunctionTables& tables,
+                                const ir::BasicBlock& block) const;
+  hls::BlockSchedule scheduleBlockCached(FunctionTables& tables,
+                                         const ir::BasicBlock& block,
+                                         const hls::IfaceAssignment& ifaces,
+                                         unsigned unroll) const;
+  Estimate estimateRegion(FunctionTables& tables,
+                          const analysis::Region* region,
                           const AcceleratorConfig& config,
-                          unsigned unrollContext) const;
+                          unsigned unrollContext,
+                          std::span<const LoopII> iis) const;
   bool canUnroll(const analysis::Loop* loop,
                  const analysis::FunctionAnalyses& fa) const;
   bool isPromotable(const ir::Instruction* access, const analysis::Loop* loop,
@@ -166,27 +238,25 @@ class AcceleratorModel {
     unsigned decoupled = 0;
     unsigned scratchpad = 0;
   };
-  IfaceCosts interfaceCosts(const AcceleratorConfig& config) const;
+  IfaceCosts interfaceCosts(FunctionTables& tables,
+                            const AcceleratorConfig& config) const;
 
-  /// Facts about one memory access of a region that do not depend on the
-  /// ladder point: computed once per generate call, then shared by every
-  /// assignInterfaces() over the region. Promotability and stream-ness are
-  /// filled in lazily, only once a pipelined loop asks.
+  /// One memory access of a region: its table entry plus what the region
+  /// decides, computed once per generate call and shared by every
+  /// assignInterfaces() over the region.
   struct AccessFacts {
-    const ir::Instruction* inst = nullptr;
-    const ir::GlobalArray* array = nullptr;  ///< resolved base, else null
+    AccessEntry* access = nullptr;
     double countPerEntry = 0.0;  ///< executions per region entry
-    const analysis::Loop* loop = nullptr;  ///< innermost enclosing loop
     std::optional<uint64_t> footprintElems;
-    std::optional<bool> promotable;
-    std::optional<bool> stream;
   };
   /// The region's memory accesses, sorted by instruction address.
-  std::vector<AccessFacts> accessFacts(const analysis::Region* region) const;
+  std::vector<AccessFacts> accessFacts(FunctionTables& tables,
+                                       const analysis::Region* region) const;
   hls::IfaceAssignment assignInterfaces(
-      const analysis::Region* region, std::vector<AccessFacts>& facts,
+      FunctionTables& tables, std::vector<AccessFacts>& facts,
       const std::vector<LoopConfig>& loops) const;
-  std::vector<LoopConfig> makeLoopConfigs(const analysis::Region* region,
+  std::vector<LoopConfig> makeLoopConfigs(FunctionTables& tables,
+                                          const analysis::Region* region,
                                           unsigned unroll,
                                           bool optimize) const;
 
@@ -198,16 +268,9 @@ class AcceleratorModel {
   mutable uint64_t estimateCalls_ = 0;
   mutable uint64_t candidatesTotal_ = 0;
 
-  // --- Schedule memoization ------------------------------------------------
-  //
-  // Each (block, width) bucket is a sorted map keyed by the interface
-  // signature (AccessIface per memory access in program order, ordered
-  // lexicographically by AccessIface::operator<) — O(log n) signature
-  // comparisons per lookup where the old linear bucket scan paid O(n).
-  using SchedBucket =
-      std::map<std::vector<hls::AccessIface>, hls::BlockSchedule>;
-  mutable std::map<std::pair<const ir::BasicBlock*, unsigned>, SchedBucket>
-      schedBuckets_;
+  /// One entry per function asked about so far (modules have few, so the
+  /// lookup is a scan).
+  mutable std::vector<std::unique_ptr<FunctionTables>> tables_;
 
   // --- generate() memoization ----------------------------------------------
   //

@@ -153,10 +153,21 @@ std::vector<WorkloadEvaluation> evaluateWorkloads(
     const std::vector<std::string>& names, double budgetRatio, unsigned jobs,
     const FrameworkOptions& options) {
   if (jobs == 0) jobs = ThreadPool::defaultWorkers();
+  // One job runs on the calling thread, in index order: no pool task, no
+  // cross-thread hand-off, and serial even when the shared pool has grown.
+  if (jobs == 1) {
+    std::vector<WorkloadEvaluation> evaluations;
+    evaluations.reserve(names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      evaluations.push_back(
+          evaluateWorkload(names[i], budgetRatio, options, i));
+    }
+    return evaluations;
+  }
   // One process-wide pool reused across invocations (driver sweeps, benches)
-  // instead of a construct/join cycle per call; grow-only, so a jobs=1 call
-  // after a jobs=N call still yields byte-identical output — only the
-  // schedule differs.
+  // instead of a construct/join cycle per call. It never shrinks, so a call
+  // may run on more workers than it asked for; output is byte-identical at
+  // any worker count, only the schedule differs.
   ThreadPool& pool = ThreadPool::shared();
   pool.ensureWorkers(jobs);
   // LPT (longest-processing-time-first) list scheduling: submit the

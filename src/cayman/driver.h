@@ -67,8 +67,9 @@ WorkloadEvaluation evaluateWorkload(const std::string& name,
                                     size_t traceIndex = 0);
 
 /// Evaluates the named workloads at `budgetRatio` on `jobs` pool workers
-/// (jobs == 0 means ThreadPool::defaultWorkers()). Output order follows
-/// `names`.
+/// (jobs == 0 means ThreadPool::defaultWorkers()); jobs == 1 runs them on
+/// the calling thread, in order, and submits nothing to the pool. Output
+/// order follows `names`.
 std::vector<WorkloadEvaluation> evaluateWorkloads(
     const std::vector<std::string>& names, double budgetRatio, unsigned jobs,
     const FrameworkOptions& options = {});

@@ -1,8 +1,10 @@
 // Processor–accelerator data access interfaces (paper §III-C, Fig. 3).
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "ir/instruction.h"
 
@@ -42,23 +44,6 @@ inline bool operator==(const AccessIface& a, const AccessIface& b) {
 inline bool operator!=(const AccessIface& a, const AccessIface& b) {
   return !(a == b);
 }
-/// Strict weak order consistent with operator== (equal iff neither is less).
-/// Lets signatures (vectors of AccessIface) key ordered containers, e.g. the
-/// model's block-schedule cache. Pointers compare via std::less, which is a
-/// total order even for unrelated objects. The order is arbitrary but stable
-/// within a process; it is never serialized.
-inline bool operator<(const AccessIface& a, const AccessIface& b) {
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.partitions != b.partitions) return a.partitions < b.partitions;
-  if (a.array != b.array) {
-    return std::less<const ir::GlobalArray*>{}(a.array, b.array);
-  }
-  if (a.footprintBytes != b.footprintBytes) {
-    return a.footprintBytes < b.footprintBytes;
-  }
-  return a.promoted < b.promoted;
-}
-
 /// Timing parameters of the interfaces. The defaults are calibrated so the
 /// paper's Fig. 4 example reproduces: sequential 6N vs 4N, pipelined II 3
 /// vs 1, unrolled-by-2 9(N/2) vs 4(N/2).
@@ -95,7 +80,72 @@ struct InterfaceTiming {
   }
 };
 
-/// Per-access interface assignment for a candidate kernel.
-using IfaceAssignment = std::map<const ir::Instruction*, AccessIface>;
+/// Per-access interface assignment for a candidate kernel: a flat vector of
+/// (access, interface) pairs kept sorted by instruction address, with the
+/// part of std::map's interface the model, the scheduler and the tests use.
+/// Iteration order is the key order, as for a std::map over the same keys.
+/// A lookup is a binary search over one contiguous array, and building an
+/// assignment in key order appends without allocating a node per access.
+class IfaceAssignment {
+ public:
+  using value_type = std::pair<const ir::Instruction*, AccessIface>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  void reserve(size_t n) { entries_.reserve(n); }
+
+  iterator find(const ir::Instruction* inst) {
+    auto it = lowerBound(inst);
+    return it != entries_.end() && it->first == inst ? it : entries_.end();
+  }
+  const_iterator find(const ir::Instruction* inst) const {
+    return const_cast<IfaceAssignment*>(this)->find(inst);
+  }
+
+  /// The access's interface, inserting a default one when it has none.
+  AccessIface& operator[](const ir::Instruction* inst) {
+    return emplace_hint(end(), inst, AccessIface{})->second;
+  }
+
+  /// std::map semantics: inserts (inst, iface) unless `inst` is already
+  /// assigned, and returns the entry for `inst` either way. The insert is
+  /// O(1) when `hint` is the position the key belongs at (end() while
+  /// appending in key order); any other hint still inserts correctly.
+  iterator emplace_hint(const_iterator hint, const ir::Instruction* inst,
+                        const AccessIface& iface) {
+    std::less<const ir::Instruction*> less;
+    bool hintFits =
+        (hint == entries_.begin() || less((hint - 1)->first, inst)) &&
+        (hint == entries_.end() || less(inst, hint->first));
+    iterator at = hintFits ? entries_.begin() + (hint - entries_.cbegin())
+                           : lowerBound(inst);
+    if (at != entries_.end() && at->first == inst) return at;
+    return entries_.emplace(at, inst, iface);
+  }
+
+  friend bool operator==(const IfaceAssignment& a, const IfaceAssignment& b) {
+    return a.entries_ == b.entries_;
+  }
+  friend bool operator!=(const IfaceAssignment& a, const IfaceAssignment& b) {
+    return !(a == b);
+  }
+
+ private:
+  iterator lowerBound(const ir::Instruction* inst) {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), inst,
+        [](const value_type& entry, const ir::Instruction* key) {
+          return std::less<const ir::Instruction*>{}(entry.first, key);
+        });
+  }
+
+  std::vector<value_type> entries_;
+};
 
 }  // namespace cayman::hls

@@ -15,23 +15,22 @@ AccessIface ifaceFor(const ir::Instruction& inst,
   return it == ifaces.end() ? AccessIface{} : it->second;
 }
 
-/// One schedulable operation of scheduleBlock(), with every fact the unroll
-/// instances need computed once per call.
+/// Per-call state of one planned node: the facts its access's interface
+/// decides, plus its finish cycle in the instance being scheduled.
 struct SchedNode {
-  const ir::Instruction* inst = nullptr;
-  AccessIface iface;  ///< default for non-accesses
   unsigned latency = 0;
   /// Non-promoted memory access: takes part in memory ordering and competes
   /// for its interface's shared resource.
   bool ordered = false;
+  IfaceKind kind = IfaceKind::Coupled;
+  unsigned partitions = 1;
   unsigned occupancy = 0;  ///< coupled port cycles
   unsigned bank = 0;       ///< scratchpad bank group
-  /// Predecessors whose finish gates this node's start — in-block operand
-  /// definitions and earlier accesses it may conflict with — as a slice of
-  /// SchedScratch::preds.
-  unsigned predBegin = 0;
-  unsigned predEnd = 0;
-  unsigned finish = 0;  ///< in the instance being scheduled
+  /// Earlier accesses it may conflict with, as a slice of
+  /// SchedScratch::memPreds (its operand predecessors are in the plan).
+  unsigned memBegin = 0;
+  unsigned memEnd = 0;
+  unsigned finish = 0;
 };
 
 /// Scratchpad banks of one resource key (a backing array, else a single
@@ -49,13 +48,21 @@ struct BankGroup {
 /// allocates nothing once the vectors have grown.
 struct SchedScratch {
   std::vector<SchedNode> nodes;
-  std::vector<std::pair<const ir::Instruction*, unsigned>> index;
-  std::vector<unsigned> preds;
+  std::vector<unsigned> memPreds;
   std::vector<BankGroup> banks;
   std::vector<unsigned> bankFree;  ///< next free cycle per bank
+  std::vector<AccessIface> signature;  ///< signature()
+  std::vector<std::pair<const ir::Instruction*, unsigned>> index;  ///< plan()
 };
 
 thread_local SchedScratch t_sched;
+
+/// Scratchpad demand of one resource key in resMII().
+struct BankDemand {
+  const void* key = nullptr;
+  unsigned count = 0;
+  unsigned parts = 0;
+};
 
 }  // namespace
 
@@ -92,59 +99,39 @@ const void* Scheduler::bankKey(const AccessIface& iface,
                                 : static_cast<const void*>(&inst);
 }
 
-BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
-                                       const IfaceAssignment& ifaces,
-                                       unsigned unroll,
-                                       std::vector<unsigned>* starts) const {
-  CAYMAN_ASSERT(unroll >= 1, "unroll factor must be >= 1");
-  ++blockCalls_;
-  support::trace::count("sched.block_calls", 1);
-  BlockSchedule result;
-  SchedScratch& scratch = t_sched;
-  std::vector<SchedNode>& nodes = scratch.nodes;
-  std::vector<unsigned>& preds = scratch.preds;
-  std::vector<BankGroup>& banks = scratch.banks;
-  nodes.clear();
-  preds.clear();
-  banks.clear();
-
-  // Schedulable nodes: everything but phis (register selects, free) and the
-  // terminator (FSM transition). Area accumulates in node order: operators
-  // replicate per unroll instance; every multi-cycle value needs a
-  // pipeline/holding register.
-  double opArea = 0.0;
-  double regArea = 0.0;
+BlockPlan Scheduler::plan(const ir::BasicBlock& block) const {
+  BlockPlan plan;
+  plan.nodes.reserve(block.instructions().size());
+  // Area accumulates in node order: operators replicate per unroll
+  // instance; every multi-cycle value needs a pipeline/holding register.
   for (const auto& inst : block.instructions()) {
     if (inst->opcode() == ir::Opcode::Phi || inst->isTerminator()) continue;
-    SchedNode node;
+    BlockPlan::Node node;
     node.inst = inst.get();
-    if (inst->isMemoryAccess()) node.iface = ifaceFor(*inst, ifaces);
-    node.latency = latencyUnder(*inst, node.iface);
-    node.ordered = inst->isMemoryAccess() && !node.iface.promoted;
-    node.occupancy = inst->opcode() == ir::Opcode::Load
-                         ? timing_.coupledLoadOccupancy
-                         : timing_.coupledStoreOccupancy;
-    nodes.push_back(node);
-    opArea += tech_.opInfo(inst->opcode(), inst->type()).areaUm2;
+    if (inst->isMemoryAccess()) {
+      node.access = static_cast<unsigned>(plan.accesses.size());
+      plan.accesses.push_back(static_cast<unsigned>(plan.nodes.size()));
+    } else {
+      node.latency = latencyUnder(*inst, AccessIface{});
+    }
+    plan.nodes.push_back(node);
+    plan.opAreaUm2 += tech_.opInfo(inst->opcode(), inst->type()).areaUm2;
     if (!inst->type()->isVoid()) {
-      regArea += tech_.registerAreaPerBit * inst->type()->bitWidth();
+      plan.regAreaUm2 += tech_.registerAreaPerBit * inst->type()->bitWidth();
     }
   }
-  result.numOps = static_cast<unsigned>(nodes.size());
-  result.opAreaUm2 = opArea * unroll;
-  result.regAreaUm2 = regArea * unroll;
 
   // Node position by instruction, for operand lookups.
-  auto& index = scratch.index;
+  std::vector<std::pair<const ir::Instruction*, unsigned>>& index =
+      t_sched.index;
   index.clear();
-  for (unsigned i = 0; i < nodes.size(); ++i) {
-    index.emplace_back(nodes[i].inst, i);
+  for (unsigned i = 0; i < plan.nodes.size(); ++i) {
+    index.emplace_back(plan.nodes[i].inst, i);
   }
   std::sort(index.begin(), index.end());
-
-  for (unsigned i = 0; i < nodes.size(); ++i) {
-    SchedNode& node = nodes[i];
-    node.predBegin = static_cast<unsigned>(preds.size());
+  for (unsigned i = 0; i < plan.nodes.size(); ++i) {
+    BlockPlan::Node& node = plan.nodes[i];
+    node.predBegin = static_cast<unsigned>(plan.operandPreds.size());
     for (const ir::Value* operand : node.inst->operands()) {
       const auto* def = ir::dynCast<ir::Instruction>(operand);
       if (def == nullptr || def->parent() != &block) continue;
@@ -153,26 +140,94 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
       // Only earlier nodes: a def not yet scheduled in the current instance
       // has no finish time to wait for.
       if (it != index.end() && it->first == def && it->second < i) {
-        preds.push_back(it->second);
+        plan.operandPreds.push_back(it->second);
       }
     }
+    node.predEnd = static_cast<unsigned>(plan.operandPreds.size());
+  }
+  return plan;
+}
+
+std::span<const AccessIface> Scheduler::signature(
+    const BlockPlan& plan, const IfaceAssignment& ifaces) {
+  std::vector<AccessIface>& out = t_sched.signature;
+  out.clear();
+  for (unsigned k : plan.accesses) {
+    AccessIface iface = ifaceFor(*plan.nodes[k].inst, ifaces);
+    if (iface.promoted) {
+      iface = AccessIface{};
+      iface.promoted = true;
+    }
+    iface.footprintBytes = 0;
+    out.push_back(iface);
+  }
+  return out;
+}
+
+BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
+                                       const IfaceAssignment& ifaces,
+                                       unsigned unroll,
+                                       std::vector<unsigned>* starts) const {
+  BlockPlan blockPlan = plan(block);
+  return scheduleBlock(blockPlan, signature(blockPlan, ifaces), unroll,
+                       starts);
+}
+
+BlockSchedule Scheduler::scheduleBlock(const BlockPlan& plan,
+                                       std::span<const AccessIface> ifaces,
+                                       unsigned unroll,
+                                       std::vector<unsigned>* starts) const {
+  CAYMAN_ASSERT(unroll >= 1, "unroll factor must be >= 1");
+  CAYMAN_ASSERT(ifaces.size() == plan.accesses.size(),
+                "one interface per planned access");
+  ++blockCalls_;
+  support::trace::count("sched.block_calls", 1);
+  BlockSchedule result;
+  result.numOps = static_cast<unsigned>(plan.nodes.size());
+  result.opAreaUm2 = plan.opAreaUm2 * unroll;
+  result.regAreaUm2 = plan.regAreaUm2 * unroll;
+
+  SchedScratch& scratch = t_sched;
+  std::vector<SchedNode>& nodes = scratch.nodes;
+  std::vector<unsigned>& memPreds = scratch.memPreds;
+  std::vector<BankGroup>& banks = scratch.banks;
+  nodes.assign(plan.nodes.size(), SchedNode{});
+  memPreds.clear();
+  banks.clear();
+
+  for (unsigned i = 0; i < plan.nodes.size(); ++i) {
+    const BlockPlan::Node& planned = plan.nodes[i];
+    SchedNode& node = nodes[i];
+    node.latency = planned.latency;
+    if (planned.access == BlockPlan::kNotAccess) continue;
+    const AccessIface& iface = ifaces[planned.access];
+    const bool store = planned.inst->opcode() == ir::Opcode::Store;
+    node.latency = latencyUnder(*planned.inst, iface);
+    node.ordered = !iface.promoted;
+    node.kind = iface.kind;
+    node.partitions = iface.partitions;
+    node.occupancy = store ? timing_.coupledStoreOccupancy
+                           : timing_.coupledLoadOccupancy;
+    node.memBegin = static_cast<unsigned>(memPreds.size());
     if (node.ordered) {
       // Memory ordering within one instance: accesses that may conflict
       // keep program order (same array with a store involved, or any
       // unknown address). `ifaces.array` is the statically resolved base
       // where known.
-      bool store = node.inst->opcode() == ir::Opcode::Store;
-      for (unsigned j = 0; j < i; ++j) {
+      for (unsigned a = 0; a < planned.access; ++a) {
+        const unsigned j = plan.accesses[a];
         if (!nodes[j].ordered) continue;
-        if (!store && nodes[j].inst->opcode() != ir::Opcode::Store) continue;
-        const ir::GlobalArray* arrA = nodes[j].iface.array;
-        const ir::GlobalArray* arrB = node.iface.array;
+        if (!store && plan.nodes[j].inst->opcode() != ir::Opcode::Store) {
+          continue;
+        }
+        const ir::GlobalArray* arrA = ifaces[a].array;
+        const ir::GlobalArray* arrB = iface.array;
         if (arrA == nullptr || arrB == nullptr || arrA == arrB) {
-          preds.push_back(j);
+          memPreds.push_back(j);
         }
       }
-      if (node.iface.kind == IfaceKind::Scratchpad) {
-        const void* key = bankKey(node.iface, *node.inst);
+      if (iface.kind == IfaceKind::Scratchpad) {
+        const void* key = bankKey(iface, *planned.inst);
         auto group = std::find_if(
             banks.begin(), banks.end(),
             [&](const BankGroup& g) { return g.key == key; });
@@ -180,11 +235,11 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
           group = banks.insert(banks.end(), BankGroup{key});
         }
         group->capacity =
-            std::max(group->capacity, std::max(node.iface.partitions, 1u));
+            std::max(group->capacity, std::max(iface.partitions, 1u));
         node.bank = static_cast<unsigned>(group - banks.begin());
       }
     }
-    node.predEnd = static_cast<unsigned>(preds.size());
+    node.memEnd = static_cast<unsigned>(memPreds.size());
   }
   unsigned bankSlots = 0;
   for (BankGroup& group : banks) {
@@ -199,20 +254,25 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
   unsigned coupledPortFree = 0;
   unsigned overallFinish = 0;
   for (unsigned instance = 0; instance < unroll; ++instance) {
-    for (SchedNode& node : nodes) {
+    for (unsigned i = 0; i < nodes.size(); ++i) {
+      const BlockPlan::Node& planned = plan.nodes[i];
+      SchedNode& node = nodes[i];
       unsigned startCycle = 0;
-      for (unsigned p = node.predBegin; p < node.predEnd; ++p) {
-        startCycle = std::max(startCycle, nodes[preds[p]].finish);
+      for (unsigned p = planned.predBegin; p < planned.predEnd; ++p) {
+        startCycle = std::max(startCycle, nodes[plan.operandPreds[p]].finish);
+      }
+      for (unsigned p = node.memBegin; p < node.memEnd; ++p) {
+        startCycle = std::max(startCycle, nodes[memPreds[p]].finish);
       }
       if (node.ordered) {
-        switch (node.iface.kind) {
+        switch (node.kind) {
           case IfaceKind::Coupled:
             startCycle = std::max(startCycle, coupledPortFree);
             coupledPortFree = startCycle + node.occupancy;
             break;
           case IfaceKind::Scratchpad: {
             BankGroup& group = banks[node.bank];
-            unsigned parts = node.iface.partitions;
+            unsigned parts = node.partitions;
             if (group.live < parts) group.live = std::max(parts, 1u);
             auto first = scratch.bankFree.begin() + group.base;
             auto slot = std::min_element(first, first + group.live);
@@ -236,23 +296,38 @@ BlockSchedule Scheduler::scheduleBlock(const ir::BasicBlock& block,
 unsigned Scheduler::resMII(const ir::BasicBlock& block,
                            const IfaceAssignment& ifaces,
                            unsigned unroll) const {
+  BlockPlan blockPlan = plan(block);
+  return resMII(blockPlan, signature(blockPlan, ifaces), unroll);
+}
+
+unsigned Scheduler::resMII(const BlockPlan& plan,
+                           std::span<const AccessIface> ifaces,
+                           unsigned unroll) const {
   unsigned coupledDemand = 0;
-  std::map<const void*, std::pair<unsigned, unsigned>> bankDemand;  // count, parts
-  for (const auto& inst : block.instructions()) {
-    if (!inst->isMemoryAccess()) continue;
-    AccessIface iface = ifaceFor(*inst, ifaces);
+  // Scratchpad demand per resource key; blocks have few keys, so a scan.
+  thread_local std::vector<BankDemand> bankDemand;
+  bankDemand.clear();
+  for (unsigned a = 0; a < plan.accesses.size(); ++a) {
+    const AccessIface& iface = ifaces[a];
     if (iface.promoted) continue;  // register-held: no port demand
+    const ir::Instruction& inst = *plan.nodes[plan.accesses[a]].inst;
     switch (iface.kind) {
       case IfaceKind::Coupled:
-        coupledDemand += (inst->opcode() == ir::Opcode::Load
+        coupledDemand += (inst.opcode() == ir::Opcode::Load
                               ? timing_.coupledLoadOccupancy
                               : timing_.coupledStoreOccupancy) *
                          unroll;
         break;
       case IfaceKind::Scratchpad: {
-        auto& [count, parts] = bankDemand[bankKey(iface, *inst)];
-        count += unroll;
-        parts = std::max(parts, std::max(1u, iface.partitions));
+        const void* key = bankKey(iface, inst);
+        auto demand = std::find_if(
+            bankDemand.begin(), bankDemand.end(),
+            [&](const BankDemand& d) { return d.key == key; });
+        if (demand == bankDemand.end()) {
+          demand = bankDemand.insert(bankDemand.end(), BankDemand{key});
+        }
+        demand->count += unroll;
+        demand->parts = std::max(demand->parts, std::max(1u, iface.partitions));
         break;
       }
       case IfaceKind::Decoupled:
@@ -260,10 +335,8 @@ unsigned Scheduler::resMII(const ir::BasicBlock& block,
     }
   }
   unsigned ii = std::max(1u, coupledDemand);
-  for (const auto& [key, demand] : bankDemand) {
-    (void)key;
-    auto [count, parts] = demand;
-    ii = std::max(ii, (count + parts - 1) / parts);
+  for (const BankDemand& demand : bankDemand) {
+    ii = std::max(ii, (demand.count + demand.parts - 1) / demand.parts);
   }
   return ii;
 }

@@ -140,13 +140,14 @@ Solution CandidateSelector::best(SelectStats& stats) const {
 std::vector<Solution> CandidateSelector::run(SelectStats& stats,
                                              bool winnerOnly) const {
   stats = SelectStats{};
-  // Candidate generation first, outside the span: it is memoized model work
-  // shared by every budget sweep, and folding its cold
-  // first computation into select.dp made the DP look ~5x more expensive
-  // than it is. No new span is opened for it, so the deterministic trace
-  // event stream is unchanged.
+  // Candidate generation first, in its own span: it is memoized model work
+  // shared by every budget sweep, and folding its cold first computation
+  // into select.dp made the DP look ~5x more expensive than it is.
   CandidateLists lists(model_.wpst().allRegions().size(), nullptr);
-  collectCandidates(model_.wpst().root(), lists);
+  {
+    support::trace::Span generateSpan("generate", "select");
+    collectCandidates(model_.wpst().root(), lists);
+  }
   support::trace::Span span("select.dp", "select");
   const double ratio = params_.clockRatio;
   std::vector<Solution> front;

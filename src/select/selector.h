@@ -79,10 +79,10 @@ class CandidateSelector {
   /// after their children), every region the DP will ask candidates for,
   /// and files each list under its Region::id() in `lists` (sized to the
   /// wPST by the caller). The same per-region generate() calls the DP used
-  /// to make inline, so model.cache_* counter totals are unchanged. Runs
-  /// outside the select.dp span: generation is memoized, budget-independent
-  /// model work, and attributing its first (cold) computation to the DP span
-  /// hid what the DP itself costs.
+  /// to make inline, so model.cache_* counter totals are unchanged. Runs in
+  /// its own `generate` span, outside select.dp: generation is memoized,
+  /// budget-independent model work, and attributing its first (cold)
+  /// computation to the DP span hid what the DP itself costs.
   void collectCandidates(const analysis::Region* region,
                          CandidateLists& lists) const;
 

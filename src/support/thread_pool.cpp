@@ -29,8 +29,7 @@ unsigned ThreadPool::defaultWorkers() {
 ThreadPool& ThreadPool::shared() {
   // Leaked: tasks submitted from static-destruction-order-unknown contexts
   // must never observe a destroyed pool. Starts at one worker — callers
-  // grow it to their --jobs with ensureWorkers, and a 1-worker pool keeps
-  // --jobs 1 runs genuinely serial.
+  // grow it to their --jobs with ensureWorkers.
   static ThreadPool* pool = new ThreadPool(1);
   return *pool;
 }

@@ -45,9 +45,11 @@ class ThreadPool {
   static unsigned defaultWorkers();
 
   /// The process-wide shared pool (deliberately leaked — tasks may still be
-  /// draining when static destructors run). Starts with a single worker so
-  /// callers that asked for --jobs 1 get genuinely serial execution; grow it
-  /// with ensureWorkers(jobs).
+  /// draining when static destructors run). Starts with a single worker;
+  /// grow it with ensureWorkers(jobs). It never shrinks, so once grown it
+  /// runs even a one-at-a-time caller's tasks on any of its workers: a
+  /// caller that must be serial runs its work itself (evaluateWorkloads
+  /// does at jobs 1).
   static ThreadPool& shared();
 
   explicit ThreadPool(unsigned workers = defaultWorkers());

@@ -3,6 +3,10 @@
 // the paper's Fig. 4 demonstrates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "analysis/regions.h"
 #include "hls/scheduler.h"
 #include "test_kernels.h"
@@ -38,6 +42,106 @@ IfaceAssignment assignAll(const ir::BasicBlock& block, IfaceKind kind,
     ifaces[inst.get()] = iface;
   }
   return ifaces;
+}
+
+/// Every instruction of a kernel: distinct keys for assignment tests.
+std::vector<const ir::Instruction*> someInstructions(const ir::Module& m) {
+  std::vector<const ir::Instruction*> insts;
+  for (const auto& block : m.entryFunction()->blocks()) {
+    for (const auto& inst : block->instructions()) insts.push_back(inst.get());
+  }
+  return insts;
+}
+
+AccessIface ifaceWithParts(unsigned partitions) {
+  AccessIface iface;
+  iface.kind = IfaceKind::Scratchpad;
+  iface.partitions = partitions;
+  return iface;
+}
+
+TEST(IfaceAssignmentTest, InsertsInAnyOrderKeepInstructionOrder) {
+  auto m = testing::linearKernel();
+  std::vector<const ir::Instruction*> insts = someInstructions(*m);
+  ASSERT_GE(insts.size(), 6u);
+  // Odd positions backwards, then even positions forwards.
+  std::vector<const ir::Instruction*> order;
+  for (size_t i = insts.size(); i-- > 0;) {
+    if (i % 2 == 1) order.push_back(insts[i]);
+  }
+  for (size_t i = 0; i < insts.size(); i += 2) order.push_back(insts[i]);
+  IfaceAssignment ifaces;
+  for (size_t k = 0; k < order.size(); ++k) {
+    ifaces[order[k]] = ifaceWithParts(static_cast<unsigned>(k + 1));
+  }
+  ASSERT_EQ(ifaces.size(), insts.size());
+  std::vector<const ir::Instruction*> sorted = insts;
+  std::sort(sorted.begin(), sorted.end(),
+            std::less<const ir::Instruction*>{});
+  size_t k = 0;
+  for (const auto& [inst, iface] : ifaces) {
+    EXPECT_EQ(inst, sorted[k++]);
+    // Each key kept the value inserted for it.
+    size_t at = static_cast<size_t>(
+        std::find(order.begin(), order.end(), inst) - order.begin());
+    EXPECT_EQ(iface.partitions, at + 1);
+  }
+}
+
+TEST(IfaceAssignmentTest, FindOfAnAbsentAccessReturnsEnd) {
+  auto m = testing::linearKernel();
+  std::vector<const ir::Instruction*> insts = someInstructions(*m);
+  IfaceAssignment ifaces;
+  EXPECT_EQ(ifaces.find(insts[0]), ifaces.end());
+  for (size_t i = 0; i < insts.size(); i += 2) ifaces[insts[i]] = {};
+  for (size_t i = 0; i < insts.size(); ++i) {
+    const IfaceAssignment& view = ifaces;
+    auto it = view.find(insts[i]);
+    if (i % 2 == 0) {
+      ASSERT_NE(it, view.end());
+      EXPECT_EQ(it->first, insts[i]);
+    } else {
+      EXPECT_EQ(it, view.end());
+    }
+  }
+}
+
+TEST(IfaceAssignmentTest, EqualityDoesNotDependOnInsertionOrder) {
+  auto m = testing::linearKernel();
+  std::vector<const ir::Instruction*> insts = someInstructions(*m);
+  IfaceAssignment forwards;
+  IfaceAssignment backwards;
+  for (size_t i = 0; i < insts.size(); ++i) {
+    forwards[insts[i]] = ifaceWithParts(static_cast<unsigned>(i));
+  }
+  for (size_t i = insts.size(); i-- > 0;) {
+    backwards.emplace_hint(backwards.begin(), insts[i],
+                           ifaceWithParts(static_cast<unsigned>(i)));
+  }
+  EXPECT_EQ(forwards, backwards);
+  backwards[insts[0]].promoted = true;
+  EXPECT_NE(forwards, backwards);
+}
+
+TEST(IfaceAssignmentTest, EmplaceHintOnAnExistingKeyKeepsTheFirstValue) {
+  auto m = testing::linearKernel();
+  std::vector<const ir::Instruction*> insts = someInstructions(*m);
+  IfaceAssignment ifaces;
+  for (const ir::Instruction* inst : insts) {
+    ifaces.emplace_hint(ifaces.end(), inst, ifaceWithParts(1));
+  }
+  // Right hint, wrong hint, end(): std::map keeps the first value and
+  // returns the existing entry.
+  for (int which = 0; which < 3; ++which) {
+    IfaceAssignment::const_iterator hint =
+        which == 0 ? IfaceAssignment::const_iterator(ifaces.find(insts[2]))
+        : which == 1 ? ifaces.begin()
+                     : ifaces.end();
+    auto it = ifaces.emplace_hint(hint, insts[2], ifaceWithParts(9));
+    EXPECT_EQ(it->first, insts[2]);
+    EXPECT_EQ(it->second.partitions, 1u);
+  }
+  EXPECT_EQ(ifaces.size(), insts.size());
 }
 
 TEST(TechLibraryTest, DelaysAndAreasAreOrdered) {

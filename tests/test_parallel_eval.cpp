@@ -7,6 +7,7 @@
 
 #include "cayman/driver.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 namespace cayman {
@@ -121,6 +122,40 @@ TEST(ParallelEvalTest, HighJobCountsMatchSerial) {
               referenceTable)
         << "jobs=" << jobs;
   }
+}
+
+TEST(ParallelEvalTest, OneJobRunsOnTheCallingThreadAfterThePoolGrew) {
+  // jobs=1 runs every workload on the calling thread: even after the shared
+  // pool has grown to four workers it submits no pool task, and its rows
+  // equal a jobs=4 run's.
+  ThreadPool::shared().ensureWorkers(4);
+  const std::vector<std::string> names = {"atax", "bicg", "mvt"};
+  support::trace::TraceRecorder& recorder =
+      support::trace::TraceRecorder::global();
+  auto poolTasks = [&recorder] {
+    for (const auto& [name, value] : recorder.globalCounters()) {
+      if (name == "pool.tasks") return value;
+    }
+    return uint64_t{0};
+  };
+  recorder.clear();
+  recorder.setEnabled(true);
+  std::vector<WorkloadEvaluation> parallel =
+      evaluateWorkloads(names, 0.25, 4);
+  const uint64_t afterParallel = poolTasks();
+  std::vector<WorkloadEvaluation> serial = evaluateWorkloads(names, 0.25, 1);
+  const uint64_t afterSerial = poolTasks();
+  recorder.setEnabled(false);
+  recorder.clear();
+
+  EXPECT_EQ(afterParallel, names.size());
+  EXPECT_EQ(afterSerial, afterParallel);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].name, names[i]);
+    expectReportsIdentical(serial[i].report, parallel[i].report, names[i]);
+  }
+  EXPECT_EQ(formatEvaluationTable(serial), formatEvaluationTable(parallel));
 }
 
 TEST(ParallelEvalTest, EvaluateWorkloadsHonorsNameOrder) {

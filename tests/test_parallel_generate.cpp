@@ -1,11 +1,9 @@
 // The model's generate cache and schedule cache: each region is generated
-// once and each schedule computed once, plus the container-complexity
-// regression for the sorted schedule buckets: lookups cost O(log entries)
-// signature comparisons where the old linear bucket scan paid O(entries).
+// once, and each (block, width, interface signature) is scheduled once,
+// with every cached answer equal to a fresh schedule.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -15,6 +13,7 @@
 #include "hls/interface.h"
 #include "support/trace.h"
 #include "test_kernels.h"
+#include "workloads/workloads.h"
 
 namespace cayman::accel {
 namespace {
@@ -77,49 +76,7 @@ TEST(ParallelGenerateTest, RepeatedGenerateReturnsOneStableList) {
   EXPECT_EQ(counters["model.cache_hits"], regions.size());
 }
 
-TEST(SchedCacheComplexityTest, SortedBucketStaysLogarithmic) {
-  // The satellite regression: the schedule cache's buckets are sorted maps
-  // over interface signatures. n inserts + n lookups must cost O(n log n)
-  // signature comparisons; the linear scan this replaced paid O(n^2)
-  // (~65k comparisons at n = 256 vs ~5k for a red-black tree).
-  struct CountingLess {
-    std::atomic<uint64_t>* comparisons = nullptr;
-    bool operator()(const std::vector<hls::AccessIface>& a,
-                    const std::vector<hls::AccessIface>& b) const {
-      comparisons->fetch_add(1, std::memory_order_relaxed);
-      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                          b.end());
-    }
-  };
-  constexpr uint64_t kEntries = 256;
-  std::atomic<uint64_t> comparisons{0};
-  std::map<std::vector<hls::AccessIface>, int, CountingLess> bucket(
-      CountingLess{&comparisons});
-
-  auto signatureAt = [](uint64_t i) {
-    std::vector<hls::AccessIface> signature(3);
-    signature[2].footprintBytes = i;  // distinct in the last element: worst
-    signature[2].partitions = 1 + static_cast<unsigned>(i % 4);  // case order
-    return signature;
-  };
-  for (uint64_t i = 0; i < kEntries; ++i) {
-    // Deterministically shuffled insert order (37 is coprime to 256).
-    bucket.emplace(signatureAt((i * 37) % kEntries), static_cast<int>(i));
-  }
-  ASSERT_EQ(bucket.size(), kEntries);
-  for (uint64_t i = 0; i < kEntries; ++i) {
-    EXPECT_NE(bucket.find(signatureAt(i)), bucket.end());
-  }
-  // Generous tree bound: 2 ops/entry x (2*log2(n) + 4) comparisons/op.
-  const uint64_t logBound = 2 * kEntries *
-                            (2 * static_cast<uint64_t>(std::log2(kEntries)) +
-                             4);
-  EXPECT_LE(comparisons.load(), logBound);           // ~10k ceiling
-  EXPECT_GE(comparisons.load(), kEntries);           // the counter is live
-  EXPECT_LT(logBound, kEntries * kEntries / 2);      // linear scan would fail
-}
-
-TEST(SchedCacheComplexityTest, ModelComparisonCountIsDeterministic) {
+TEST(SchedCacheTest, ModelComparisonCountIsDeterministic) {
   // Two fresh identical models do identical schedule-cache work (one
   // scheduleBlock per miss), and a memoized re-generate schedules nothing
   // further.
@@ -135,22 +92,85 @@ TEST(SchedCacheComplexityTest, ModelComparisonCountIsDeterministic) {
   EXPECT_EQ(a.model.scheduleBlockCalls(), before);
 }
 
-TEST(SchedCacheComplexityTest, AccessIfaceOrderIsConsistentWithEquality) {
-  // Strict-weak-order prerequisite for keying sorted containers: equal iff
-  // neither is less.
-  std::vector<hls::AccessIface> samples(5);
-  samples[1].kind = hls::IfaceKind::Decoupled;
-  samples[2].partitions = 8;
-  samples[3].footprintBytes = 1024;
-  samples[4].promoted = true;
-  for (const hls::AccessIface& x : samples) {
-    EXPECT_FALSE(x < x);
-    for (const hls::AccessIface& y : samples) {
-      EXPECT_EQ(x == y, !(x < y) && !(y < x));
-      if (x < y) {
-        EXPECT_FALSE(y < x);
+/// One schedule-cache key: the block, the width and the block's accesses'
+/// interfaces in program order, reduced to what a schedule reads (a
+/// promoted access is only "promoted"; footprints never matter).
+struct SchedKey {
+  const ir::BasicBlock* block = nullptr;
+  unsigned width = 0;
+  std::vector<hls::AccessIface> signature;
+  bool operator==(const SchedKey&) const = default;
+};
+
+SchedKey keyOf(const ir::BasicBlock& block,
+               const hls::IfaceAssignment& ifaces, unsigned width) {
+  SchedKey key{&block, width, {}};
+  for (const auto& inst : block.instructions()) {
+    if (!inst->isMemoryAccess()) continue;
+    auto it = ifaces.find(inst.get());
+    hls::AccessIface iface =
+        it == ifaces.end() ? hls::AccessIface{} : it->second;
+    if (iface.promoted) iface = hls::AccessIface{.promoted = true};
+    iface.footprintBytes = 0;
+    key.signature.push_back(iface);
+  }
+  return key;
+}
+
+TEST(SchedCacheTest, EachKeyIsScheduledOnceAndHitsMatchFreshSchedules) {
+  // Every block of every candidate region under every ladder point's
+  // interfaces, at each of the ladder's widths: the model schedules a
+  // (block, width, signature) key the first time it sees it and never
+  // again, and every answer, hit or miss, equals a fresh scheduleBlock on a
+  // scheduler of its own.
+  for (const char* workload : {"3mm", "cjpeg"}) {
+    SCOPED_TRACE(workload);
+    Pipeline p(workloads::build(workload));
+    hls::Scheduler fresh(p.tech, hls::InterfaceTiming{},
+                         p.model.params().clockNs);
+    std::vector<SchedKey> seen;
+    size_t requests = 0;
+    for (const analysis::Region* region : p.wpst.allRegions()) {
+      if (!region->isCandidate()) continue;
+      std::vector<AcceleratorConfig> points = {
+          p.model.ladderConfig(region, 1, /*optimize=*/false)};
+      for (unsigned unroll : kUnrollFactors) {
+        points.push_back(p.model.ladderConfig(region, unroll, true));
+      }
+      for (const AcceleratorConfig& point : points) {
+        for (const ir::BasicBlock* block : region->blocks()) {
+          for (unsigned width : {1u, 4u}) {
+            SchedKey key = keyOf(*block, point.ifaces, width);
+            bool isNew =
+                std::find(seen.begin(), seen.end(), key) == seen.end();
+            if (isNew) seen.push_back(key);
+            uint64_t before = p.model.scheduleBlockCalls();
+            hls::BlockSchedule cached =
+                p.model.scheduleBlockCached(*block, point.ifaces, width);
+            ++requests;
+            ASSERT_EQ(p.model.scheduleBlockCalls(), before + (isNew ? 1 : 0))
+                << block->name() << " width " << width;
+            hls::BlockSchedule expected =
+                fresh.scheduleBlock(*block, point.ifaces, width);
+            EXPECT_EQ(cached.latency, expected.latency) << block->name();
+            EXPECT_EQ(cached.opAreaUm2, expected.opAreaUm2) << block->name();
+            EXPECT_EQ(cached.regAreaUm2, expected.regAreaUm2)
+                << block->name();
+            EXPECT_EQ(cached.numOps, expected.numOps) << block->name();
+          }
+        }
       }
     }
+    EXPECT_EQ(p.model.scheduleBlockCalls(), seen.size());
+    // The sweep hits as well as misses.
+    EXPECT_LT(seen.size(), requests);
+
+    // Generation adds only keys it has not seen, and a second warm pass
+    // schedules nothing.
+    p.model.warmGenerateCache();
+    uint64_t warmed = p.model.scheduleBlockCalls();
+    p.model.warmGenerateCache();
+    EXPECT_EQ(p.model.scheduleBlockCalls(), warmed);
   }
 }
 

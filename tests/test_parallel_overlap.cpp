@@ -5,9 +5,8 @@
 // byte-identical. The stalls are sleeps, so the guard holds even on a
 // single hardware core; compute time is noise next to the injected delay.
 //
-// This binary must stay order-sensitive: the process-wide shared pool never
-// shrinks, so the jobs=1 run has to happen before anything grows the pool.
-// Keep it a single test.
+// The jobs=1 reference runs on the calling thread, so it is serial however
+// far the process-wide shared pool has grown.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -35,8 +34,7 @@ TEST(ParallelOverlapTest, InjectedStallsOverlapAcrossWorkloads) {
     return std::make_pair(seconds, formatEvaluationTable(evaluations));
   };
 
-  // jobs=1 first: the shared pool starts at one worker and never shrinks,
-  // so this run is genuinely serial.
+  // jobs=1 runs on the calling thread, one workload after the other.
   auto [serialSeconds, serialTable] = timedRun(1);
 
   auto [parallelSeconds, parallelTable] = timedRun(2);
